@@ -35,6 +35,8 @@ ROOT = HERE.parent
 WORK = ROOT / ".bench_build"
 SETUP_REPEATS = 5
 CALL_TIMEOUT_S = 150.0
+# a timed run ends within this many seconds even if a call hangs
+RUN_BUDGET_S = 160.0
 
 
 class Gate:
@@ -86,7 +88,7 @@ def metadata(env: dict, seed: int, scratch: Path) -> dict:
         "print(json.dumps({'kernel_backend': cayleyphase.KERNEL_BACKEND, 'compiled_kernel_imports': compiled,"
         " 'numpy': numpy.__version__, 'scipy': scipy.__version__, 'cayleyphase': cayleyphase.__version__}))"
     )
-    res = proc.run([sys.executable, "-c", code], env, ROOT, scratch, CALL_TIMEOUT_S)
+    res = proc.run([sys.executable, "-c", code], env, ROOT, scratch, timeout=60)
     if res.code != 0:
         raise RuntimeError(f"cannot import the built package:\n{res.stderr}")
     meta = json.loads(res.stdout)
@@ -134,9 +136,15 @@ def _check_call(gate: Gate, argv, res: proc.Result, expected) -> dict | None:
 
 def measure(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
     python = [sys.executable, "-m", "cayleyphase"]
+    deadline = time.perf_counter() + RUN_BUDGET_S
+
+    def run_cli(argv):
+        timeout = max(1.0, min(CALL_TIMEOUT_S, deadline - time.perf_counter()))
+        return proc.run(python + argv, env, ROOT, scratch, timeout)
+
     setup = []
     for _ in range(SETUP_REPEATS):
-        res = proc.run(python + ["--version"], env, ROOT, scratch, CALL_TIMEOUT_S)
+        res = run_cli(["--version"])
         gate.check(res.code == 0 and res.stdout.startswith("cayleyphase"), f"--version: exit {res.code}")
         setup.append(res.wall_s)
 
@@ -148,7 +156,7 @@ def measure(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
         t_pass = time.perf_counter()
         pass_records, pass_wall = 0, 0.0
         for i, argv in enumerate(calls):
-            res = proc.run(python + argv, env, ROOT, scratch, CALL_TIMEOUT_S)
+            res = run_cli(argv)
             summary = _check_call(gate, argv, res, expected[i] if expected else None)
             walls.append(res.wall_s)
             rss.append(res.peak_rss_mb)
@@ -161,7 +169,7 @@ def measure(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
     if args.workload == "scan-ordered":
         # README contract: the rows do not depend on --workers
         argv = wl.scan_argv(args.workload, args.size, args.seed, workers=1)
-        res = proc.run(python + argv, env, ROOT, scratch, CALL_TIMEOUT_S)
+        res = run_cli(argv)
         summary = _check_call(gate, argv, res, expected[0] if expected else None)
         if summary is not None:
             same = json.loads(res.stdout)["results"] == json.loads(last_output)["results"]
