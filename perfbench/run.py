@@ -348,9 +348,9 @@ def main(argv=None) -> int:
     else:
         metrics, detail = measure(args, env, expected, scratch, gate)
         declared = spec["end_to_end"]
-    missing = {m["name"] for m in declared} ^ set(metrics)
-    if missing:
-        raise RuntimeError(f"metrics and BENCHMARK.json disagree on: {sorted(missing)}")
+    mismatch = {m["name"] for m in declared} ^ set(metrics)
+    if mismatch:
+        raise RuntimeError(f"metrics and BENCHMARK.json disagree on: {sorted(mismatch)}")
 
     correct = gate.failed == 0 and not gate.problems
     print(f"workload {args.workload} ({args.size}) seed {args.seed} trace {args.trace}")
@@ -358,16 +358,16 @@ def main(argv=None) -> int:
         print(f"  {key}: {meta[key]}")
     for m in declared:
         print(f"  {m['name']} = {metrics[m['name']]:.6g} {m['unit']}")
-    if not args.trace:
-        for key, value in detail.items():
-            if key.startswith("call_p"):
-                print(f"  {key} = {value:.6g} s (of {detail['calls']} calls)")
-        print(f"  failed_ratio = {gate.failed}/{gate.attempted}")
     if args.trace:
         print(f"  per replay of {detail['replays']}: layer self time (s) and spans")
         for layer, t in detail["layer_self_s_per_replay"].items():
             spans = sum(n for name, (n, _) in detail["spans_per_replay"].items() if name.split(".")[0] == layer)
             print(f"    {layer:<10} {t:10.4f} s {spans:8d} spans")
+    else:
+        for key, value in detail.items():
+            if key.startswith("call_p"):
+                print(f"  {key} = {value:.6g} s (of {detail['calls']} calls)")
+        print(f"  failed_ratio = {gate.failed}/{gate.attempted}")
     for problem in gate.problems:
         print(f"  FAILED: {problem}")
     result_file = WORK / "results" / f"{args.workload}-{args.size}-s{args.seed}-t{args.trace}.json"
