@@ -5,7 +5,7 @@
 
 Runs every call of every workload, size and pool entry in-process through
 ``cayleyphase.cli.main`` on the current source tree and writes the output
-summaries to ``perfbench/reference.json``.  Re-record only when a change to
+summary of each distinct call to ``perfbench/reference.json``.  Re-record only when a change to
 the program's output is intended, and say so where the change is described.
 """
 
@@ -28,18 +28,25 @@ def main() -> int:
     for workload in wl.WORKLOADS:
         for size in wl.SIZES:
             for k in range(wl.POOL):
-                summaries = []
-                for argv in wl.calls(workload, size, k):
+                for argv in wl.checked_calls(workload, size, k):
+                    key = wl.reference_key(argv)
+                    if key in reference:
+                        continue
                     buf = io.StringIO()
                     with contextlib.redirect_stdout(buf):
                         code = cli.main(argv)
                     if code != 0:
-                        raise SystemExit(f"cayleyphase {' '.join(argv)} exited with {code}")
-                    summaries.append(wl.summarize(argv, buf.getvalue()))
-                reference[wl.reference_key(workload, size, k)] = summaries
+                        raise SystemExit(f"cayleyphase {key} exited with {code}")
+                    reference[key] = wl.summarize(argv, buf.getvalue())
                 print(workload, size, k, file=sys.stderr, flush=True)
-    (run.HERE / "reference.json").write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n")
+    write(reference, run.HERE / "reference.json")
     return 0
+
+
+def write(reference: dict, path) -> None:
+    """One call per line, sorted by its arguments."""
+    lines = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(reference.items())]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ import workloads as wl
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK = ROOT / ".bench_build"
-SETUP_REPEATS = 5
 CALL_TIMEOUT_S = 150.0
 # a timed run ends within this many seconds even if a call hangs
 RUN_BUDGET_S = 160.0
@@ -130,61 +129,69 @@ def _check_call(gate: Gate, argv, res: proc.Result, expected) -> dict | None:
     except (ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
         gate.check(False, f"{what}: malformed output ({exc})")
         return None
-    ok = expected is not None and wl.matches(expected, summary)
-    return summary if gate.check(ok, f"{what}: output differs from the reference") else None
+    if expected is None:
+        gate.check(False, f"{what}: no recorded reference for this call")
+        return None
+    return summary if gate.check(wl.matches(expected, summary), f"{what}: output differs from the reference") else None
 
 
 def measure(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
     python = [sys.executable, "-m", "cayleyphase"]
     deadline = time.perf_counter() + RUN_BUDGET_S
 
-    def run_cli(argv):
+    def gated(argv):
         timeout = max(1.0, min(CALL_TIMEOUT_S, deadline - time.perf_counter()))
-        return proc.run(python + argv, env, ROOT, scratch, timeout)
-
-    setup = []
-    for _ in range(SETUP_REPEATS):
-        res = run_cli(["--version"])
-        gate.check(res.code == 0 and res.stdout.startswith("cayleyphase"), f"--version: exit {res.code}")
-        setup.append(res.wall_s)
+        res = proc.run(python + argv, env, ROOT, scratch, timeout)
+        return res, _check_call(gate, argv, res, expected.get(wl.reference_key(argv)))
 
     calls = wl.calls(args.workload, args.size, args.seed)
-    passes, walls, rss = [], [], []
-    last_output = None
+    setup, walls, rss = [], [], []
+    records, passes = 0, 0
+    last_scan = None  # standard output of the last scan that passed the gate
     t_start = time.perf_counter()
-    while not passes or time.perf_counter() - t_start < args.seconds:
-        t_pass = time.perf_counter()
-        pass_records, pass_wall = 0, 0.0
-        for i, argv in enumerate(calls):
-            res = run_cli(argv)
-            summary = _check_call(gate, argv, res, expected[i] if expected else None)
+    while True:
+        # set-up is sampled all through the run: once before every pass, and
+        # by every --version call of the workload itself
+        res, _ = gated(["--version"])
+        setup.append(res.wall_s)
+        for argv in calls:
+            res, summary = gated(argv)
             walls.append(res.wall_s)
             rss.append(res.peak_rss_mb)
-            pass_wall += res.wall_s
-            pass_records += wl.records(summary) if summary else 0
-            last_output = res.stdout
-        passes.append((pass_records / pass_wall, len(calls) / (time.perf_counter() - t_pass)))
+            if argv == ["--version"]:
+                setup.append(res.wall_s)
+            if summary is not None:
+                records += wl.records(summary)
+                if argv[0] == "scan":
+                    last_scan = res.stdout
+        passes += 1
+        elapsed = time.perf_counter() - t_start
+        # start another pass only if it should end within --seconds
+        if elapsed * (passes + 1) / passes > args.seconds:
+            break
 
     extra = {}
     if args.workload == "scan-ordered":
         # README contract: the rows do not depend on --workers
         argv = wl.scan_argv(args.workload, args.size, args.seed, workers=1)
-        res = run_cli(argv)
-        summary = _check_call(gate, argv, res, expected[0] if expected else None)
-        if summary is not None:
-            same = json.loads(res.stdout)["results"] == json.loads(last_output)["results"]
+        res, summary = gated(argv)
+        if last_scan is None:
+            gate.check(False, "no --workers 2 scan passed, so there is nothing to compare --workers 1 with")
+        elif summary is not None:
+            same = json.loads(res.stdout)["results"] == json.loads(last_scan)["results"]
             gate.check(same, "scan-ordered rows differ between --workers 1 and --workers 2")
-            extra["workers_1_vs_2_file_bytes_identical"] = res.stdout == last_output
+            extra["workers_1_vs_2_file_bytes_identical"] = res.stdout == last_scan
             extra["workers_1_wall_s"] = res.wall_s
 
+    busy = sum(walls)
     metrics = {
         "setup_s": statistics.median(setup),
-        "rows_per_s": statistics.median(p[0] for p in passes),
-        "calls_per_s": statistics.median(p[1] for p in passes),
+        "rows_per_s": records / busy,
+        "calls_per_s": len(walls) / busy,
         "call_p50_s": statistics.median(walls),
         "peak_rss_mb": max(rss),
     }
-    detail = {"calls": len(walls), "passes": len(passes), "call_walls_s": walls, "setup_walls_s": setup, **extra}
+    detail = {"calls": len(walls), "passes": passes, "records": records, "call_walls_s": walls, "setup_walls_s": setup, **extra}
     tail = tail_percentile(walls)
     if tail is not None:
         detail[f"call_p{tail[0]}_s"] = tail[1]
@@ -206,14 +213,32 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
     from cayleyphase import cli
     from tracer import LAYERS, Tracer
 
+    t_start = time.perf_counter()
+    # the probes come first; the replays fill the rest of --seconds
+    imports = probe.import_times(env, ROOT, scratch)
+    costs = probe.layer_costs(cp)
+    kernel = probe.kernel(args.seed)
+    gate.check(kernel["identical"], "trajectory backends disagree on the kernel workload")
+    ordered = wl.scan_argv("scan-ordered", args.size, args.seed, workers=1)
+    ordered_pool = wl.scan_argv("scan-ordered", args.size, args.seed, workers=2)
+    pool_speedup = probe.run_scan_seconds(cli, ordered) / probe.run_scan_seconds(cli, ordered_pool)
+    # run_scan self time on the scan-ordered grid, whatever the workload
+    scan_tracer = Tracer()
+    scan_tracer.install()
+    try:
+        probe.run_scan_seconds(cli, ordered)
+    finally:
+        scan_tracer.uninstall()
+    scan_self_s = scan_tracer.by_name["scan.run_scan"][2]
+
     calls = wl.calls(args.workload, args.size, args.seed)
     if args.workload == "scan-ordered":
         # spans inside pool workers are not collected; scan.pool_speedup
         # gives the pool's effect
-        calls = [wl.scan_argv(args.workload, args.size, args.seed, workers=1)]
+        calls = [ordered]
     expected_steps = dict.fromkeys(probe.KINDS, 0)
-    for exp in expected or []:
-        for kind, n in exp.get("steps", {}).items():
+    for argv in calls:
+        for kind, n in expected.get(wl.reference_key(argv), {}).get("steps", {}).items():
             expected_steps[kind] += n
 
     tracer = Tracer()
@@ -223,7 +248,7 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
         nonlocal next_id
         total = 0.0
         outcomes_before = len(tracer.outcomes)
-        for i, argv in enumerate(calls):
+        for argv in calls:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 t0 = time.perf_counter()
@@ -235,7 +260,7 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
                     code = cli.main(argv)
                 total += time.perf_counter() - t0
             res = proc.Result(code, 0.0, 0.0, buf.getvalue(), "", False)
-            _check_call(gate, argv, res, expected[i] if expected else None)
+            _check_call(gate, argv, res, expected.get(wl.reference_key(argv)))
         if traced_run:
             got = dict.fromkeys(probe.KINDS, 0)
             for kind, n in tracer.outcomes[outcomes_before:]:
@@ -244,8 +269,8 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
         return total
 
     plain, spanned = [], []
-    t_start = time.perf_counter()
-    while not spanned or time.perf_counter() - t_start < args.seconds:
+    t_replays = time.perf_counter()
+    while True:
         # alternate the order so warm-up does not bias the overhead
         first_traced = len(spanned) % 2 == 1
         for traced_run in (first_traced, not first_traced):
@@ -258,6 +283,10 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
                     tracer.uninstall()
             else:
                 plain.append(replay(False))
+        now = time.perf_counter()
+        # start another pair only if it should end within --seconds
+        if now + (now - t_replays) / len(spanned) > t_start + args.seconds:
+            break
 
     replays = len(spanned)
     self_s = tracer.self_time
@@ -269,15 +298,6 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
         runs[kind] += 1
     total_runs = sum(runs.values())
 
-    imports = probe.import_times(env, ROOT, scratch)
-    costs = probe.layer_costs(cp)
-    kernel = probe.kernel(args.seed)
-    gate.check(kernel["identical"], "trajectory backends disagree on the kernel workload")
-    ordered = wl.scan_argv("scan-ordered", args.size, args.seed, workers=1)
-    pool_speedup = probe.run_scan_seconds(cli, ordered) / probe.run_scan_seconds(
-        cli, wl.scan_argv("scan-ordered", args.size, args.seed, workers=2)
-    )
-
     replay_s = sum(spanned) / replays
     modeled = len(calls) * imports["import.cayleyphase_s"] + replay_s
     shares = {"share.import": 100.0 * len(calls) * imports["import.cayleyphase_s"] / modeled}
@@ -285,14 +305,16 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
         shares[f"share.{layer}"] = 100.0 * self_s[layer] / replays / modeled
     python_kernel = kernel["backends"]["python"]["steps_per_s"]
     selected = kernel["backends"][cp.KERNEL_BACKEND]["steps_per_s"]
-    metrics = {
+    figures = {
         **imports,
         **costs,
         **{f"dynamics.python.steps_per_s.{k}": python_kernel[k] for k in probe.KINDS},
         **{f"dynamics.kernel.steps_per_s.{k}": selected[k] for k in probe.KINDS},
         **{f"dynamics.steps.{k}": kinds[k] // replays for k in probe.KINDS},
+        "dynamics.steps.total": sum(kinds.values()) // replays,
         "dynamics.budget_exhausted_ratio": runs["aperiodic"] / total_runs if total_runs else 0.0,
-        "dynamics.iterate_share": 100.0 * names.get("dynamics.iterate", (0, 0.0))[1] / sum(spanned),
+        "dynamics.iterate_share": 100.0 * names.get("dynamics.iterate", (0, 0.0, 0.0))[1] / sum(spanned),
+        "scan.self_s": scan_self_s,
         "scan.pool_speedup": pool_speedup,
         "cli.self_s": self_s["cli"] / (replays * len(calls)),
         "trace.overhead_ratio": statistics.median(spanned) / statistics.median(plain) - 1.0,
@@ -306,12 +328,12 @@ def traced(args, env, expected, scratch, gate: Gate) -> tuple[dict, dict]:
         "replay_plain_s": plain,
         "replay_traced_s": spanned,
         "layer_self_s_per_replay": {k: v / replays for k, v in self_s.items()},
-        "spans_per_replay": {k: [n // replays, t / replays] for k, (n, t) in sorted(names.items())},
+        "spans_per_replay": {k: [n // replays, t / replays, own / replays] for k, (n, t, own) in sorted(names.items())},
         "kernel": kernel,
         "runs_by_kind": runs,
         "spans_file": str(trace_file.relative_to(ROOT)),
     }
-    return metrics, detail
+    return figures, detail
 
 
 def main(argv=None) -> int:
@@ -336,10 +358,8 @@ def main(argv=None) -> int:
     lib = build()
     env = dict(os.environ, PYTHONPATH=str(lib))
     sys.path.insert(0, str(lib))
-    reference = json.loads(args.reference.read_text())
-    expected = reference.get(wl.reference_key(args.workload, args.size, args.seed))
+    expected = json.loads(args.reference.read_text())
     gate = Gate()
-    gate.note(expected is not None, "no recorded reference for this workload, size and seed")
     meta = metadata(env, args.seed, scratch)
 
     if args.trace:
@@ -348,9 +368,9 @@ def main(argv=None) -> int:
     else:
         metrics, detail = measure(args, env, expected, scratch, gate)
         declared = spec["end_to_end"]
-    mismatch = {m["name"] for m in declared} ^ set(metrics)
-    if mismatch:
-        raise RuntimeError(f"metrics and BENCHMARK.json disagree on: {sorted(mismatch)}")
+    missing = {m["name"] for m in declared} - set(metrics)
+    if missing:
+        raise RuntimeError(f"BENCHMARK.json declares metrics this run does not measure: {sorted(missing)}")
 
     correct = gate.failed == 0 and not gate.problems
     print(f"workload {args.workload} ({args.size}) seed {args.seed} trace {args.trace}")
@@ -359,9 +379,16 @@ def main(argv=None) -> int:
     for m in declared:
         print(f"  {m['name']} = {metrics[m['name']]:.6g} {m['unit']}")
     if args.trace:
+        # figures that read 0 on some workload are printed, not declared
+        print("  not declared:")
+        for name in sorted(set(metrics) - {m["name"] for m in declared}):
+            print(f"    {name} = {metrics[name]:.6g}")
+        runs = detail["runs_by_kind"]
+        per = detail["replays"]
+        print(f"    (budget exhausted in {runs['aperiodic'] // per} of {sum(runs.values()) // per} runs per replay)")
         print(f"  per replay of {detail['replays']}: layer self time (s) and spans")
         for layer, t in detail["layer_self_s_per_replay"].items():
-            spans = sum(n for name, (n, _) in detail["spans_per_replay"].items() if name.split(".")[0] == layer)
+            spans = sum(n for name, (n, *_) in detail["spans_per_replay"].items() if name.split(".")[0] == layer)
             print(f"    {layer:<10} {t:10.4f} s {spans:8d} spans")
     else:
         for key, value in detail.items():

@@ -4,8 +4,9 @@
 
 Checks that every workload runs in both modes and emits every metric that
 BENCHMARK.json declares, with its unit; that the correctness gate flags a
-wrong recorded digest; and that the benchmark refuses to run without the
-package's source tree.
+wrong recorded digest, also on ``scan-ordered``, which compares its
+``--workers 1`` and ``--workers 2`` rows; and that the benchmark refuses to
+run without the package's source tree.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import pytest
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+sys.path.insert(0, str(HERE))
+
+import workloads as wl  # noqa: E402
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
@@ -48,14 +53,15 @@ def test_every_metric_with_its_unit(workload, trace):
         assert isinstance(m["value"], (int, float))
 
 
-def test_gate_flags_a_wrong_digest(tmp_path):
+@pytest.mark.parametrize("workload", ["scan-modulated", "scan-ordered"])
+def test_gate_flags_a_wrong_digest(workload, tmp_path):
     reference = json.loads((HERE / "reference.json").read_text())
-    key = "scan-modulated/tiny/0"
-    digest = reference[key][0]["rows_sha256"]
-    reference[key][0]["rows_sha256"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+    key = wl.reference_key(wl.calls(workload, "tiny", 0)[0])
+    digest = reference[key]["rows_sha256"]
+    reference[key]["rows_sha256"] = ("0" if digest[0] != "0" else "1") + digest[1:]
     wrong = tmp_path / "reference.json"
     wrong.write_text(json.dumps(reference))
-    done = bench("--workload", "scan-modulated", "--trace", "0", "--size", "tiny", "--reference", str(wrong))
+    done = bench("--workload", workload, "--trace", "0", "--size", "tiny", "--reference", str(wrong))
     result = result_of(done)
     assert result["correct"] is False
     assert result["failed"] >= 1

@@ -30,7 +30,8 @@ class Tracer:
 
     A span is ``[trace_id, name, layer, parent_index, start, end, child_time]``.
     ``spans`` holds the spans since the last ``clear``; the per-layer self
-    times and per-name totals cover every span recorded.
+    times and the per-name ``[calls, time, self time]`` cover every span
+    recorded.
     """
 
     def __init__(self) -> None:
@@ -59,9 +60,10 @@ class Tracer:
             if parent is not None:
                 spans[parent][6] += duration
             self.self_time[layer] += duration - span[6]
-            total = self.by_name.setdefault(name, [0, 0.0])
+            total = self.by_name.setdefault(name, [0, 0.0, 0.0])
             total[0] += 1
             total[1] += duration
+            total[2] += duration - span[6]
 
     def clear(self) -> None:
         """Drop the recorded spans, keeping the sums."""

@@ -5,7 +5,8 @@ against the recorded reference.
 A workload seed selects one of ``POOL`` input sets; the program only ever sees
 the generated ``--seeds`` lists.  The pool is finite so that every input set
 has a recorded reference (``reference.json``, written by
-``record_reference.py``).
+``record_reference.py``).  The reference is keyed by the call's argument
+list, so a call that several seeds or sizes share is recorded once.
 """
 
 from __future__ import annotations
@@ -94,6 +95,15 @@ def calls(workload: str, size: str, seed: int) -> list[list[str]]:
         out.append(part + ["--depth", "3"])
     out.append(["curves", "--axis", "j2:-2:-0.1:5" if tiny else "j2:-2:-0.1:80", "--temperature", "0.8"])
     out.append(["--version"])
+    return out
+
+
+def checked_calls(workload: str, size: str, seed: int) -> list[list[str]]:
+    """Every call the benchmark gates for a workload: its passes, plus the
+    ``--workers 1`` scan that ``scan-ordered`` is compared with."""
+    out = calls(workload, size, seed)
+    if workload == "scan-ordered":
+        out.append(scan_argv(workload, size, seed, workers=1))
     return out
 
 
@@ -187,5 +197,5 @@ def matches(expected, actual, rel: float = 1e-9) -> bool:
     return type(expected) is type(actual) and expected == actual
 
 
-def reference_key(workload: str, size: str, seed: int) -> str:
-    return f"{workload}/{size}/{pool_index(seed)}"
+def reference_key(argv: list[str]) -> str:
+    return " ".join(argv)
