@@ -13,18 +13,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .core import Couplings, DomainError, ParameterRangeError, StateVector, derive_params
 from .dynamics import KERNEL_BACKEND, classify_phase, iterate
 from .ferro import solve_ferro_fixed_points
 from .partition import free_energy_density, partition_recurrence, partition_recurrence_log
-from .scan import AxisSpec, ScanConfig, format_csv, format_json, run_scan
+from .scan import (
+    AxisSpec,
+    ScanConfig,
+    _fmt,
+    _json_safe,
+    _starts_for_seeds,
+    format_csv,
+    format_json,
+    run_scan,
+)
 from .symmetric import (
     critical_temperature,
     phase_counts,
@@ -46,23 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _json_safe(obj):
-    # strict JSON has no Infinity/NaN literals
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -157,11 +146,10 @@ def _cmd_diagnose(args) -> int:
     cycles = solve_two_cycles(p)
     ferro = solve_ferro_fixed_points(p)
 
+    starts = _starts_for_seeds(seeds)
     runs = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        u0 = StateVector(*(10.0 ** rng.uniform(-2.0, 2.0, size=4)))
-        outcome = iterate(p, u0, max_iter=args.max_iter, tol=args.tol)
+        outcome = iterate(p, StateVector(*starts[seed]), max_iter=args.max_iter, tol=args.tol)
         label = classify_phase(p, outcome)
         runs.append((seed, outcome, label))
     phases = [label.phase for _, _, label in runs]

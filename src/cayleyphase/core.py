@@ -30,6 +30,7 @@ __all__ = [
     "DomainError",
     "ParameterRangeError",
     "StateVector",
+    "bracketed_root",
     "derive_params",
     "ferro_constraint",
     "ferro_residual",
@@ -243,3 +244,58 @@ def recurrence_residual(p: BoltzmannParams, u: StateVector) -> float:
     """Max-norm residual of ``F(u) = u`` relative to the largest component."""
     w = recurrence_step(p, u)
     return max(abs(wi - ui) for wi, ui in zip(w, u)) / u.max_norm()
+
+
+def bracketed_root(f, lo: float, hi: float, rtol: float = 1e-15) -> float:
+    """Root of ``f`` inside the positive bracket ``0 < lo < hi``, across which
+    ``f`` changes sign; raises ``ValueError`` when it does not, or when ``f``
+    returns NaN.
+
+    Geometric bisection while the bracket spans more than a factor of two, so
+    brackets over many decades close as fast as narrow ones; Illinois
+    false-position steps after that, falling back to a bisection whenever
+    three steps in a row fail to halve the bracket.  Stops once the bracket
+    is within ``rtol`` relative and returns the end with the smaller ``|f|``.
+    """
+    lo, hi = float(lo), float(hi)
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not f_lo * f_hi < 0.0:
+        raise ValueError("f must change sign over the bracket")
+    # g_lo, g_hi are the end values the Illinois rule scales down
+    g_lo, g_hi = f_lo, f_hi
+    side = 0  # the end that moved last: -1 lo, +1 hi
+    slow = 0
+    for _ in range(400):
+        width = hi - lo
+        if width <= rtol * hi:
+            break
+        if hi > 2.0 * lo or slow >= 3:
+            x = math.sqrt(lo) * math.sqrt(hi)
+            slow = 0
+        else:
+            x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo, g_lo = x, fx, fx
+            if side == -1:
+                g_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi, g_hi = x, fx, fx
+            if side == 1:
+                g_lo *= 0.5
+            side = 1
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return lo if abs(f_lo) <= abs(f_hi) else hi

@@ -31,6 +31,8 @@ from .core import (
     DomainError,
     StateVector,
     ferro_residual,
+    ratio_map,
+    recurrence_step,
     symmetric_residual,
 )
 from .symmetric import solve_fixed_points, solve_two_cycles
@@ -159,8 +161,6 @@ def _rescale_to_fixed_point(p: BoltzmannParams, state: StateVector) -> StateVect
     degree-2 homogeneity; the ferro surface lives at that absolute scale, so
     membership must be tested there, not at unit normalisation.
     """
-    from .core import recurrence_step
-
     lam = recurrence_step(p, state).max_norm() / state.max_norm()
     return StateVector(*(c / lam for c in state.components))
 
@@ -217,8 +217,6 @@ def symmetric_attractor_class(
     for ref in fixed + cycle:
         if abs(x0 - ref) <= 1e-10 * max(1.0, ref):
             raise DomainError("start is (numerically) a periodic point; class undefined")
-
-    from .core import ratio_map  # local alias for the tight loop
 
     double_step = p.b < 1.0
     x = x0

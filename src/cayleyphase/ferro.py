@@ -10,11 +10,11 @@ and, off the symmetric slice, the diagonal sums obey
 equation pins ``v2`` as a function of ``v1`` (a square root with a bounded
 admissible range), the constraint pins ``v4 = ferro_constraint(C) - v1``, and
 ``v3 = C - v2``; what remains of the second equation is a quartic in ``v1``
-for each C.  The solver works with that quartic implicitly, through
-:func:`closure_residual`: it scans C over its admissible ray, collects the
-residual's roots in v1, closes the system on the third equation by a sign-scan
-and root-find in C, polishes every candidate with full Newton steps, and
-accepts only states whose four-component residual is at machine scale.
+for each C.  The solver writes that quartic out and finds its roots on a whole
+grid of C over the admissible ray at once, closes the system on the third
+equation by a sign-scan and a bracketed root-find in C, polishes every
+candidate with Newton steps on the full system, and accepts only states whose
+four-component residual is at machine scale.
 
 Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1);
 both members appear at the same C (the flip swaps v1 and v4) and both are
@@ -28,12 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, root
 
 from .core import (
     BoltzmannParams,
     DomainError,
     StateVector,
+    bracketed_root,
     ferro_constraint,
     ferro_residual,
     recurrence_residual,
@@ -51,7 +51,8 @@ FULL_RESIDUAL_TOL = 1e-9
 _COMPONENT_FLOOR = 1e-12
 _NEAR_SYMMETRIC_TOL = 1e-3
 _C_POINTS = 512
-_V_POINTS = 512
+_PROBE_FRACS = np.array([0.25, 0.5, 0.75])
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,11 @@ def closure_residual(p: BoltzmannParams, C: float, v1: float) -> float:
     return v2 - (p.b * v3 * v3 + v4 * v4 / p.b) / p.alpha
 
 
-def _third_equation_residual(p: BoltzmannParams, v) -> float:
-    v1, v2, v3, _ = v
-    return v3 - (v1 * v1 / p.b + p.b * v2 * v2) / p.alpha
+def _third_equation_residual(p: BoltzmannParams, C, v1):
+    """Residual of the third stationarity equation on the state the
+    eliminations assemble from (C, v1); accepts arrays (NaN propagates)."""
+    v2 = np.sqrt(p.b * (v1 / p.alpha - p.b * v1 * v1))
+    return (C - v2) - (v1 * v1 / p.b + p.b * v2 * v2) / p.alpha
 
 
 def _stationarity(p: BoltzmannParams, v: np.ndarray) -> np.ndarray:
@@ -151,54 +154,70 @@ def _c_domain(p: BoltzmannParams) -> tuple[float, float]:
     return hi * 1e-10, hi
 
 
-def _inner_roots(p: BoltzmannParams, C: float, v_points: int) -> list[float]:
-    """All v1 roots of the closure residual at this C (sign scan + brentq)."""
-    s14 = ferro_constraint(p, C)
-    if s14 <= 0.0:
-        return []
-    v_hi = min(1.0 / (p.alpha * p.b), s14)
-    if v_hi <= 0.0:
-        return []
-    vs = np.linspace(v_hi * 1e-9, v_hi * (1.0 - 1e-9), v_points)
-    rad = p.b * (vs / p.alpha - p.b * vs * vs)
-    with np.errstate(invalid="ignore"):
-        v2 = np.sqrt(rad)
-    v3 = C - v2
-    v4 = s14 - vs
-    res = v2 - (p.b * v3 * v3 + v4 * v4 / p.b) / p.alpha
+def _inner_roots(p: BoltzmannParams, C: np.ndarray) -> np.ndarray:
+    """All v1 roots of the closure residual at each C of the array ``C``.
 
-    def scalar(v1: float) -> float:
-        return closure_residual(p, C, v1)
+    With ``K = alpha + 2 b C``, ``R(v1) = b (v1/alpha - b v1^2)`` (so that
+    ``v2^2 = R``) and ``P(v1) = b C^2 + b R(v1) + (s14 - v1)^2 / b``, the
+    closure residual is ``(K v2 - P) / alpha``; its roots are the roots of the
+    quartic ``P^2 = K^2 R`` with ``P >= 0``.  The quartic is solved for every C
+    at once from companion matrices, in ``w = v_hi / v1`` so that its leading
+    coefficient ``P(0)^2`` never vanishes (at ``b == 1`` the quartic in v1
+    drops to a quadratic).  Returns an ``(len(C), 4)`` array holding, per
+    row, the roots inside ``(v_hi 1e-9, v_hi (1 - 1e-9))`` in ascending order,
+    padded with NaN.
+    """
+    b, alpha = p.b, p.alpha
+    # ferro_constraint, positive on the admissible ray
+    s14 = (1.0 + (b / alpha) * C) / (alpha * b + (b * b - 1.0 / (b * b)) * C)
+    v_hi = np.minimum(1.0 / (alpha * b), s14)
+    k2 = (alpha + 2.0 * b * C) ** 2
+    # P and R as polynomials in t = v1 / v_hi
+    p2 = (1.0 / b - b**3) * v_hi * v_hi
+    p1 = (b * b / alpha - 2.0 * s14 / b) * v_hi
+    p0 = b * C * C + s14 * s14 / b
+    r2 = -b * b * v_hi * v_hi
+    r1 = (b / alpha) * v_hi
+    # P^2 - K^2 R, coefficients of t^4 .. t^0 divided by p0^2; read in
+    # reverse they are the monic quartic in w = 1/t
+    q3 = (2.0 * p1 * p0 - k2 * r1) / (p0 * p0)
+    q2 = (p1 * p1 + 2.0 * p2 * p0 - k2 * r2) / (p0 * p0)
+    q1 = 2.0 * p2 * p1 / (p0 * p0)
+    q0 = p2 * p2 / (p0 * p0)
+    companion = np.zeros((len(C), 4, 4))
+    companion[:, 0, :] = -np.stack([q3, q2, q1, q0], axis=1)
+    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+    w = np.linalg.eigvals(companion)
+    with np.errstate(divide="ignore"):
+        t = 1.0 / np.where(w.imag == 0.0, w.real, np.nan)
+    t[~((t > 1e-9) & (t < 1.0 - 1e-9))] = np.nan
+    t[((p2[:, None] * t + p1[:, None]) * t + p0[:, None]) < 0.0] = np.nan
+    return np.sort(t, axis=1) * v_hi[:, None]
 
-    roots: list[float] = []
-    sign = np.sign(res)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(brentq(scalar, vs[i], vs[i + 1], xtol=1e-300, rtol=1e-15))
-    for i in np.nonzero(res == 0.0)[0]:
-        roots.append(float(vs[i]))
-    roots.sort()
-    return roots
 
-
-def _nearest_inner_root(p: BoltzmannParams, C: float, v_seed: float, v_points: int):
-    roots = _inner_roots(p, C, v_points)
-    if not roots:
+def _nearest_inner_root(p: BoltzmannParams, C: float, v_seed: float):
+    roots = _inner_roots(p, np.array([C]))[0]
+    roots = roots[~np.isnan(roots)]
+    if not len(roots):
         return None
-    return min(roots, key=lambda r: abs(r - v_seed))
+    return float(roots[np.argmin(np.abs(roots - v_seed))])
 
 
 def _polish(p: BoltzmannParams, v_seed) -> FerroCandidate | None:
-    sol = root(
-        lambda v: _stationarity(p, v),
-        np.asarray(v_seed, dtype=float),
-        jac=lambda v: _stationarity_jac(p, v),
-        method="hybr",
-        tol=1e-14,
-    )
-    if not sol.success:
-        return None
-    v = sol.x
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+    """Newton steps on the full four-equation system from ``v_seed``; the
+    residual checks below, not the iteration, decide acceptance."""
+    v = np.asarray(v_seed, dtype=float)
+    for _ in range(_NEWTON_STEPS):
+        try:
+            step = np.linalg.solve(_stationarity_jac(p, v), _stationarity(p, v))
+        except np.linalg.LinAlgError:
+            return None
+        v = v - step
+        if not np.all(np.isfinite(v)):
+            return None
+        if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(v)):
+            break
+    if np.any(v <= 0.0):
         return None
     try:
         u = StateVector(*(float(x) * float(x) for x in v))
@@ -231,11 +250,7 @@ def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:
     return kept
 
 
-def solve_ferro_fixed_points(
-    p: BoltzmannParams,
-    c_points: int = _C_POINTS,
-    v_points: int = _V_POINTS,
-) -> list[FerroCandidate]:
+def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     """All symmetry-broken fixed points at these parameters (possibly none).
 
     Two-level search: a geometric C grid over the admissible ray collects the
@@ -247,51 +262,47 @@ def solve_ferro_fixed_points(
     ferromagnetic order at these parameters).  Deterministic for fixed inputs.
     """
     c_lo, c_hi = _c_domain(p)
-    grid = np.geomspace(c_lo, c_hi, c_points)
-    branches: list[list[float]] = []
-    residuals: list[list[float]] = []
-    for C in grid:
-        roots = _inner_roots(p, float(C), v_points)
-        branches.append(roots)
-        residuals.append(
-            [_third_equation_residual(p, _assemble(p, float(C), r)) for r in roots]
-        )
+    grid = np.geomspace(c_lo, c_hi, _C_POINTS)
+    roots = _inner_roots(p, grid)
+    residuals = _third_equation_residual(p, grid[:, None], roots)
+    counts = np.count_nonzero(~np.isnan(roots), axis=1)
+    # where the branch count changes inside an interval, probe a refinement
+    changes = np.nonzero((counts[:-1] == 0) | (counts[:-1] != counts[1:]))[0]
+    probe_c = grid[changes, None] * (grid[changes + 1] / grid[changes])[:, None] ** _PROBE_FRACS
+    probe_roots = _inner_roots(p, probe_c.ravel()).reshape(len(changes), len(_PROBE_FRACS), 4)
+    probes = dict(zip(changes.tolist(), zip(probe_c, probe_roots)))
 
     seeds: list[tuple[float, float]] = []  # (C, v1)
     for i in range(len(grid) - 1):
-        left, right = branches[i], branches[i + 1]
-        if not left or len(left) != len(right):
-            # branch count changes inside this interval: probe a refinement
-            for frac in (0.25, 0.5, 0.75):
-                c_mid = grid[i] * (grid[i + 1] / grid[i]) ** frac
-                for r in _inner_roots(p, float(c_mid), v_points):
-                    seeds.append((float(c_mid), r))
+        if i in probes:
+            for c_mid, row in zip(*probes[i]):
+                seeds.extend((float(c_mid), float(r)) for r in row[~np.isnan(row)])
             continue
-        for k in range(len(left)):
-            r0, r1 = residuals[i][k], residuals[i + 1][k]
+        for k in range(counts[i]):
+            r0, r1 = residuals[i, k], residuals[i + 1, k]
             if r0 == 0.0:
-                seeds.append((float(grid[i]), left[k]))
+                seeds.append((float(grid[i]), float(roots[i, k])))
             elif r0 * r1 < 0.0:
-                v_track = left[k]
+                v_track = float(roots[i, k])
 
-                def branch_res(C: float, _k=k, _v=v_track) -> float:
-                    v1 = _nearest_inner_root(p, C, _v, v_points)
+                def branch_res(C: float, _v=v_track) -> float:
+                    v1 = _nearest_inner_root(p, C, _v)
                     if v1 is None:
                         return math.nan
-                    return _third_equation_residual(p, _assemble(p, C, v1))
+                    return float(_third_equation_residual(p, C, v1))
 
                 try:
-                    c_star = brentq(branch_res, grid[i], grid[i + 1], rtol=1e-14)
-                except (ValueError, DomainError):
+                    c_star = bracketed_root(branch_res, grid[i], grid[i + 1], rtol=1e-14)
+                except ValueError:
                     continue
-                v_star = _nearest_inner_root(p, float(c_star), v_track, v_points)
+                v_star = _nearest_inner_root(p, c_star, v_track)
                 if v_star is not None:
-                    seeds.append((float(c_star), v_star))
+                    seeds.append((c_star, v_star))
             else:
                 # near-miss points are kept as polish seeds: they survive
                 # tangencies and branch pairings the sign test cannot see
                 if abs(r0) < 1e-2 and abs(r0) <= abs(r1):
-                    seeds.append((float(grid[i]), left[k]))
+                    seeds.append((float(grid[i]), float(roots[i, k])))
 
     candidates: list[FerroCandidate] = []
     for C, v1 in seeds:

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _MAX_ENUM_DEPTH = 3  # 2^15 spins = 32768 configurations
+_MAX_SITE_DEPTH = 1022  # 2^1024 - 1 sites round up to inf as a double
 
 
 def tree_vertex_count(n: int) -> int:
@@ -111,8 +112,9 @@ def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVe
     """(log Z_n, unit-max-norm branch weights, accumulated log scale).
 
     Tracks the weight direction and a separate log magnitude, so any depth the
-    doubling of the exponent allows is reachable.  The raw weights are the
-    normalised ones times exp(log_scale).
+    doubling of the exponent allows is reachable; past that, raises
+    ``ParameterRangeError``.  The raw weights are the normalised ones times
+    exp(log_scale).
     """
     if n < 1:
         raise DomainError("depth n must be >= 1")
@@ -126,6 +128,8 @@ def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVe
         log_scale = 2.0 * log_scale + math.log(m)
         u = StateVector(u.u1 / m, u.u2 / m, u.u3 / m, u.u4 / m)
     log_z = 2.0 * log_scale + math.log(_close(u))
+    if not math.isfinite(log_z):
+        raise ParameterRangeError(f"log Z overflowed at depth {n}")
     return log_z, u, log_scale
 
 
@@ -183,6 +187,8 @@ def free_energy_density(c: Couplings, n: int) -> float:
     """Free energy per site, -log(Z_n) * T / |V_n|, via the log recurrence."""
     if n < 1:
         raise DomainError("depth n must be >= 1")
+    if n > _MAX_SITE_DEPTH:
+        raise ParameterRangeError(f"depth {n}: the site count 2^{n + 1} - 1 exceeds the float range")
     p = derive_params(c)
     log_z, _, _ = partition_recurrence_log(p, n)
     return -c.temperature * log_z / tree_vertex_count(n)

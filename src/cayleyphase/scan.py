@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import Couplings, DomainError, derive_params
+from .core import Couplings, DomainError, StateVector, derive_params
 from .dynamics import (
     CLASSIFY_TOL,
     DEFAULT_MAX_ITER,
@@ -167,21 +167,7 @@ def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
 
 
 def _evaluate_point(task) -> list[ScanRow]:
-    (cfg_dict, i, j, axis_values, starts) = task
-    cfg = ScanConfig(
-        axes=[AxisSpec(**a) for a in cfg_dict["axes"]],
-        j1=cfg_dict["j1"],
-        j2=cfg_dict["j2"],
-        temperature=cfg_dict["temperature"],
-        seeds=cfg_dict["seeds"],
-        max_iter=cfg_dict["max_iter"],
-        tol=cfg_dict["tol"],
-        class_tol=cfg_dict["class_tol"],
-        format=cfg_dict["format"],
-        workers=cfg_dict["workers"],
-    )
-    from .core import StateVector
-
+    (cfg, i, j, axis_values, starts) = task
     c = _couplings_at(cfg, axis_values)
     p = derive_params(c)
     para, comm2 = phase_counts(c)
@@ -215,20 +201,19 @@ def _evaluate_point(task) -> list[ScanRow]:
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Evaluate the grid; rows are returned in deterministic grid order."""
     starts = _starts_for_seeds(cfg.seeds)
-    cfg_dict = cfg.to_dict()
     axis0 = cfg.axes[0]
     values0 = axis0.values()
     if len(cfg.axes) == 2:
         axis1 = cfg.axes[1]
         values1 = axis1.values()
         tasks = [
-            (cfg_dict, i, j, {axis0.name: float(v0), axis1.name: float(v1)}, starts)
+            (cfg, i, j, {axis0.name: float(v0), axis1.name: float(v1)}, starts)
             for i, v0 in enumerate(values0)
             for j, v1 in enumerate(values1)
         ]
     else:
         tasks = [
-            (cfg_dict, i, 0, {axis0.name: float(v0)}, starts)
+            (cfg, i, 0, {axis0.name: float(v0)}, starts)
             for i, v0 in enumerate(values0)
         ]
 
@@ -253,11 +238,15 @@ def format_csv(rows: list[ScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_safe(value):
+def _json_safe(obj):
     # strict JSON has no Infinity/NaN literals
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    return value
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
 
 
 def format_json(rows: list[ScanRow], cfg: ScanConfig) -> str:

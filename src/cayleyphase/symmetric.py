@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     BoltzmannParams,
     Couplings,
     DomainError,
     StateVector,
+    bracketed_root,
     derive_params,
     ratio_map,
     ratio_map2,
@@ -237,7 +237,7 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
     if crit is None:
         y_lo = _expand_down(psi, 1.0)
         y_hi = _expand_up(psi, max(10.0 * y_lo, 1.0))
-        ys.append(brentq(psi, y_lo, y_hi, xtol=1e-300, rtol=1e-15))
+        ys.append(bracketed_root(psi, y_lo, y_hi))
     else:
         y_lo_c, y_hi_c = crit
         log_nu_lo = _log_level(y_lo_c, b_tilde)
@@ -247,18 +247,18 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
         if at_lo:
             # tangency at the window's lower edge plus one crossing beyond
             ys.append(y_lo_c)
-            ys.append(brentq(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c), xtol=1e-300, rtol=1e-15))
+            ys.append(bracketed_root(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c)))
         elif at_hi:
-            ys.append(brentq(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c, xtol=1e-300, rtol=1e-15))
+            ys.append(bracketed_root(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c))
             ys.append(y_hi_c)
         elif log_nu_lo < target < log_nu_hi:
-            ys.append(brentq(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c, xtol=1e-300, rtol=1e-15))
-            ys.append(brentq(psi, y_lo_c, y_hi_c, xtol=1e-300, rtol=1e-15))
-            ys.append(brentq(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c), xtol=1e-300, rtol=1e-15))
+            ys.append(bracketed_root(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c))
+            ys.append(bracketed_root(psi, y_lo_c, y_hi_c))
+            ys.append(bracketed_root(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c)))
         elif target > log_nu_hi:
-            ys.append(brentq(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c, xtol=1e-300, rtol=1e-15))
+            ys.append(bracketed_root(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c))
         else:
-            ys.append(brentq(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c), xtol=1e-300, rtol=1e-15))
+            ys.append(bracketed_root(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c)))
 
     xs = sorted(_polish_fixed(p, y / b2) for y in ys)
     merged: list[float] = []
@@ -520,7 +520,7 @@ def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusi
         roots: list[float] = []
         sign_change = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
         for i in sign_change:
-            roots.append(brentq(resid, xs[i], xs[i + 1], xtol=1e-300, rtol=1e-15))
+            roots.append(bracketed_root(resid, xs[i], xs[i + 1]))
         for i in np.nonzero(d == 0.0)[0]:
             roots.append(float(xs[i]))
         roots.sort()

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from cayleyphase import (
     recurrence_step,
     symmetric_residual,
 )
+
+from cayleyphase.core import bracketed_root
 
 from conftest import maxdiff
 
@@ -214,3 +218,33 @@ class TestStateVector:
         u = StateVector(4.0, 9.0, 1.0, 0.25)
         assert u.sqrts == (2.0, 3.0, 1.0, 0.5)
         assert u.max_norm() == 9.0
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize(
+        "f,lo,hi,root",
+        [
+            (lambda x: math.log(x / 3e-200), 1e-300, 1e300, 3e-200),
+            (lambda x: x * x - 2.0, 1.0, 1.5, math.sqrt(2.0)),
+            (lambda x: (7.25 - x) * (x + 1.0) ** 3, 0.5, 1e6, 7.25),
+        ],
+        ids=["wide", "narrow", "cubic"],
+    )
+    def test_converges_to_full_precision(self, f, lo, hi, root):
+        assert bracketed_root(f, lo, hi) == pytest.approx(root, rel=4e-15, abs=0.0)
+
+    def test_exact_zero_at_an_end(self):
+        assert bracketed_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+
+    def test_rejects_bracket_without_sign_change(self):
+        with pytest.raises(ValueError):
+            bracketed_root(lambda x: x * x + 1.0, 0.1, 10.0)
+        with pytest.raises(ValueError):
+            bracketed_root(lambda x: math.nan if x > 1.0 else x - 3.0, 0.5, 10.0)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    code = "import sys, cayleyphase; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -27,6 +27,9 @@ FERRO_POINTS = [
     Couplings(1.0, 0.0, 0.5),
     Couplings(0.9, -0.05, 0.4),
     Couplings(1.0, 0.9, 1.0),
+    # a flip pair at machine-scale residual that a solver success flag once
+    # rejected
+    Couplings(0.25, 0.5, 1.5),
 ]
 
 

@@ -223,6 +223,12 @@ class TestCli:
         assert r2.returncode == 1
 
     def test_range_error_exit_code(self):
-        r = run_cli("diagnose", "--j1", "1000", "--j2", "0", "--temperature", "0.1")
-        assert r.returncode == 2
-        assert "range" in r.stderr.lower()
+        point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
+        for args in (
+            ("diagnose", "--j1", "1000", "--j2", "0", "--temperature", "0.1"),
+            # 2^1024 - 1 sites do not fit a double
+            ("partition", *point, "--log", "--depth", "1023"),
+        ):
+            r = run_cli(*args)
+            assert r.returncode == 2, args
+            assert "range" in r.stderr.lower()
