@@ -31,7 +31,7 @@ from .dynamics import (
     normalize,
     symmetric_attractor_class,
 )
-from .ferro import FerroCandidate, closure_residual, solve_ferro_fixed_points, v2_from_v1
+from .ferro import FerroCandidate, solve_ferro_fixed_points
 from .partition import (
     enumerate_partition,
     free_energy_density,

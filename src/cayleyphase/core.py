@@ -104,7 +104,10 @@ class BoltzmannParams:
         b_tilde = b**4
         if not (_WEIGHT_FLOOR <= b_tilde <= _WEIGHT_CEIL):
             raise ParameterRangeError("b**4 outside the supported range")
-        a_tilde = math.exp(-2.0 * math.log(a) - 6.0 * math.log(b))
+        try:
+            a_tilde = math.exp(-2.0 * math.log(a) - 6.0 * math.log(b))
+        except OverflowError:
+            a_tilde = math.inf
         if not (math.isfinite(a_tilde) and a_tilde > 0.0):
             raise ParameterRangeError("1/(a^2 b^6) not representable")
         return cls(a=a, b=b, alpha=math.sqrt(a), a_tilde=a_tilde, b_tilde=b_tilde)
@@ -246,7 +249,7 @@ def recurrence_residual(p: BoltzmannParams, u: StateVector) -> float:
     return max(abs(wi - ui) for wi, ui in zip(w, u)) / u.max_norm()
 
 
-def bracketed_root(f, lo: float, hi: float, rtol: float = 1e-15) -> float:
+def bracketed_root(f, lo: float, hi: float) -> float:
     """Root of ``f`` inside the positive bracket ``0 < lo < hi``, across which
     ``f`` changes sign; raises ``ValueError`` when it does not, or when ``f``
     returns NaN.
@@ -255,7 +258,7 @@ def bracketed_root(f, lo: float, hi: float, rtol: float = 1e-15) -> float:
     brackets over many decades close as fast as narrow ones; Illinois
     false-position steps after that, falling back to a bisection whenever
     three steps in a row fail to halve the bracket.  Stops once the bracket
-    is within ``rtol`` relative and returns the end with the smaller ``|f|``.
+    is within 1e-15 relative and returns the end with the smaller ``|f|``.
     """
     lo, hi = float(lo), float(hi)
     f_lo, f_hi = f(lo), f(hi)
@@ -271,7 +274,7 @@ def bracketed_root(f, lo: float, hi: float, rtol: float = 1e-15) -> float:
     slow = 0
     for _ in range(400):
         width = hi - lo
-        if width <= rtol * hi:
+        if width <= 1e-15 * hi:
             break
         if hi > 2.0 * lo or slow >= 3:
             x = math.sqrt(lo) * math.sqrt(hi)

@@ -29,6 +29,7 @@ from typing import Optional
 from .core import (
     BoltzmannParams,
     DomainError,
+    ParameterRangeError,
     StateVector,
     ferro_residual,
     ratio_map,
@@ -131,7 +132,8 @@ def iterate(
     at most ``tol`` in max-norm; a cycle of period q (2 <= q <= p_max, smallest
     first) when the state returns within ``tol`` to the state q steps earlier,
     checked only after ``burn_in`` steps; otherwise the run is aperiodic after
-    ``max_iter`` steps -- a valid outcome, not an error.
+    ``max_iter`` steps -- a valid outcome, not an error.  Raises
+    ``ParameterRangeError`` when a component of the run underflows to zero.
     """
     if max_iter < 100:
         raise DomainError("max_iter must be at least 100")
@@ -145,10 +147,14 @@ def iterate(
     kind_code, period, iters, residual, states = _traj.run_trajectory(
         p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, tol, burn_in, p_max
     )
+    try:
+        attractor = tuple(StateVector(*s) for s in states)
+    except DomainError as exc:
+        raise ParameterRangeError(f"trajectory left the floating-point range: {exc}") from exc
     return TrajectoryOutcome(
         kind=_KIND_NAMES[kind_code],
         period=period if kind_code == 1 else None,
-        attractor=tuple(StateVector(*s) for s in states),
+        attractor=attractor,
         iterations_used=iters,
         residual=residual,
     )

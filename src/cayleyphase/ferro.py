@@ -2,24 +2,37 @@
 
 In the square-root variables ``v_i = sqrt(u_i)`` a fixed point satisfies
 
-    v1 = alpha (b v1^2 + v2^2 / b)        v2 = (b v3^2 + v4^2 / b) / alpha
-    v3 = (v1^2 / b + b v2^2) / alpha      v4 = alpha (v3^2 / b + b v4^2)
+    (1) v1 = alpha (b v1^2 + v2^2 / b)        (2) v2 = (b v3^2 + v4^2 / b) / alpha
+    (3) v3 = (v1^2 / b + b v2^2) / alpha      (4) v4 = alpha (v3^2 / b + b v4^2)
 
-and, off the symmetric slice, the diagonal sums obey
-``v1 + v4 = ferro_constraint(v2 + v3)``.  Writing ``C = v2 + v3``, the first
-equation pins ``v2`` as a function of ``v1`` (a square root with a bounded
-admissible range), the constraint pins ``v4 = ferro_constraint(C) - v1``, and
-``v3 = C - v2``; what remains of the second equation is a quartic in ``v1``
-for each C.  The solver writes that quartic out and finds its roots on a whole
-grid of C over the admissible ray at once, closes the system on the third
-equation by a sign-scan and a bracketed root-find in C, polishes every
-candidate with Newton steps on the full system, and accepts only states whose
-four-component residual is at machine scale.
+Two eliminations are exact: equation 4 substituted into equation 2 gives
+``v2 = q(v4)``, and equation 1 substituted into equation 3 gives
+``v3 = q(v1)``, with ``q(t) = (b^2/alpha^2) t + ((1/b - b^3)/alpha) t^2``.
+In the scaled variables ``z = alpha b v1`` and ``w = alpha b v4``, both in
+(0, 1), and with ``rho = b/a``, ``mu = b^-4 - 1`` and ``psi(t) = t + mu t^2``
+(so that ``q(t) = (b/alpha^3) psi(alpha b t)``), equation 1 becomes the curve
 
-Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1);
-both members appear at the same C (the flip swaps v1 and v4) and both are
-returned.  Candidates that collapse onto the symmetric slice are dropped --
-they belong to the fixed-point analysis there, not here.
+    z (1 - z) = rho^2 psi(w)^2,
+
+whose two branches ``z = (1 -+ sqrt(1 - 4 rho^2 psi(w)^2)) / 2`` are explicit
+and merge where ``rho psi(w) = 1/2``.  Equation 1 minus equation 4, divided
+by ``v1 - v4``, leaves
+
+    D = 1 - (z + w) + rho^2 (psi(z) + psi(w)) (1 + mu (z + w)),
+
+which is the ferro surface ``v1 + v4 = ferro_constraint(v2 + v3)`` of
+:mod:`cayleyphase.core` written in these variables.  The fixed points off the
+symmetric slice are therefore the roots of D along the curve: a
+one-dimensional search in w.  Dividing out ``v1 - v4`` removes the symmetric
+fixed points from the roots, so fixed points close to the slice are not
+masked by them.  Every root is polished with Newton steps on the full
+four-equation system, and only states whose four-component residual is at
+machine scale are accepted.
+
+Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1),
+which swap z and w; both members are returned.  Candidates that collapse onto
+the symmetric slice are dropped -- they belong to the fixed-point analysis
+there, not here.
 """
 
 from __future__ import annotations
@@ -34,31 +47,26 @@ from .core import (
     DomainError,
     StateVector,
     bracketed_root,
-    ferro_constraint,
     ferro_residual,
     recurrence_residual,
     symmetric_residual,
 )
 
-__all__ = [
-    "FerroCandidate",
-    "closure_residual",
-    "solve_ferro_fixed_points",
-    "v2_from_v1",
-]
+__all__ = ["FerroCandidate", "solve_ferro_fixed_points"]
 
 FULL_RESIDUAL_TOL = 1e-9
 _COMPONENT_FLOOR = 1e-12
 _NEAR_SYMMETRIC_TOL = 1e-3
-_C_POINTS = 512
-_PROBE_FRACS = np.array([0.25, 0.5, 0.75])
+_W_POINTS = 512
+_W_FLOOR = 1e-14
+_NEAR_MISS = 1e-2
 _NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
 class FerroCandidate:
-    """One symmetry-broken fixed point: the diagonal sum C = v2+v3 it was
-    found at, the square-root state, the weight state, and its residual."""
+    """One symmetry-broken fixed point: its diagonal sum C = v2+v3, the
+    square-root state, the weight state, and its residual."""
 
     C: float
     v: tuple[float, float, float, float]
@@ -66,50 +74,22 @@ class FerroCandidate:
     full_residual: float
 
 
-def v2_from_v1(p: BoltzmannParams, v1: float):
-    """Second component forced by the first stationarity equation.
+def _curve(rho: float, mu: float, w, upper: bool):
+    """z on the lower or upper branch of ``z (1 - z) = rho^2 psi(w)^2``.
 
-    ``sqrt(b (v1/alpha - b v1^2))``; None when the radicand is negative, i.e.
-    v1 > 1/(alpha b), where no fixed point can have its first component.
+    The discriminant is clamped at zero, which is exact at the merge points;
+    past them the curve has no real point and callers mask those w.
     """
-    rad = p.b * (v1 / p.alpha - p.b * v1 * v1)
-    if rad < 0.0:
-        return None
-    return math.sqrt(rad)
+    r = rho * (w + mu * w * w)
+    h = r * r
+    z = 2.0 * h / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * h, 0.0)))
+    return 1.0 - z if upper else z
 
 
-def _assemble(p: BoltzmannParams, C: float, v1: float):
-    """(v1, v2, v3, v4) from the two eliminations, or None if inadmissible."""
-    v2 = v2_from_v1(p, v1)
-    if v2 is None:
-        return None
-    s14 = ferro_constraint(p, C)
-    if s14 <= 0.0:
-        return None
-    return (v1, v2, C - v2, s14 - v1)
-
-
-def closure_residual(p: BoltzmannParams, C: float, v1: float) -> float:
-    """Residual of the second stationarity equation after the eliminations.
-
-    For fixed admissible C its roots in v1 are exactly the admissible roots of
-    the underlying quartic.  Raises for (C, v1) outside the construction's
-    domain (negative radicand, nonpositive constraint value).
-    """
-    if not (C > 0.0 and v1 > 0.0):
-        raise DomainError("C and v1 must be positive")
-    v = _assemble(p, C, v1)
-    if v is None:
-        raise DomainError("inadmissible (C, v1): no state satisfies the eliminations")
-    _, v2, v3, v4 = v
-    return v2 - (p.b * v3 * v3 + v4 * v4 / p.b) / p.alpha
-
-
-def _third_equation_residual(p: BoltzmannParams, C, v1):
-    """Residual of the third stationarity equation on the state the
-    eliminations assemble from (C, v1); accepts arrays (NaN propagates)."""
-    v2 = np.sqrt(p.b * (v1 / p.alpha - p.b * v1 * v1))
-    return (C - v2) - (v1 * v1 / p.b + p.b * v2 * v2) / p.alpha
+def _surface(rho: float, mu: float, z, w):
+    """D, the ferro-surface residual in the scaled variables."""
+    s = z + w
+    return 1.0 - s + rho * rho * (s + mu * (z * z + w * w)) * (1.0 + mu * s)
 
 
 def _stationarity(p: BoltzmannParams, v: np.ndarray) -> np.ndarray:
@@ -138,69 +118,6 @@ def _stationarity_jac(p: BoltzmannParams, v: np.ndarray) -> np.ndarray:
             [0.0, 0.0, -2.0 * a * v3 / b, 1.0 - 2.0 * a * b * v4],
         ]
     )
-
-
-def _c_domain(p: BoltzmannParams) -> tuple[float, float]:
-    """Admissible C ray: where the ferro constraint is positive, capped by an
-    upper bound on v2+v3 that any fixed point must respect (v2 <= alpha/b and
-    v3 <= alpha/b + 1/(alpha b)^3, both forced by positivity)."""
-    alpha = p.alpha
-    b = p.b
-    bound = 2.0 * alpha / b + (alpha * b) ** -3
-    hi = max(1.05 * bound, 10.0 * max(1.0, alpha * b))
-    if b < 1.0:
-        pole = alpha * b / (1.0 / (b * b) - b * b)
-        hi = min(hi, pole * (1.0 - 1e-9))
-    return hi * 1e-10, hi
-
-
-def _inner_roots(p: BoltzmannParams, C: np.ndarray) -> np.ndarray:
-    """All v1 roots of the closure residual at each C of the array ``C``.
-
-    With ``K = alpha + 2 b C``, ``R(v1) = b (v1/alpha - b v1^2)`` (so that
-    ``v2^2 = R``) and ``P(v1) = b C^2 + b R(v1) + (s14 - v1)^2 / b``, the
-    closure residual is ``(K v2 - P) / alpha``; its roots are the roots of the
-    quartic ``P^2 = K^2 R`` with ``P >= 0``.  The quartic is solved for every C
-    at once from companion matrices, in ``w = v_hi / v1`` so that its leading
-    coefficient ``P(0)^2`` never vanishes (at ``b == 1`` the quartic in v1
-    drops to a quadratic).  Returns an ``(len(C), 4)`` array holding, per
-    row, the roots inside ``(v_hi 1e-9, v_hi (1 - 1e-9))`` in ascending order,
-    padded with NaN.
-    """
-    b, alpha = p.b, p.alpha
-    # ferro_constraint, positive on the admissible ray
-    s14 = (1.0 + (b / alpha) * C) / (alpha * b + (b * b - 1.0 / (b * b)) * C)
-    v_hi = np.minimum(1.0 / (alpha * b), s14)
-    k2 = (alpha + 2.0 * b * C) ** 2
-    # P and R as polynomials in t = v1 / v_hi
-    p2 = (1.0 / b - b**3) * v_hi * v_hi
-    p1 = (b * b / alpha - 2.0 * s14 / b) * v_hi
-    p0 = b * C * C + s14 * s14 / b
-    r2 = -b * b * v_hi * v_hi
-    r1 = (b / alpha) * v_hi
-    # P^2 - K^2 R, coefficients of t^4 .. t^0 divided by p0^2; read in
-    # reverse they are the monic quartic in w = 1/t
-    q3 = (2.0 * p1 * p0 - k2 * r1) / (p0 * p0)
-    q2 = (p1 * p1 + 2.0 * p2 * p0 - k2 * r2) / (p0 * p0)
-    q1 = 2.0 * p2 * p1 / (p0 * p0)
-    q0 = p2 * p2 / (p0 * p0)
-    companion = np.zeros((len(C), 4, 4))
-    companion[:, 0, :] = -np.stack([q3, q2, q1, q0], axis=1)
-    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
-    w = np.linalg.eigvals(companion)
-    with np.errstate(divide="ignore"):
-        t = 1.0 / np.where(w.imag == 0.0, w.real, np.nan)
-    t[~((t > 1e-9) & (t < 1.0 - 1e-9))] = np.nan
-    t[((p2[:, None] * t + p1[:, None]) * t + p0[:, None]) < 0.0] = np.nan
-    return np.sort(t, axis=1) * v_hi[:, None]
-
-
-def _nearest_inner_root(p: BoltzmannParams, C: float, v_seed: float):
-    roots = _inner_roots(p, np.array([C]))[0]
-    roots = roots[~np.isnan(roots)]
-    if not len(roots):
-        return None
-    return float(roots[np.argmin(np.abs(roots - v_seed))])
 
 
 def _polish(p: BoltzmannParams, v_seed) -> FerroCandidate | None:
@@ -253,61 +170,62 @@ def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:
 def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     """All symmetry-broken fixed points at these parameters (possibly none).
 
-    Two-level search: a geometric C grid over the admissible ray collects the
-    quartic branches (inner roots in v1, sorted), the signed third-equation
-    residual is followed along each branch, its sign changes are refined by a
-    bracketing root-find in C, and every resulting seed -- plus the local
-    |residual| minima, to survive branch-count changes -- is polished on the
-    full four-equation system.  An empty list is a legitimate outcome (no
-    ferromagnetic order at these parameters).  Deterministic for fixed inputs.
+    D is evaluated on both branches of the curve over a geometric grid in w
+    on (1e-14, 1), plus the points where the branches merge.  Every sign
+    change of D is refined by a bracketing root-find in w, and every local
+    minimum of |D| below 1e-2 is kept as a seed as well.  Each seed is
+    polished on the full four-equation system.  An empty list is a legitimate
+    outcome (no ferromagnetic order at these parameters).  Deterministic for
+    fixed inputs.
     """
-    c_lo, c_hi = _c_domain(p)
-    grid = np.geomspace(c_lo, c_hi, _C_POINTS)
-    roots = _inner_roots(p, grid)
-    residuals = _third_equation_residual(p, grid[:, None], roots)
-    counts = np.count_nonzero(~np.isnan(roots), axis=1)
-    # where the branch count changes inside an interval, probe a refinement
-    changes = np.nonzero((counts[:-1] == 0) | (counts[:-1] != counts[1:]))[0]
-    probe_c = grid[changes, None] * (grid[changes + 1] / grid[changes])[:, None] ** _PROBE_FRACS
-    probe_roots = _inner_roots(p, probe_c.ravel()).reshape(len(changes), len(_PROBE_FRACS), 4)
-    probes = dict(zip(changes.tolist(), zip(probe_c, probe_roots)))
+    rho = p.b / p.a
+    mu = 1.0 / p.b_tilde - 1.0
+    # the branches merge where rho psi(w) = 1/2: roots of mu w^2 + w - c
+    c = 0.5 / rho
+    merges = []
+    disc = 1.0 + 4.0 * mu * c
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        merges.append(2.0 * c / (1.0 + s))
+        if mu != 0.0:
+            merges.append(-(1.0 + s) / (2.0 * mu))
+    merges = [m for m in merges if _W_FLOOR < m < 1.0]
+    grid = np.union1d(np.geomspace(_W_FLOOR, 1.0, _W_POINTS), merges)
 
-    seeds: list[tuple[float, float]] = []  # (C, v1)
-    for i in range(len(grid) - 1):
-        if i in probes:
-            for c_mid, row in zip(*probes[i]):
-                seeds.extend((float(c_mid), float(r)) for r in row[~np.isnan(row)])
-            continue
-        for k in range(counts[i]):
-            r0, r1 = residuals[i, k], residuals[i + 1, k]
-            if r0 == 0.0:
-                seeds.append((float(grid[i]), float(roots[i, k])))
-            elif r0 * r1 < 0.0:
-                v_track = float(roots[i, k])
+    seeds: list[tuple[float, float]] = []  # (z, w)
+    # far from unit weights rho^2 psi(w)^2 and D overflow; those grid points
+    # drop out as inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = rho * (grid + mu * grid * grid)
+        on_curve = (4.0 * r * r <= 1.0) | np.isin(grid, merges)
+        for upper in (False, True):
+            z = _curve(rho, mu, grid, upper)
+            d = np.where(on_curve, _surface(rho, mu, z, grid), np.nan)
 
-                def branch_res(C: float, _v=v_track) -> float:
-                    v1 = _nearest_inner_root(p, C, _v)
-                    if v1 is None:
-                        return math.nan
-                    return float(_third_equation_residual(p, C, v1))
+            def residual(w: float, _upper=upper) -> float:
+                return float(_surface(rho, mu, _curve(rho, mu, w, _upper), w))
 
+            for i in np.nonzero(d[:-1] * d[1:] < 0.0)[0]:
                 try:
-                    c_star = bracketed_root(branch_res, grid[i], grid[i + 1], rtol=1e-14)
+                    w = bracketed_root(residual, grid[i], grid[i + 1])
                 except ValueError:
                     continue
-                v_star = _nearest_inner_root(p, c_star, v_track)
-                if v_star is not None:
-                    seeds.append((c_star, v_star))
-            else:
-                # near-miss points are kept as polish seeds: they survive
-                # tangencies and branch pairings the sign test cannot see
-                if abs(r0) < 1e-2 and abs(r0) <= abs(r1):
-                    seeds.append((float(grid[i]), float(roots[i, k])))
+                seeds.append((float(_curve(rho, mu, w, upper)), w))
+            # local minima of |D| catch the near-double roots the sign test
+            # cannot see: a flip pair close to the slice puts two roots of D
+            # into one grid interval
+            ad = np.abs(d)
+            left = np.concatenate(([np.inf], ad[:-1]))
+            right = np.concatenate((ad[1:], [np.inf]))
+            near = (ad < _NEAR_MISS) & ~(left < ad) & ~(right < ad)
+            seeds.extend((float(z[i]), float(grid[i])) for i in np.nonzero(near)[0])
 
+    scale = p.alpha * p.b  # z = scale v1, w = scale v4
+    lift = p.b / p.alpha**3  # v2 = lift psi(w), v3 = lift psi(z)
     candidates: list[FerroCandidate] = []
-    for C, v1 in seeds:
-        v = _assemble(p, C, v1)
-        if v is None or any(x <= 0.0 for x in v):
+    for z, w in seeds:
+        v = (z / scale, lift * (w + mu * w * w), lift * (z + mu * z * z), w / scale)
+        if not all(0.0 < x < math.inf for x in v):
             continue
         cand = _polish(p, v)
         if cand is not None:

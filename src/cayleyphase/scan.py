@@ -110,6 +110,8 @@ class ScanConfig:
             raise DomainError("j2 must be fixed or an axis")
 
     def to_dict(self) -> dict:
+        # no worker count: it does not change the rows, and the output bytes
+        # must not depend on it either
         return {
             "axes": [
                 {"name": a.name, "min": a.min, "max": a.max, "steps": a.steps}
@@ -123,7 +125,6 @@ class ScanConfig:
             "tol": self.tol,
             "class_tol": self.class_tol,
             "format": self.format,
-            "workers": self.workers,
         }
 
 

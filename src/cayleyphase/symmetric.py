@@ -27,6 +27,7 @@ from .core import (
     BoltzmannParams,
     Couplings,
     DomainError,
+    ParameterRangeError,
     StateVector,
     bracketed_root,
     derive_params,
@@ -337,8 +338,11 @@ def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
     b6 = b4 * b2
     b8 = b4 * b4
     B = a2 * (b8 + 2.0 * (1.0 / a2 + a2) * b6 + 4.0 * b4 - 1.0)
-    lead = b4 * (1.0 + a2 * b2) ** 2
-    const = b4 * (a2 + b2) ** 2
+    try:
+        lead = b4 * (1.0 + a2 * b2) ** 2
+        const = b4 * (a2 + b2) ** 2
+    except OverflowError as exc:
+        raise ParameterRangeError("two-cycle quadratic overflows a double") from exc
     disc = -a2 * (b4 - 1.0) ** 2 * (4.0 * b6 * a2 * a2 + (3.0 * b8 + 6.0 * b4 - 1.0) * a2 + 4.0 * b6)
 
     roots: tuple[float, ...] = ()

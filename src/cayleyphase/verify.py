@@ -2,10 +2,11 @@
 
 Every check pits an implementation against an independent route to the same
 number: the recurrence against exact enumeration, closed-form thresholds
-against their defining identities, lifted states against the full map, the
-periodic partition form against the iterated orbit, and the two trajectory
-backends against each other.  Intended as a seconds-scale smoke test; the
-full acceptance suite lives in the test tree.
+against their defining identities, lifted states and the ferro solver's
+fixed points against the full map, the periodic partition form against the
+iterated orbit, and the two trajectory backends against each other.
+Intended as a seconds-scale smoke test; the full acceptance suite lives in
+the test tree.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .core import (
     ratio_map,
     recurrence_residual,
     recurrence_step,
+    symmetric_residual,
 )
 from .dynamics import KERNEL_BACKEND
+from .ferro import solve_ferro_fixed_points
 from .partition import enumerate_partition, partition_recurrence, periodic_partition
 from .symmetric import (
     cycle_thresholds,
@@ -94,6 +97,26 @@ def _check_lifts() -> VerifyResult:
     )
 
 
+def _check_ferro_fixed_points() -> VerifyResult:
+    p = derive_params(Couplings(1.0, 0.15, 0.6))  # one ferromagnetic flip pair
+    states = [f.u for f in solve_ferro_fixed_points(p)]
+    worst = max((recurrence_residual(p, u) for u in states), default=math.inf)
+    nearest = min((symmetric_residual(u) for u in states), default=0.0)
+    unit = [tuple(x / u.max_norm() for x in u.components) for u in states]
+    # the global spin flip reverses the components and maps the set onto itself
+    closed = all(
+        min(max(abs(x - y) for x, y in zip(s[::-1], t)) for t in unit) <= 1e-8 for s in unit
+    )
+    ok = bool(states) and closed and worst <= 1e-9 and nearest > 1e-3
+    return VerifyResult(
+        "ferro fixed points against the full map",
+        ok,
+        f"{len(states)} candidates, {'flip-closed' if closed else 'not flip-closed'},"
+        f" worst relative fixed-point residual {worst:.3e} (tolerance 1e-9),"
+        f" smallest slice distance {nearest:.3e} (must exceed 1e-3)",
+    )
+
+
 def _check_periodic_partition() -> VerifyResult:
     p = derive_params(Couplings(0.0, -1.0, 1.0 / math.log(2.0)))  # a=1, b=0.5
     rep = solve_two_cycles(p)
@@ -155,6 +178,7 @@ def run_verify() -> list[VerifyResult]:
         _check_scalar_reduction(),
         _check_cycle_thresholds(),
         _check_lifts(),
+        _check_ferro_fixed_points(),
         _check_periodic_partition(),
         _check_backends(),
     ]

@@ -1,23 +1,17 @@
-import math
-
-import numpy as np
 import pytest
 
 from cayleyphase import (
     BoltzmannParams,
     Couplings,
-    DomainError,
+    ParameterRangeError,
     StateVector,
     classify_phase,
-    closure_residual,
     derive_params,
-    ferro_constraint,
     ferro_residual,
     iterate,
     recurrence_residual,
     solve_ferro_fixed_points,
     symmetric_residual,
-    v2_from_v1,
 )
 
 from conftest import maxdiff, normalized
@@ -33,55 +27,22 @@ FERRO_POINTS = [
 ]
 
 
-class TestV2FromV1:
-    def test_unit_weights_half(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
-        assert v2_from_v1(p, 0.5) == 0.5
-
-    def test_radicand_boundary(self):
-        p = BoltzmannParams.from_weights(2.0, 1.5)
-        edge = 1.0 / (p.alpha * p.b)
-        assert v2_from_v1(p, edge) == pytest.approx(0.0, abs=1e-12)
-        assert v2_from_v1(p, edge * 1.01) is None
+def assert_genuine(p, cands):
+    for f in cands:
+        assert f.full_residual <= 1e-9
+        assert recurrence_residual(p, f.u) <= 1e-9
+        assert symmetric_residual(f.u) > 1e-3
+        assert ferro_residual(p, f.u) <= 1e-9
+        assert f.C == pytest.approx(f.v[1] + f.v[2], rel=1e-12)
 
 
-class TestClosureResidual:
-    def test_zero_at_true_fixed_point(self):
-        # find a genuine asymmetric fixed point by iteration, read off its
-        # (C, v1), and check the closure residual vanishes there
-        c = FERRO_POINTS[0]
-        p = derive_params(c)
-        out = iterate(p, StateVector(1.0, 0.3, 0.2, 0.05))
-        state = out.attractor[-1]
-        lam = recurrence_residual(p, state)  # sanity: fixed direction
-
-        from cayleyphase.dynamics import _rescale_to_fixed_point
-
-        u = _rescale_to_fixed_point(p, state)
-        v = u.sqrts
-        C = v[1] + v[2]
-        assert closure_residual(p, C, v[0]) == pytest.approx(0.0, abs=1e-10)
-
-    def test_duplicate_path_oracle(self, rng):
-        # value must equal an independent from-scratch assembly
-        p = derive_params(Couplings(0.8, 0.2, 0.9))
-        for _ in range(25):
-            C = float(rng.uniform(0.05, 0.8))
-            v1_hi = 1.0 / (p.alpha * p.b)
-            v1 = float(rng.uniform(0.01, 0.99)) * min(v1_hi, ferro_constraint(p, C))
-            got = closure_residual(p, C, v1)
-            v2 = math.sqrt(p.b * (v1 / p.alpha - p.b * v1 * v1))
-            v3 = C - v2
-            v4 = ferro_constraint(p, C) - v1
-            expected = v2 - (p.b * v3 * v3 + v4 * v4 / p.b) / p.alpha
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
-    def test_inadmissible_raises(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
-        with pytest.raises(DomainError):
-            closure_residual(p, 0.5, 5.0)  # radicand negative
-        with pytest.raises(DomainError):
-            closure_residual(p, -1.0, 0.1)
+def assert_flip_closed(cands):
+    for f in cands:
+        flipped = f.u.components[::-1]
+        best = min(
+            maxdiff(normalized(g.u), tuple(x / max(flipped) for x in flipped)) for g in cands
+        )
+        assert best <= 1e-8
 
 
 class TestSolveFerroFixedPoints:
@@ -94,25 +55,41 @@ class TestSolveFerroFixedPoints:
         p = derive_params(c)
         cands = solve_ferro_fixed_points(p)
         assert cands, "expected symmetry-broken fixed points here"
-        for f in cands:
-            assert f.full_residual <= 1e-9
-            assert recurrence_residual(p, f.u) <= 1e-9
-            assert symmetric_residual(f.u) > 1e-3
-            assert ferro_residual(p, f.u) <= 1e-9
-            assert f.C == pytest.approx(f.v[1] + f.v[2], rel=1e-12)
+        assert_genuine(p, cands)
 
     @pytest.mark.parametrize("c", FERRO_POINTS[:2], ids=lambda c: f"j1={c.j1},j2={c.j2}")
     def test_flip_partners_both_returned(self, c):
+        cands = solve_ferro_fixed_points(derive_params(c))
+        assert len(cands) % 2 == 0
+        assert_flip_closed(cands)
+
+    # two flip pairs each, one of them close to the symmetric slice; the
+    # trajectories need not end ferromagnetic here, so these are not
+    # FERRO_POINTS
+    @pytest.mark.parametrize(
+        "c",
+        [Couplings(0.36, 2.8, 3.76), Couplings(1.08, 2.97, 2.75)],
+        ids=lambda c: f"j1={c.j1},j2={c.j2},T={c.temperature}",
+    )
+    def test_two_flip_pairs(self, c):
         p = derive_params(c)
         cands = solve_ferro_fixed_points(p)
-        assert len(cands) % 2 == 0
-        for f in cands:
-            flipped = f.u.components[::-1]
-            best = min(
-                maxdiff(normalized(g.u), tuple(x / max(flipped) for x in flipped))
-                for g in cands
-            )
-            assert best <= 1e-8
+        assert len(cands) == 4
+        assert_genuine(p, cands)
+        assert_flip_closed(cands)
+
+    def test_extreme_weights_do_not_raise(self, rng):
+        # log-uniform over the accepted weight range (a in [1e-150, 1e150],
+        # b**4 likewise, 1/(a^2 b^6) a double); the search must not raise
+        accepted = 0
+        for log_a, log_b in zip(rng.uniform(-150, 150, 80), rng.uniform(-37.5, 37.5, 80)):
+            try:
+                p = BoltzmannParams.from_weights(10.0**log_a, 10.0**log_b)
+            except ParameterRangeError:
+                continue
+            accepted += 1
+            assert_genuine(p, solve_ferro_fixed_points(p))
+        assert accepted >= 40
 
     def test_dynamics_limit_matches_candidate(self):
         for c in FERRO_POINTS:

@@ -56,7 +56,9 @@ class TestScanDeterminism:
     def test_workers_do_not_change_bytes(self):
         cfg1 = make_config(workers=1)
         cfg4 = make_config(workers=4)
-        assert format_csv(run_scan(cfg1)) == format_csv(run_scan(cfg4))
+        rows1, rows4 = run_scan(cfg1), run_scan(cfg4)
+        assert format_csv(rows1) == format_csv(rows4)
+        assert format_json(rows1, cfg1) == format_json(rows4, cfg4)
 
     def test_repeat_runs_identical(self):
         cfg = make_config()
@@ -228,6 +230,13 @@ class TestCli:
             ("diagnose", "--j1", "1000", "--j2", "0", "--temperature", "0.1"),
             # 2^1024 - 1 sites do not fit a double
             ("partition", *point, "--log", "--depth", "1023"),
+            # 1/(a^2 b^6) overflows
+            ("diagnose", "--j1", "-300", "--j2", "-80", "--temperature", "1"),
+            # the two-cycle quadratic overflows
+            ("diagnose", "--j1", "200", "--j2", "-60", "--temperature", "1"),
+            # trajectory components underflow to zero
+            ("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1"),
+            ("diagnose", "--j1", "-71.7", "--j2", "-84.2", "--temperature", "1"),
         ):
             r = run_cli(*args)
             assert r.returncode == 2, args
