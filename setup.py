@@ -1,31 +1,20 @@
-"""Build hook for the optional compiled trajectory loop.
+"""Build hook for the compiled trajectory loop.
 
-The package is fully functional without the extension (a pure-Python twin of
-the loop is selected at import time); set CAYLEYPHASE_NO_EXT=1 to skip the
-build explicitly.  -ffp-contract=off keeps the compiled arithmetic bit-for-bit
-identical to the pure-Python loop.
+The extension is optional: without a C compiler the package still installs
+and runs on the bit-identical pure-Python twin (about 70x slower).
+-ffp-contract=off keeps the compiled arithmetic bit-for-bit identical to the
+pure-Python loop.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("CAYLEYPHASE_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "cayleyphase._trajectory",
-                    ["src/cayleyphase/_trajectory.pyx"],
-                    extra_compile_args=["-O3", "-ffp-contract=off"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "cayleyphase._trajectory",
+            ["src/cayleyphase/_trajectory.c"],
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            optional=True,
         )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+    ]
+)

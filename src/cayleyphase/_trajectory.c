@@ -1,0 +1,166 @@
+/* Compiled trajectory loop.
+ *
+ * Twin of _trajectory_py.run_trajectory: the arithmetic is written
+ * operation-for-operation identically, and setup.py compiles this file with
+ * -ffp-contract=off so no multiply-add is fused, so both backends produce
+ * bit-identical results.  Do not "simplify" expressions here without
+ * mirroring the change.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+
+enum { FIXED = 0, CYCLE = 1, APERIODIC = 2 };
+
+/* ring capacity bounds p_max; the Python wrapper enforces p_max <= 256 */
+#define RING_CAP 257
+
+static PyObject *
+state_list(double ring[][4], Py_ssize_t first, Py_ssize_t count, Py_ssize_t size)
+{
+    PyObject *states = PyList_New(count);
+    if (states == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < count; k++) {
+        double *s = ring[(first + k) % size];
+        PyObject *item = Py_BuildValue("(dddd)", s[0], s[1], s[2], s[3]);
+        if (item == NULL) {
+            Py_DECREF(states);
+            return NULL;
+        }
+        PyList_SET_ITEM(states, k, item);
+    }
+    return states;
+}
+
+static PyObject *
+run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"a", "b", "u1", "u2", "u3", "u4", "max_iter", "tol", "burn_in", "p_max", NULL};
+    double a, b, u1, u2, u3, u4, tol;
+    Py_ssize_t max_iter, burn_in, p_max;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ddddddndnn", kwlist, &a, &b, &u1, &u2, &u3, &u4,
+                                     &max_iter, &tol, &burn_in, &p_max))
+        return NULL;
+    if (a == 0.0 || b == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return NULL;
+    }
+    if (p_max < 0 || p_max + 1 > RING_CAP) {
+        PyErr_SetString(PyExc_ValueError, "p_max must be between 0 and 256 for the compiled ring");
+        return NULL;
+    }
+    double ring[RING_CAP][4];
+    double ainv = 1.0 / a;
+    double binv = 1.0 / b;
+    Py_ssize_t size = p_max + 1;
+    double c1 = u1, c2 = u2, c3 = u3, c4 = u4;
+    double t1, t2, t3, t4, w1, w2, w3, w4, m, d, e, dq, *h;
+    Py_ssize_t t, q, q_hi, k;
+
+    for (k = 0; k < size; k++) {
+        ring[k][0] = u1;
+        ring[k][1] = u2;
+        ring[k][2] = u3;
+        ring[k][3] = u4;
+    }
+    d = 0.0;
+    for (t = 1; t <= max_iter; t++) {
+        t1 = b * c1 + binv * c2;
+        t2 = b * c3 + binv * c4;
+        t3 = binv * c1 + b * c2;
+        t4 = binv * c3 + b * c4;
+        w1 = a * (t1 * t1);
+        w2 = ainv * (t2 * t2);
+        w3 = ainv * (t3 * t3);
+        w4 = a * (t4 * t4);
+        m = w1;
+        if (w2 > m)
+            m = w2;
+        if (w3 > m)
+            m = w3;
+        if (w4 > m)
+            m = w4;
+        if (m == 0.0) {
+            PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+            return NULL;
+        }
+        c1 = w1 / m;
+        c2 = w2 / m;
+        c3 = w3 / m;
+        c4 = w4 / m;
+        h = ring[(t - 1) % size];
+        d = fabs(c1 - h[0]);
+        e = fabs(c2 - h[1]);
+        if (e > d)
+            d = e;
+        e = fabs(c3 - h[2]);
+        if (e > d)
+            d = e;
+        e = fabs(c4 - h[3]);
+        if (e > d)
+            d = e;
+        h = ring[t % size];
+        h[0] = c1;
+        h[1] = c2;
+        h[2] = c3;
+        h[3] = c4;
+        if (d <= tol)
+            return Py_BuildValue("(innd[(dddd)])", FIXED, (Py_ssize_t)1, t, d, c1, c2, c3, c4);
+        if (t >= burn_in) {
+            q_hi = p_max < t ? p_max : t;
+            for (q = 2; q <= q_hi; q++) {
+                h = ring[(t - q) % size];
+                dq = fabs(c1 - h[0]);
+                e = fabs(c2 - h[1]);
+                if (e > dq)
+                    dq = e;
+                e = fabs(c3 - h[2]);
+                if (e > dq)
+                    dq = e;
+                e = fabs(c4 - h[3]);
+                if (e > dq)
+                    dq = e;
+                if (dq <= tol) {
+                    PyObject *states = state_list(ring, t - q + 1, q, size);
+                    if (states == NULL)
+                        return NULL;
+                    return Py_BuildValue("(inndN)", CYCLE, q, t, dq, states);
+                }
+            }
+        }
+    }
+    return Py_BuildValue("(innd[(dddd)])", APERIODIC, (Py_ssize_t)0, max_iter, d, c1, c2, c3, c4);
+}
+
+static PyMethodDef methods[] = {
+    {"run_trajectory", (PyCFunction)(void (*)(void))run_trajectory, METH_VARARGS | METH_KEYWORDS,
+     "run_trajectory(a, b, u1, u2, u3, u4, max_iter, tol, burn_in, p_max)\n--\n\n"
+     "Iterate step-and-renormalise from a unit-max-norm state.\n\n"
+     "Returns (kind, period, iterations, residual, states) with states a list of\n"
+     "4-tuples: the final state (kind FIXED/APERIODIC) or the final full period\n"
+     "(kind CYCLE, oldest first)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_trajectory",
+    .m_doc = "Compiled twin of the pure-Python trajectory loop.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC
+PyInit__trajectory(void)
+{
+    PyObject *mod = PyModule_Create(&module);
+    if (mod == NULL)
+        return NULL;
+    if (PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0 || PyModule_AddIntConstant(mod, "FIXED", FIXED) < 0
+        || PyModule_AddIntConstant(mod, "CYCLE", CYCLE) < 0 || PyModule_AddIntConstant(mod, "APERIODIC", APERIODIC) < 0) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+    return mod;
+}

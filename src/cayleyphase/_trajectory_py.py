@@ -1,8 +1,10 @@
 """Pure-Python trajectory loop.
 
-Twin of the compiled loop in ``_trajectory.pyx``: the arithmetic is written
+Twin of the compiled loop in ``_trajectory.c``: the arithmetic is written
 operation-for-operation identically so the two backends produce bit-identical
 results.  Do not "simplify" expressions here without mirroring the change.
+This module is the reference the backend test compares the C loop against, and
+the backend that runs where no C compiler was available at install time.
 """
 
 BACKEND = "python"

@@ -129,6 +129,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _warn_if_pure_python() -> None:
+    # never fall back silently to the slow kernel; stdout stays untouched
+    if KERNEL_BACKEND == "python":
+        print(
+            "warning: the compiled trajectory kernel is unavailable; running on the"
+            " pure-Python kernel, about 70x slower (build it with `pip install -e .`"
+            " or `python setup.py build_ext --inplace`)",
+            file=sys.stderr,
+        )
+
+
 def _require_point(args) -> Couplings:
     missing = [n for n in ("j1", "j2", "temperature") if getattr(args, n) is None]
     if missing:
@@ -147,6 +158,7 @@ def _cmd_diagnose(args) -> int:
     ferro = solve_ferro_fixed_points(p)
 
     starts = _starts_for_seeds(seeds)
+    _warn_if_pure_python()
     runs = []
     for seed in seeds:
         outcome = iterate(p, StateVector(*starts[seed]), max_iter=args.max_iter, tol=args.tol)
@@ -251,6 +263,7 @@ def _cmd_scan(args) -> int:
             overrides["axes"] = [AxisSpec(**a) for a in overrides["axes"]]
         cfg_kwargs.update(overrides)
     cfg = ScanConfig(**cfg_kwargs)
+    _warn_if_pure_python()
     rows = run_scan(cfg)
     text = format_csv(rows) if cfg.format == "csv" else format_json(rows, cfg)
     _write_output(text, args.output)

@@ -14,9 +14,12 @@ A fixed direction matching neither surface is labelled ``fixed-direction-other``
 and counted -- it is not expected to occur, since a fixed direction rescales
 to a true fixed point, but the label keeps the classifier honest.
 
-The inner loop lives in a compiled extension when available, with a
-bit-identical pure-Python fallback; ``KERNEL_BACKEND`` records which one was
-selected (set CAYLEYPHASE_PURE_PYTHON=1 to force the fallback).
+The inner loop is the plain-C extension ``_trajectory`` (``_trajectory.c``,
+built by ``setup.py``), with a bit-identical pure-Python twin
+(``_trajectory_py``) used where the extension was not built;
+``KERNEL_BACKEND`` records which one was selected (set
+CAYLEYPHASE_PURE_PYTHON=1 to force the twin).  ``scan`` and ``diagnose`` say
+on stderr when they run on the twin, which is about 70x slower.
 """
 
 from __future__ import annotations

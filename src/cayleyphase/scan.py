@@ -153,7 +153,9 @@ def _starts_for_seeds(seeds: list[int]) -> dict[int, tuple[float, float, float, 
     starts = {}
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        starts[seed] = tuple(10.0 ** rng.uniform(-2.0, 2.0, size=4))
+        # Python floats: numpy scalars would make the pure-Python kernel twice
+        # as slow and leak their repr into error messages
+        starts[seed] = tuple(float(x) for x in 10.0 ** rng.uniform(-2.0, 2.0, size=4))
     return starts
 
 

@@ -1,4 +1,9 @@
+import importlib.machinery
+import importlib.util
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,8 @@ from cayleyphase import (
 )
 
 from conftest import maxdiff, normalized
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestNormalize:
@@ -114,21 +121,60 @@ class TestIterate:
         assert maxdiff(u, out.attractor[-1]) == 0.0
 
 
+@pytest.fixture(scope="module")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel: the importable one, else a fresh build of
+    ``_trajectory.c``; skips only where no C compiler or ``Python.h`` exists."""
+    try:
+        from cayleyphase import _trajectory
+
+        return _trajectory
+    except ImportError:
+        pass
+    out = tmp_path_factory.mktemp("ext")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    # the extension is optional, so a failed compile still exits 0
+    built = [
+        path
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        for path in (out / "cayleyphase").glob("_trajectory" + suffix)
+    ]
+    if not built:
+        pytest.skip(f"cannot build the compiled kernel here:\n{build.stderr[-500:]}")
+    spec = importlib.util.spec_from_file_location("cayleyphase._trajectory", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBackends:
-    def test_backends_agree_bitwise(self):
+    def test_backends_agree_bitwise(self, compiled_kernel):
         from cayleyphase import _trajectory_py
 
-        _trajectory = pytest.importorskip("cayleyphase._trajectory")
+        assert compiled_kernel.BACKEND == "compiled"
         cases = [
-            (0.6, -0.45, 0.45, (1.0, 0.37, 0.11, 0.92)),
-            (1.0, 0.15, 0.6, (1.0, 0.3, 0.2, 0.05)),
-            (0.0, -0.69, 1.0, (1.0, 0.37, 0.37, 1.0)),
-            (0.25, 0.9, 1.0, (0.2, 1.0, 0.8, 0.3)),
+            (0.6, -0.45, 0.45, (1.0, 0.37, 0.11, 0.92), 64),
+            (1.0, 0.15, 0.6, (1.0, 0.3, 0.2, 0.05), 64),
+            (0.0, -0.69, 1.0, (1.0, 0.37, 0.37, 1.0), 64),
+            (0.25, 0.9, 1.0, (0.2, 1.0, 0.8, 0.3), 64),
+            # p_max at the ring capacity, on a cycle and on an aperiodic run
+            (1.0, -1.0, 0.5, (1.0, 0.37, 0.11, 0.92), 256),
+            (1.0, -0.8, 2.0, (1.0, 0.37, 0.11, 0.92), 256),
         ]
-        for j1, j2, t, u0 in cases:
+        kinds = set()
+        for j1, j2, t, u0, p_max in cases:
             p = derive_params(Couplings(j1, j2, t))
-            args = (p.a, p.b, *u0, 5000, 1e-12, 200, 64)
-            assert _trajectory_py.run_trajectory(*args) == _trajectory.run_trajectory(*args)
+            args = (p.a, p.b, *u0, 5000, 1e-12, 200, p_max)
+            out = _trajectory_py.run_trajectory(*args)
+            assert out == compiled_kernel.run_trajectory(*args)
+            kinds.add(out[0])
+        assert kinds == {_trajectory_py.FIXED, _trajectory_py.CYCLE, _trajectory_py.APERIODIC}
 
 
 class TestClassifyPhase:

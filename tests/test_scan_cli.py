@@ -1,12 +1,21 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from cayleyphase import AxisSpec, DomainError, ScanConfig, format_csv, format_json, run_scan
-from cayleyphase.scan import CSV_COLUMNS
+from cayleyphase import (
+    KERNEL_BACKEND,
+    AxisSpec,
+    DomainError,
+    ScanConfig,
+    format_csv,
+    format_json,
+    run_scan,
+)
+from cayleyphase.scan import CSV_COLUMNS, _starts_for_seeds
 
 
 def make_config(**overrides):
@@ -52,6 +61,11 @@ class TestScanDeterminism:
         rows = run_scan(cfg)
         assert len(rows) == len(cfg.seeds)
         assert rows[0].grid_i == 0 and rows[0].grid_j == 0
+
+    def test_starts_are_python_floats(self):
+        # numpy scalars would slow the pure-Python kernel and leak into messages
+        starts = _starts_for_seeds([0, 1, 7])
+        assert all(type(x) is float for start in starts.values() for x in start)
 
     def test_workers_do_not_change_bytes(self):
         cfg1 = make_config(workers=1)
@@ -138,13 +152,17 @@ class TestScanPhysics:
                 assert row.comm2_count == 0, row.j1
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "cayleyphase", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env=env,
     )
+
+
+SLOW_KERNEL_WARNING = "about 70x slower"
 
 
 class TestCli:
@@ -241,3 +259,31 @@ class TestCli:
             r = run_cli(*args)
             assert r.returncode == 2, args
             assert "range" in r.stderr.lower()
+
+    def test_pure_python_kernel_is_loud(self):
+        scan = (
+            "scan", "--axis", "temperature:1.0:2.0:3", "--j1", "0.2", "--j2", "0.4",
+            "--seeds", "7", "--max-iter", "2000",
+        )
+        expected = format_csv(
+            run_scan(
+                ScanConfig(
+                    axes=[AxisSpec("temperature", 1.0, 2.0, 3)], j1=0.2, j2=0.4,
+                    seeds=[7], max_iter=2000,
+                )
+            )
+        )
+        pure = {**os.environ, "CAYLEYPHASE_PURE_PYTHON": "1"}
+        for env, backend in ((pure, "python"), (None, KERNEL_BACKEND)):
+            r = run_cli(*scan, env=env)
+            assert r.returncode == 0, r.stderr
+            assert r.stdout == expected
+            assert r.stderr.count(SLOW_KERNEL_WARNING) == (backend == "python")
+            assert r.stderr.count("\n") == (backend == "python")
+        r = run_cli("diagnose", "--j1", "0", "--j2", "0", "--temperature", "1", env=pure)
+        assert r.returncode == 0
+        assert r.stderr.count(SLOW_KERNEL_WARNING) == 1
+        # the start vector must not reach the message as a numpy scalar
+        r = run_cli("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1", env=pure)
+        assert r.returncode == 2
+        assert "range" in r.stderr and "np.float64" not in r.stderr
