@@ -33,7 +33,6 @@ from .scan import (
 )
 from .symmetric import (
     critical_temperature,
-    phase_counts,
     solve_fixed_points,
     solve_two_cycles,
     tabulate_critical_curves,
@@ -152,9 +151,9 @@ def _cmd_diagnose(args) -> int:
     seeds = _parse_seeds(args.seeds)
     p = derive_params(c)
     t_c = critical_temperature(c.j2)
-    para, comm2 = phase_counts(c)
     fixed = solve_fixed_points(p)
     cycles = solve_two_cycles(p)
+    para, comm2 = len(fixed.roots), len(cycles.roots)
     ferro = solve_ferro_fixed_points(p)
 
     starts = _starts_for_seeds(seeds)

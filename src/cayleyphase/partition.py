@@ -30,9 +30,9 @@ from .core import (
     StateVector,
     derive_params,
     ratio_map,
-    ratio_map2,
     recurrence_step,
 )
+from .symmetric import lift_two_cycle
 
 __all__ = [
     "enumerate_partition",
@@ -172,15 +172,7 @@ def periodic_partition(p: BoltzmannParams, y: float, n: int) -> float:
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    if abs(ratio_map2(p, y) - y) > 1e-8 * max(1.0, y):
-        raise DomainError(f"y={y!r} is not a period-two ratio")
-    arg = y if n % 2 == 0 else ratio_map(p, y)
-    a = p.a
-    b = p.b
-    e1 = a * b * (b + 1.0 / (b * arg)) ** 2 + (1.0 / b + b / arg) ** 2 / (a * b)
-    e2 = (a / b) * (b * arg + 1.0 / b) ** 2 + (b / a) * (arg / b + b) ** 2
-    s = e1 ** (-2.0 / 3.0) + a ** (2.0 / 3.0) * e2 ** (-2.0 / 3.0)
-    return 2.0 * a ** (-2.0 / 3.0) * s * s
+    return _close(lift_two_cycle(p, y if n % 2 == 0 else ratio_map(p, y)))
 
 
 def free_energy_density(c: Couplings, n: int) -> float:

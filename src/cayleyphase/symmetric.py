@@ -13,6 +13,12 @@ with ``b4 = b**4``: the condition becomes ``level(y) = 1/(a^2 b^6)`` with
 ``b4 > 9``, in which case it has a local minimum/maximum at the roots of
 ``y^2 + (3 - b4) y + b4 = 0``; three fixed points coexist exactly when the
 level falls strictly inside the window spanned by those two critical values.
+
+Both :func:`solve_fixed_points` and :func:`phase_counts` read one sign
+structure: the sign of ``log level(y) - log(1/(a^2 b^6))`` at y -> 0, at the
+critical points (zero within ``_BOUNDARY_RTOL``, a double root) and at
+y -> inf.  The solver brackets each sign change and the counter counts them,
+so the two cannot disagree on the number of fixed points.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ _LIFT_INPUT_RTOL = 1e-8
 # Two-cycle discriminant below this fraction of B^2 is treated as the
 # degenerate (merged-pair) boundary.
 _DEGENERATE_WINDOW = 1e-14
-_EQUALITY_RTOL = 1e-12
 _SCAN_POINTS_PER_DECADE = 4096
 
 
@@ -218,6 +223,28 @@ def _stability_tag(deriv: float) -> str:
     return STABLE if abs(deriv) < 1.0 else UNSTABLE
 
 
+def _level_signs(p: BoltzmannParams):
+    """``psi(y) = log level(y) - log(1/(a^2 b^6))`` and its signs at the knots.
+
+    The knots are y -> 0 (sign +1), the critical points of the level function
+    (sign 0 when ``psi`` is within ``_BOUNDARY_RTOL`` of zero there: a double
+    root), and y -> inf (sign -1).  ``psi`` is monotone between knots, so each
+    sign change brackets exactly one root and each 0 is one root.
+    """
+    b_tilde = p.b_tilde
+    target = _target_log_level(p)
+
+    def psi(y: float) -> float:
+        return _log_level(y, b_tilde) - target
+
+    knots = [(0.0, 1)]
+    for y in _window_critical_points(b_tilde) or ():
+        v = psi(y)
+        knots.append((y, 0 if abs(v) <= _BOUNDARY_RTOL else (1 if v > 0.0 else -1)))
+    knots.append((math.inf, -1))
+    return psi, knots
+
+
 def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
     """All positive fixed points of the ratio map with stability tags.
 
@@ -226,53 +253,23 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
     edges, which are reported once with the boundary tag) and polished by
     Newton steps on ``ratio_map(x) - x``.
     """
-    b2 = p.b * p.b
-    b_tilde = p.b_tilde
-    target = _target_log_level(p)
-
-    def psi(y: float) -> float:
-        return _log_level(y, b_tilde) - target
-
-    crit = _window_critical_points(b_tilde)
+    psi, knots = _level_signs(p)
     ys: list[float] = []
-    if crit is None:
-        y_lo = _expand_down(psi, 1.0)
-        y_hi = _expand_up(psi, max(10.0 * y_lo, 1.0))
-        ys.append(bracketed_root(psi, y_lo, y_hi))
-    else:
-        y_lo_c, y_hi_c = crit
-        log_nu_lo = _log_level(y_lo_c, b_tilde)
-        log_nu_hi = _log_level(y_hi_c, b_tilde)
-        at_lo = abs(target - log_nu_lo) <= _BOUNDARY_RTOL
-        at_hi = abs(target - log_nu_hi) <= _BOUNDARY_RTOL
-        if at_lo:
-            # tangency at the window's lower edge plus one crossing beyond
-            ys.append(y_lo_c)
-            ys.append(bracketed_root(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c)))
-        elif at_hi:
-            ys.append(bracketed_root(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c))
-            ys.append(y_hi_c)
-        elif log_nu_lo < target < log_nu_hi:
-            ys.append(bracketed_root(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c))
-            ys.append(bracketed_root(psi, y_lo_c, y_hi_c))
-            ys.append(bracketed_root(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c)))
-        elif target > log_nu_hi:
-            ys.append(bracketed_root(psi, _expand_down(psi, 0.9 * y_lo_c), y_lo_c))
-        else:
-            ys.append(bracketed_root(psi, y_hi_c, _expand_up(psi, 10.0 * y_hi_c)))
+    for (y0, s0), (y1, s1) in zip(knots, knots[1:]):
+        if s0 * s1 < 0:
+            lo = y0 if y0 > 0.0 else _expand_down(psi, 0.9 * y1 if y1 < math.inf else 1.0)
+            hi = y1 if y1 < math.inf else _expand_up(psi, max(10.0 * lo, 1.0))
+            ys.append(bracketed_root(psi, lo, hi))
+        if s1 == 0:
+            ys.append(y1)
 
-    xs = sorted(_polish_fixed(p, y / b2) for y in ys)
-    merged: list[float] = []
-    for x in xs:
-        if merged and x - merged[-1] <= _ROOT_DEDUP_RTOL * max(1.0, x):
-            continue
-        merged.append(x)
-    roots = tuple(
-        FixedPointRoot(x=x, derivative=ratio_map_deriv(p, x), stability=_stability_tag(ratio_map_deriv(p, x)))
-        for x in merged
-    )
+    b2 = p.b * p.b
+    roots = []
+    for x in sorted(_polish_fixed(p, y / b2) for y in ys):
+        deriv = ratio_map_deriv(p, x)
+        roots.append(FixedPointRoot(x=x, derivative=deriv, stability=_stability_tag(deriv)))
     regime = {1: "unique", 2: "two", 3: "three"}[len(roots)]
-    return FixedPointReport(roots=roots, regime=regime)
+    return FixedPointReport(roots=tuple(roots), regime=regime)
 
 
 def cycle_thresholds(b: float) -> CycleThresholds:
@@ -371,7 +368,7 @@ def lift_fixed_point(p: BoltzmannParams, x: float) -> StateVector:
 
     ``x`` must be a fixed point of the ratio map (checked to 1e-8 relative).
     """
-    if abs(ratio_map(p, x) - x) > _LIFT_INPUT_RTOL * max(1.0, x):
+    if abs(ratio_map(p, x) - x) > _LIFT_INPUT_RTOL * x:
         raise DomainError(f"x={x!r} is not a fixed point of the ratio map")
     u1 = 1.0 / (p.a * (p.b + 1.0 / (p.b * x)) ** 2)
     u2 = p.a / (p.b + x / p.b) ** 2
@@ -384,7 +381,7 @@ def lift_two_cycle(p: BoltzmannParams, y: float) -> StateVector:
     ``y`` must satisfy the two-generation fixed-point condition.  The partner
     state of the cycle is ``lift_two_cycle(p, ratio_map(p, y))``.
     """
-    if abs(ratio_map2(p, y) - y) > _LIFT_INPUT_RTOL * max(1.0, y):
+    if abs(ratio_map2(p, y) - y) > _LIFT_INPUT_RTOL * y:
         raise DomainError(f"y={y!r} is not a period-two ratio")
     a = p.a
     b = p.b
@@ -444,44 +441,20 @@ def tabulate_critical_curves(j2_values, temperature: float) -> list[CriticalCurv
     return out
 
 
-def _isclose_rel(x: float, y: float, rtol: float) -> bool:
-    return abs(x - y) <= rtol * max(abs(x), abs(y))
-
-
 def phase_counts(c: Couplings) -> tuple[int, int]:
     """(number of symmetric fixed-point phases, number of period-two phases).
 
-    The first count follows the fixed-point regimes: 3 when ``1/a`` lies
-    strictly inside ``(b^3 sqrt(nu_lo), b^3 sqrt(nu_hi))``, 2 on the edges,
-    1 otherwise.  The second follows the two-cycle thresholds: 2 when ``a**2``
-    lies strictly inside the star window, 1 on its edges, 0 otherwise.
+    The first count reads the sign structure that :func:`solve_fixed_points`
+    brackets, without finding the roots: one per sign change of the level
+    function between its knots, plus one per double root at a window edge.
+    The second is the number of two-cycle ratios :func:`solve_two_cycles`
+    returns: 2 inside the star window, 1 on its edges, 0 otherwise.
     """
     p = derive_params(c)
-    para = 1
-    window = multi_root_window(p.b_tilde)
-    if window is not None:
-        b3 = p.b**3
-        lo = b3 * math.sqrt(window[0])
-        hi = b3 * math.sqrt(window[1])
-        ainv = 1.0 / p.a
-        if _isclose_rel(ainv, lo, _EQUALITY_RTOL) or _isclose_rel(ainv, hi, _EQUALITY_RTOL):
-            para = 2
-        elif lo < ainv < hi:
-            para = 3
-    comm2 = 0
-    th = cycle_thresholds(p.b)
-    if th.star_minus is not None:
-        a2 = p.a * p.a
-        # at the b threshold the two star values merge; rounding splits them
-        # by ~sqrt(eps), so treat a near-merged pair as the single point it is
-        if (th.star_plus - th.star_minus) <= 1e-7 * th.star_plus:
-            mid = 0.5 * (th.star_minus + th.star_plus)
-            comm2 = 1 if abs(a2 - mid) <= 1e-7 * mid else 0
-        elif _isclose_rel(a2, th.star_minus, _EQUALITY_RTOL) or _isclose_rel(a2, th.star_plus, _EQUALITY_RTOL):
-            comm2 = 1
-        elif th.star_minus < a2 < th.star_plus:
-            comm2 = 2
-    return para, comm2
+    _, knots = _level_signs(p)
+    para = sum(s0 * s1 < 0 for (_, s0), (_, s1) in zip(knots, knots[1:]))
+    para += sum(s == 0 for _, s in knots)
+    return para, len(solve_two_cycles(p).roots)
 
 
 def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusionReport:
@@ -530,7 +503,7 @@ def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusi
         roots.sort()
         dedup: list[float] = []
         for r in roots:
-            if dedup and r - dedup[-1] <= _ROOT_DEDUP_RTOL * max(1.0, r):
+            if dedup and r - dedup[-1] <= _ROOT_DEDUP_RTOL * r:
                 continue
             dedup.append(r)
 
@@ -538,7 +511,7 @@ def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusi
         worst = 0.0
         for r in dedup:
             dist = min((abs(r - ref) for ref in reference), default=math.inf)
-            ok = dist <= _ROOT_DEDUP_RTOL * max(1.0, r)
+            ok = dist <= _ROOT_DEDUP_RTOL * r
             matched.append(ok)
             if not ok:
                 worst = max(worst, dist)

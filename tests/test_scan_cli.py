@@ -183,6 +183,18 @@ class TestCli:
         assert payload["consensus_phase"] == "paramagnetic"
         assert len(payload["trajectories"]) == 2
 
+    def test_diagnose_counts_listed_roots(self):
+        # fixed ratios 1.6e-17, 6.3e-15 and 1.4e45: all three are listed and counted
+        r = run_cli(
+            "diagnose", "--j1", "2.5645435717473593", "--j2", "2.8075571395478782",
+            "--temperature", "0.15735458936494023", "--format", "json",
+        )
+        assert r.returncode == 0
+        payload = json.loads(r.stdout)
+        stability = [f["stability"] for f in payload["fixed_points"]]
+        assert stability == ["stable", "unstable", "stable"]
+        assert payload["phase_counts"] == {"paramagnetic": 3, "two_commensurate": 0}
+
     def test_diagnose_deep_competition(self):
         # b = exp(-2) is far below the two-cycle threshold: the report must
         # carry an active two-cycle pair

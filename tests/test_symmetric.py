@@ -35,6 +35,13 @@ def params_at_level(level: float, b: float) -> BoltzmannParams:
     return BoltzmannParams.from_weights((level * b**6) ** -0.5, b)
 
 
+# b^4 = 9.9e30: three fixed ratios, the two smallest 400x apart and both
+# below 1e-14; TINY_RATIOS_EXACT are the roots of the slice cubic solved to
+# 60 digits
+TINY_RATIOS = Couplings(2.5645435717473593, 2.8075571395478782, 0.15735458936494023)
+TINY_RATIOS_EXACT = (1.5980862893751724252e-17, 6.3280166699261682895e-15, 1.4166947065883585375e45)
+
+
 class TestMultiRootWindow:
     def test_absent_at_or_below_nine(self):
         for bt in (0.5, 1.0, 4.0, 9.0):
@@ -105,6 +112,16 @@ class TestSolveFixedPoints:
             tags = [r.stability for r in rep.roots]
             assert tags.count("saddle-boundary") == 1
             assert tags.count("stable") == 1
+
+    def test_tiny_middle_root_is_kept(self):
+        p = derive_params(TINY_RATIOS)
+        rep = solve_fixed_points(p)
+        assert rep.regime == "three"
+        assert [r.stability for r in rep.roots] == ["stable", "unstable", "stable"]
+        for r, exact in zip(rep.roots, TINY_RATIOS_EXACT):
+            assert r.x == pytest.approx(exact, rel=1e-13)
+            assert abs(ratio_map(p, r.x) - r.x) <= 1e-13 * r.x
+        assert phase_counts(TINY_RATIOS) == (3, 0)
 
 
 class TestTwoCycles:
@@ -228,6 +245,17 @@ class TestLifts:
         with pytest.raises(DomainError):
             lift_two_cycle(params_symmetric_cycle, 123.0)
 
+    def test_lifts_check_tiny_ratios_relatively(self):
+        # ratio_map(1e-12) is 1.4e-10 here: 140 times off, yet within an absolute 1e-8
+        with pytest.raises(DomainError):
+            lift_fixed_point(derive_params(TINY_RATIOS), 1e-12)
+        p = BoltzmannParams.from_weights(1e-4, 0.01)
+        y = solve_two_cycles(p).roots[0]
+        assert y < 2e-8
+        lift_two_cycle(p, y)
+        with pytest.raises(DomainError):
+            lift_two_cycle(p, 0.5 * y)
+
 
 class TestCriticalTemperature:
     def test_exact_values(self):
@@ -317,6 +345,20 @@ class TestPhaseCounts:
         c = Couplings(math.log(p.a), math.log(p.b), t)
         assert phase_counts(c) == (3, 0)
 
+    def test_counts_equal_solver_root_counts(self, rng):
+        n = 500
+        wide = rng.uniform([-3.0, -3.0, 0.1], [3.0, 3.0, 4.0], size=(n, 3))
+        # b^4 from 5e8 to 1e52, where the two smallest fixed ratios can both
+        # fall below 1e-8
+        cold = np.column_stack(
+            [rng.uniform(-3.0, 3.0, n), rng.uniform(1.0, 3.0, n), rng.uniform(0.1, 0.2, n)]
+        )
+        for j1, j2, t in np.vstack([wide, cold]).tolist():
+            c = Couplings(j1, j2, t)
+            p = derive_params(c)
+            counts = (len(solve_fixed_points(p).roots), len(solve_two_cycles(p).roots))
+            assert phase_counts(c) == counts, (j1, j2, t)
+
 
 class TestExcludeHigherPeriods:
     def test_positive_j2_roots_are_fixed_points(self):
@@ -341,6 +383,16 @@ class TestExcludeHigherPeriods:
         for finding in rep.findings:
             assert len(finding.roots) == 1
             assert finding.roots[0] == pytest.approx(p.a * p.a, rel=1e-10)
+
+    def test_tiny_fixed_ratios_are_matched(self):
+        rep = exclude_higher_periods(derive_params(TINY_RATIOS), 4)
+        assert len(rep.reference_fixed) == 3
+        assert rep.all_accounted
+        for finding in rep.findings:
+            assert len(finding.roots) == 3
+            assert all(finding.matched)
+            for r, x in zip(finding.roots, rep.reference_fixed):
+                assert r == pytest.approx(x, rel=1e-8)
 
     def test_rejects_bad_period(self, params_symmetric_cycle):
         with pytest.raises(DomainError):
