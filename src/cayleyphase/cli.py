@@ -24,6 +24,7 @@ from .partition import free_energy_density, partition_recurrence, partition_recu
 from .scan import (
     AxisSpec,
     ScanConfig,
+    _check_seeds,
     _fmt,
     _json_safe,
     _starts_for_seeds,
@@ -66,9 +67,11 @@ def _parse_axis(text: str) -> AxisSpec:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise DomainError(f"bad seed list {text!r}") from exc
+    _check_seeds(seeds)
+    return seeds
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -252,16 +255,19 @@ def _cmd_scan(args) -> int:
         "format": args.format,
         "workers": args.workers,
     }
+    overrides = {}
     if args.config:
         try:
             overrides = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
             return USAGE_ERROR
+    try:
         if "axes" in overrides:
             overrides["axes"] = [AxisSpec(**a) for a in overrides["axes"]]
-        cfg_kwargs.update(overrides)
-    cfg = ScanConfig(**cfg_kwargs)
+        cfg = ScanConfig(**{**cfg_kwargs, **overrides})
+    except TypeError as exc:  # JSON of the wrong shape
+        raise DomainError(f"bad config {args.config}: {exc}") from exc
     _warn_if_pure_python()
     rows = run_scan(cfg)
     text = format_csv(rows) if cfg.format == "csv" else format_json(rows, cfg)

@@ -14,6 +14,10 @@ A fixed direction matching neither surface is labelled ``fixed-direction-other``
 and counted -- it is not expected to occur, since a fixed direction rescales
 to a true fixed point, but the label keeps the classifier honest.
 
+On the symmetric slice the asymptotic class of a start needs no trajectory:
+:func:`symmetric_attractor_class` reads it off the sorted fixed and two-cycle
+ratios, because the ratio map (for b < 1 its double step) is monotone.
+
 The inner loop is the plain-C extension ``_trajectory`` (``_trajectory.c``,
 built by ``setup.py``), with a bit-identical pure-Python twin
 (``_trajectory_py``) used where the extension was not built;
@@ -24,6 +28,7 @@ on stderr when they run on the twin, which is about 70x slower.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -35,7 +40,6 @@ from .core import (
     ParameterRangeError,
     StateVector,
     ferro_residual,
-    ratio_map,
     recurrence_step,
     symmetric_residual,
 )
@@ -204,44 +208,35 @@ def classify_phase(
     return PhaseLabel(FIXED_DIRECTION_OTHER, None, m1, m2)
 
 
-def symmetric_attractor_class(
-    p: BoltzmannParams,
-    u0: StateVector,
-    max_steps: int = 200_000,
-    tol: float = 1e-13,
-) -> SymmetricClass:
+def symmetric_attractor_class(p: BoltzmannParams, u0: StateVector) -> SymmetricClass:
     """Asymptotic class of a symmetric-slice start that is not itself periodic.
 
-    For b >= 1 the ratio iteration converges and the class is the attracting
-    fixed ratio (which of the stable roots depends on the side of the unstable
-    one the start falls on).  For b < 1 every second step converges; the class
-    carries that limit, which is a two-cycle ratio when two-cycles exist and
-    the unique fixed ratio otherwise (then the full sequence converges too).
+    Read off the roots, without iterating.  For b >= 1 the ratio map g is
+    nondecreasing, and for b < 1 its double step is; under such a map every
+    start moves monotonically to the next root of ``g(x) - x`` (of the double
+    step's, for b < 1) in the direction of that function's sign.  The sign is
+    + below the smallest root and changes at every root except the double
+    root of the ``two`` regime.  The roots are the fixed ratios, plus the
+    two-cycle ratios when b < 1 and the pair has not merged.  The class is
+    asymptotically periodic exactly when the target is a two-cycle ratio; for
+    b < 1 the target is then the limit of every second step.
     """
     if symmetric_residual(u0) > 1e-10:
         raise DomainError("start must lie on the symmetric slice")
     x0 = u0.u1 / u0.u2
-    fixed = tuple(r.x for r in solve_fixed_points(p).roots)
-    cycle = solve_two_cycles(p).roots
-    for ref in fixed + cycle:
-        if abs(x0 - ref) <= 1e-10 * max(1.0, ref):
-            raise DomainError("start is (numerically) a periodic point; class undefined")
+    fixed = solve_fixed_points(p)
+    cycles = solve_two_cycles(p)
+    if any(abs(x0 - r) <= 1e-10 * r for r in (*(f.x for f in fixed.roots), *cycles.roots)):
+        raise DomainError("start is (numerically) a periodic point; class undefined")
 
-    double_step = p.b < 1.0
-    x = x0
-    for _ in range(max_steps):
-        x_next = ratio_map(p, ratio_map(p, x)) if double_step else ratio_map(p, x)
-        if abs(x_next - x) <= tol * max(1.0, x):
-            x = x_next
-            break
-        x = x_next
-
-    if double_step:
-        on_fixed = any(abs(x - r) <= 1e-6 * max(1.0, r) for r in fixed)
-        if cycle and not on_fixed:
-            target = min(cycle, key=lambda r: abs(r - x))
-            return SymmetricClass("asymptotically-periodic", target)
-        target = min(fixed, key=lambda r: abs(r - x))
-        return SymmetricClass("asymptotically-fixed", target)
-    target = min(fixed, key=lambda r: abs(r - x))
-    return SymmetricClass("asymptotically-fixed", target)
+    # the double root of the "two" regime is the one where g' is nearest 1
+    double = (
+        min(fixed.roots, key=lambda f: abs(f.derivative - 1.0)).x if fixed.regime == "two" else None
+    )
+    cycle = () if cycles.degenerate else cycles.roots  # empty for b >= 1
+    refs = sorted([f.x for f in fixed.roots] + list(cycle))
+    k = bisect.bisect(refs, x0)
+    rising = sum(r != double for r in refs[:k]) % 2 == 0
+    target = refs[k] if rising else refs[k - 1]
+    kind = "asymptotically-periodic" if target in cycle else "asymptotically-fixed"
+    return SymmetricClass(kind, target)

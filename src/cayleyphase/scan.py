@@ -28,7 +28,7 @@ from .dynamics import (
     classify_phase,
     iterate,
 )
-from .symmetric import phase_counts
+from .symmetric import _phase_counts
 
 __all__ = ["AxisSpec", "ScanConfig", "ScanRow", "format_csv", "format_json", "run_scan"]
 
@@ -72,6 +72,11 @@ class AxisSpec:
         return np.linspace(self.min, self.max, self.steps)
 
 
+def _check_seeds(seeds) -> None:
+    if not (isinstance(seeds, (list, tuple)) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
+        raise DomainError(f"seeds must be a non-empty list of non-negative integers, not {seeds!r}")
+
+
 @dataclass
 class ScanConfig:
     axes: list[AxisSpec]
@@ -88,8 +93,7 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 2:
             raise DomainError("a scan needs one or two axes")
-        if not self.seeds:
-            raise DomainError("at least one seed is required")
+        _check_seeds(self.seeds)
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.format not in ("csv", "json"):
@@ -173,7 +177,7 @@ def _evaluate_point(task) -> list[ScanRow]:
     (cfg, i, j, axis_values, starts) = task
     c = _couplings_at(cfg, axis_values)
     p = derive_params(c)
-    para, comm2 = phase_counts(c)
+    para, comm2 = _phase_counts(p)
     rows = []
     for seed in cfg.seeds:
         u0 = StateVector(*starts[seed])

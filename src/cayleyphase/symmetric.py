@@ -188,29 +188,26 @@ def _target_log_level(p: BoltzmannParams) -> float:
     return -2.0 * math.log(p.a) - 6.0 * math.log(p.b)
 
 
-def _expand_down(psi, y: float) -> float:
+def _expand(psi, y: float, factor: float, sign: float) -> float:
+    # step y by factor until psi(y) has the given sign
     for _ in range(800):
-        if psi(y) > 0.0:
+        if sign * psi(y) > 0.0:
             return y
-        y *= 0.1
-    raise ArithmeticError("failed to bracket fixed-point root from below")
+        y *= factor
+    raise ArithmeticError("failed to bracket fixed-point root")
 
 
-def _expand_up(psi, y: float) -> float:
-    for _ in range(800):
-        if psi(y) < 0.0:
-            return y
-        y *= 10.0
-    raise ArithmeticError("failed to bracket fixed-point root from above")
-
-
-def _polish_fixed(p: BoltzmannParams, x: float) -> float:
-    # one or two Newton steps on f(x) - x in the original (non-cleared) form
+def _polish(p: BoltzmannParams, x: float, period: int) -> float:
+    # one or two Newton steps on g^period(x) - x in the original (non-cleared) form
     for _ in range(2):
-        d = ratio_map_deriv(p, x) - 1.0
+        y, d = x, 1.0
+        for _ in range(period):
+            d *= ratio_map_deriv(p, y)
+            y = ratio_map(p, y)
+        d -= 1.0
         if abs(d) < 1e-6:
             break
-        xn = x - (ratio_map(p, x) - x) / d
+        xn = x - (y - x) / d
         if not (xn > 0.0 and math.isfinite(xn)):
             break
         x = xn
@@ -257,15 +254,15 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
     ys: list[float] = []
     for (y0, s0), (y1, s1) in zip(knots, knots[1:]):
         if s0 * s1 < 0:
-            lo = y0 if y0 > 0.0 else _expand_down(psi, 0.9 * y1 if y1 < math.inf else 1.0)
-            hi = y1 if y1 < math.inf else _expand_up(psi, max(10.0 * lo, 1.0))
+            lo = y0 if y0 > 0.0 else _expand(psi, 0.9 * y1 if y1 < math.inf else 1.0, 0.1, 1.0)
+            hi = y1 if y1 < math.inf else _expand(psi, max(10.0 * lo, 1.0), 10.0, -1.0)
             ys.append(bracketed_root(psi, lo, hi))
         if s1 == 0:
             ys.append(y1)
 
     b2 = p.b * p.b
     roots = []
-    for x in sorted(_polish_fixed(p, y / b2) for y in ys):
+    for x in sorted(_polish(p, y / b2, 1) for y in ys):
         deriv = ratio_map_deriv(p, x)
         roots.append(FixedPointRoot(x=x, derivative=deriv, stability=_stability_tag(deriv)))
     regime = {1: "unique", 2: "two", 3: "three"}[len(roots)]
@@ -299,17 +296,24 @@ def cycle_thresholds(b: float) -> CycleThresholds:
     return CycleThresholds(star_minus, star_plus, outer_minus, outer_plus)
 
 
-def _polish_two_cycle(p: BoltzmannParams, x: float) -> float:
-    for _ in range(2):
-        fx = ratio_map(p, x)
-        d = ratio_map_deriv(p, fx) * ratio_map_deriv(p, x) - 1.0
-        if abs(d) < 1e-6:
-            break
-        xn = x - (ratio_map(p, fx) - x) / d
-        if not (xn > 0.0 and math.isfinite(xn)):
-            break
-        x = xn
-    return x
+def _two_cycle_quadratic(p: BoltzmannParams):
+    """``(B, disc, lead, const, count)`` of the quadratic of :func:`solve_two_cycles`;
+    ``count`` is 2 for B < 0 and disc above the degenerate window, 1 inside it."""
+    a2 = p.a * p.a
+    b2 = p.b * p.b
+    b4 = b2 * b2
+    b6 = b4 * b2
+    b8 = b4 * b4
+    B = a2 * (b8 + 2.0 * (1.0 / a2 + a2) * b6 + 4.0 * b4 - 1.0)
+    try:
+        lead = b4 * (1.0 + a2 * b2) ** 2
+        const = b4 * (a2 + b2) ** 2
+    except OverflowError as exc:
+        raise ParameterRangeError("two-cycle quadratic overflows a double") from exc
+    disc = -a2 * (b4 - 1.0) ** 2 * (4.0 * b6 * a2 * a2 + (3.0 * b8 + 6.0 * b4 - 1.0) * a2 + 4.0 * b6)
+    window = _DEGENERATE_WINDOW * B * B
+    count = 0 if B >= 0.0 or disc < -window else (2 if disc > window else 1)
+    return B, disc, lead, const, count
 
 
 def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
@@ -329,36 +333,19 @@ def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
     polished on the two-generation residual, and map to each other under one
     generation.
     """
-    a2 = p.a * p.a
-    b2 = p.b * p.b
-    b4 = b2 * b2
-    b6 = b4 * b2
-    b8 = b4 * b4
-    B = a2 * (b8 + 2.0 * (1.0 / a2 + a2) * b6 + 4.0 * b4 - 1.0)
-    try:
-        lead = b4 * (1.0 + a2 * b2) ** 2
-        const = b4 * (a2 + b2) ** 2
-    except OverflowError as exc:
-        raise ParameterRangeError("two-cycle quadratic overflows a double") from exc
-    disc = -a2 * (b4 - 1.0) ** 2 * (4.0 * b6 * a2 * a2 + (3.0 * b8 + 6.0 * b4 - 1.0) * a2 + 4.0 * b6)
-
+    B, disc, lead, const, count = _two_cycle_quadratic(p)
     roots: tuple[float, ...] = ()
-    degenerate = False
-    if B < 0.0:
-        if disc > _DEGENERATE_WINDOW * B * B:
-            # stable quadratic formula: large root via -B + sqrt(D), small via product
-            t = 0.5 * (-B + math.sqrt(disc))
-            x_hi = _polish_two_cycle(p, t / lead)
-            x_lo = _polish_two_cycle(p, const / t)
-            roots = (x_lo, x_hi)
-        elif abs(disc) <= _DEGENERATE_WINDOW * B * B:
-            roots = (-B / (2.0 * lead),)
-            degenerate = True
+    if count == 2:
+        # stable quadratic formula: large root via -B + sqrt(D), small via product
+        t = 0.5 * (-B + math.sqrt(disc))
+        roots = (_polish(p, const / t, 2), _polish(p, t / lead, 2))
+    elif count == 1:
+        roots = (-B / (2.0 * lead),)
     return TwoCycleReport(
         b_coeff=B,
         discriminant=disc,
         roots=roots,
-        degenerate=degenerate,
+        degenerate=count == 1,
         thresholds=cycle_thresholds(p.b),
     )
 
@@ -444,17 +431,21 @@ def tabulate_critical_curves(j2_values, temperature: float) -> list[CriticalCurv
 def phase_counts(c: Couplings) -> tuple[int, int]:
     """(number of symmetric fixed-point phases, number of period-two phases).
 
-    The first count reads the sign structure that :func:`solve_fixed_points`
-    brackets, without finding the roots: one per sign change of the level
+    Neither count finds a root.  The first reads the sign structure that
+    :func:`solve_fixed_points` brackets: one per sign change of the level
     function between its knots, plus one per double root at a window edge.
-    The second is the number of two-cycle ratios :func:`solve_two_cycles`
-    returns: 2 inside the star window, 1 on its edges, 0 otherwise.
+    The second is the count of the two-cycle quadratic that
+    :func:`solve_two_cycles` solves: 2 inside the star window, 1 on its
+    edges, 0 otherwise.
     """
-    p = derive_params(c)
+    return _phase_counts(derive_params(c))
+
+
+def _phase_counts(p: BoltzmannParams) -> tuple[int, int]:
     _, knots = _level_signs(p)
     para = sum(s0 * s1 < 0 for (_, s0), (_, s1) in zip(knots, knots[1:]))
     para += sum(s == 0 for _, s in knots)
-    return para, len(solve_two_cycles(p).roots)
+    return para, _two_cycle_quadratic(p)[4]
 
 
 def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusionReport:

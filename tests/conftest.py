@@ -1,7 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cayleyphase import BoltzmannParams, StateVector
+import cayleyphase
+from cayleyphase import BoltzmannParams, Couplings, StateVector
+
+# the CLI tests start fresh interpreters: they must import the same package
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(cayleyphase.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))
+)
+
+# b^4 = 9.9e30: three fixed ratios, the two smallest 400x apart and both
+# below 1e-14; TINY_RATIOS_EXACT are the roots of the slice cubic solved to
+# 60 digits
+TINY_RATIOS = Couplings(2.5645435717473593, 2.8075571395478782, 0.15735458936494023)
+TINY_RATIOS_EXACT = (1.5980862893751724252e-17, 6.3280166699261682895e-15, 1.4166947065883585375e45)
 
 
 def maxdiff(u, v) -> float:

@@ -13,10 +13,13 @@ from cayleyphase import (
     Couplings,
     DomainError,
     StateVector,
+    SymmetricClass,
     classify_phase,
+    cycle_thresholds,
     derive_params,
     iterate,
     lift_two_cycle,
+    multi_root_window,
     normalize,
     ratio_map,
     recurrence_step,
@@ -26,7 +29,7 @@ from cayleyphase import (
     symmetric_residual,
 )
 
-from conftest import maxdiff, normalized
+from conftest import TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff, normalized
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -253,3 +256,82 @@ class TestSymmetricAttractorClass:
         y = solve_two_cycles(p).roots[0]
         with pytest.raises(DomainError):
             symmetric_attractor_class(p, StateVector(y, 1.0, 1.0, y))
+
+    @pytest.mark.parametrize(
+        "x0, exact", [(1e-16, 0), (5e-15, 0), (7e-15, 2), (1e-14, 2)]
+    )
+    def test_starts_near_tiny_ratios(self, x0, exact):
+        # fixed ratios 1.6e-17 (stable), 6.3e-15 (unstable) and 1.4e45 (stable)
+        cls = symmetric_attractor_class(derive_params(TINY_RATIOS), StateVector(x0, 1.0, 1.0, x0))
+        assert cls.kind == "asymptotically-fixed"
+        assert cls.target == pytest.approx(TINY_RATIOS_EXACT[exact], rel=1e-12)
+
+    def test_agrees_with_iteration(self, rng):
+        checked = 0
+        for j1, j2, t in rng.uniform([-3.0, -3.0, 0.1], [3.0, 3.0, 4.0], size=(1000, 3)).tolist():
+            p = derive_params(Couplings(j1, j2, t))
+            fixed = solve_fixed_points(p).roots
+            cycles = solve_two_cycles(p)
+            if cycles.degenerate:
+                continue
+            refs = [f.x for f in fixed] + list(cycles.roots)
+            edges = [f.x for f in fixed if f.stability == "saddle-boundary"]
+            a2 = p.a * p.a
+            span = math.log(max(p.b_tilde, 1.0 / p.b_tilde))
+            starts = [a2 * math.exp(rng.uniform(-span - 4.6, span + 4.6))]
+            starts += [r * (1.0 + d) for r in refs for d in (-1e-3, -1e-6, 1e-6, 1e-3)]
+            for x0 in starts:
+                if any(abs(x0 - r) <= 1e-3 * r for r in edges):
+                    continue
+                cls = symmetric_attractor_class(p, StateVector(x0, 1.0, 1.0, x0))
+                assert cls.target == _nearest(refs, _iterated_limit(p, x0)), (j1, j2, t, x0)
+                periodic = cls.target in cycles.roots
+                assert cls.kind == ("asymptotically-periodic" if periodic else "asymptotically-fixed")
+                checked += 1
+        assert checked > 4000
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    @pytest.mark.parametrize("b", [1.8, 2.0, 3.0, 5.0])
+    def test_window_edge_double_root(self, b, edge):
+        # at a window edge one fixed ratio is a double root of g(x) - x: the
+        # sign of g(x) - x is the same on both sides of it
+        level = multi_root_window(b**4)[edge]
+        p = BoltzmannParams.from_weights((level * b**6) ** -0.5, b)
+        rep = solve_fixed_points(p)
+        assert rep.regime == "two"
+        refs = [f.x for f in rep.roots]
+        for r in refs:
+            for d in (-0.5, -0.1, 0.1, 0.5):
+                x0 = r * (1.0 + d)
+                cls = symmetric_attractor_class(p, StateVector(x0, 1.0, 1.0, x0))
+                assert cls.kind == "asymptotically-fixed"
+                assert cls.target == _nearest(refs, _iterated_limit(p, x0)), (x0, refs)
+
+    @pytest.mark.parametrize("edge", ["star_minus", "star_plus"])
+    def test_degenerate_cycle_boundary(self, edge):
+        # the pair has merged into the fixed ratio, where g' = -1: convergence
+        # is algebraic, so only the kind is compared
+        b = 0.5
+        a2 = getattr(cycle_thresholds(b), edge)
+        p = BoltzmannParams.from_weights(math.sqrt(a2), b)
+        assert solve_two_cycles(p).degenerate
+        (r,) = [f.x for f in solve_fixed_points(p).roots]
+        for x0 in (0.5 * r, 0.9 * r, 1.1 * r, 2.0 * r):
+            cls = symmetric_attractor_class(p, StateVector(x0, 1.0, 1.0, x0))
+            assert cls == SymmetricClass("asymptotically-fixed", r)
+
+
+def _iterated_limit(p, x, steps=400_000):
+    """Limit of plain iteration of the ratio map (of its double step for b < 1)."""
+    for _ in range(steps):
+        y = ratio_map(p, x)
+        if p.b < 1.0:
+            y = ratio_map(p, y)
+        if abs(y - x) <= 1e-14 * x:
+            return y
+        x = y
+    return x
+
+
+def _nearest(refs, x):
+    return min(refs, key=lambda r: abs(math.log(r / x)))

@@ -33,8 +33,9 @@ class TestScanConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             ScanConfig(axes=[], j1=1.0, j2=0.0, temperature=1.0)
-        with pytest.raises(DomainError):
-            make_config(seeds=[])
+        for seeds in ([], "12", [-1], [1.0], [True]):
+            with pytest.raises(DomainError):
+                make_config(seeds=seeds)
         with pytest.raises(DomainError):
             ScanConfig(axes=[AxisSpec("temperature", 1, 2, 3)], j1=None, j2=0.5)
         with pytest.raises(DomainError):
@@ -248,11 +249,25 @@ class TestCli:
         assert r.returncode == 0, r.stdout + r.stderr
         assert "FAIL" not in r.stdout
 
-    def test_usage_error_exit_code(self):
-        r = run_cli("scan", "--axis", "bogus")
-        assert r.returncode == 1
-        r2 = run_cli("diagnose", "--j1", "1")  # missing j2/temperature
-        assert r2.returncode == 1
+    def test_usage_error_exit_code(self, tmp_path):
+        point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
+        cases = [
+            ("scan", "--axis", "bogus"),
+            ("diagnose", "--j1", "1"),  # missing j2/temperature
+            ("diagnose", *point, "--seeds", ""),
+            ("diagnose", *point, "--seeds=-1"),
+            ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "1", "--seeds=-1"),
+        ]
+        configs = ['[1,2]', '{"bogus": 1}', '{"axes":[{"name":"j1","min":0}]}', '{"seeds":"12"}']
+        for k, text in enumerate(configs):
+            path = tmp_path / f"config{k}.json"
+            path.write_text(text)
+            cases.append(("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--config", str(path)))
+        for args in cases:
+            r = run_cli(*args)
+            assert r.returncode == 1, args
+            assert "error:" in r.stderr, args
+            assert "Traceback" not in r.stderr, (args, r.stderr)
 
     def test_range_error_exit_code(self):
         point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")

@@ -27,19 +27,12 @@ from cayleyphase import (
     tabulate_critical_curves,
 )
 
-from conftest import maxdiff
+from conftest import TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff
 
 
 def params_at_level(level: float, b: float) -> BoltzmannParams:
     # invert level = 1/(a^2 b^6)
     return BoltzmannParams.from_weights((level * b**6) ** -0.5, b)
-
-
-# b^4 = 9.9e30: three fixed ratios, the two smallest 400x apart and both
-# below 1e-14; TINY_RATIOS_EXACT are the roots of the slice cubic solved to
-# 60 digits
-TINY_RATIOS = Couplings(2.5645435717473593, 2.8075571395478782, 0.15735458936494023)
-TINY_RATIOS_EXACT = (1.5980862893751724252e-17, 6.3280166699261682895e-15, 1.4166947065883585375e45)
 
 
 class TestMultiRootWindow:
@@ -353,7 +346,13 @@ class TestPhaseCounts:
         cold = np.column_stack(
             [rng.uniform(-3.0, 3.0, n), rng.uniform(1.0, 3.0, n), rng.uniform(0.1, 0.2, n)]
         )
-        for j1, j2, t in np.vstack([wide, cold]).tolist():
+        # a^2 on the star thresholds, where the two-cycle pair merges
+        edges = [
+            (0.5 * math.log(a2), math.log(b), 1.0)
+            for b in np.linspace(0.02, 0.577, 200).tolist()
+            for a2 in (cycle_thresholds(b).star_minus, cycle_thresholds(b).star_plus)
+        ]
+        for j1, j2, t in np.vstack([wide, cold, edges]).tolist():
             c = Couplings(j1, j2, t)
             p = derive_params(c)
             counts = (len(solve_fixed_points(p).roots), len(solve_two_cycles(p).roots))
