@@ -1,4 +1,7 @@
-/* Compiled trajectory loop.
+/* Compiled trajectory loop.  Each step compares the new state with the one q
+ * steps back, q = 1 first: a return at q = 1 is a fixed direction (period 1),
+ * at q >= 2 (from burn_in on) a cycle of period q; with no return the run is
+ * aperiodic (period 0).
  *
  * Twin of _trajectory_py.run_trajectory: the arithmetic is written
  * operation-for-operation identically, and setup.py compiles this file with
@@ -50,20 +53,15 @@ run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError, "p_max must be between 0 and 256 for the compiled ring");
         return NULL;
     }
-    double ring[RING_CAP][4];
+    /* slot 0 holds the start; every other slot is written before it is read */
+    double ring[RING_CAP][4] = {{u1, u2, u3, u4}};
     double ainv = 1.0 / a;
     double binv = 1.0 / b;
     Py_ssize_t size = p_max + 1;
     double c1 = u1, c2 = u2, c3 = u3, c4 = u4;
     double t1, t2, t3, t4, w1, w2, w3, w4, m, d, e, dq, *h;
-    Py_ssize_t t, q, q_hi, k;
+    Py_ssize_t t, q, q_hi;
 
-    for (k = 0; k < size; k++) {
-        ring[k][0] = u1;
-        ring[k][1] = u2;
-        ring[k][2] = u3;
-        ring[k][3] = u4;
-    }
     d = 0.0;
     for (t = 1; t <= max_iter; t++) {
         t1 = b * c1 + binv * c2;
@@ -89,57 +87,46 @@ run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         c2 = w2 / m;
         c3 = w3 / m;
         c4 = w4 / m;
-        h = ring[(t - 1) % size];
-        d = fabs(c1 - h[0]);
-        e = fabs(c2 - h[1]);
-        if (e > d)
-            d = e;
-        e = fabs(c3 - h[2]);
-        if (e > d)
-            d = e;
-        e = fabs(c4 - h[3]);
-        if (e > d)
-            d = e;
+        q_hi = t < burn_in ? 1 : (p_max < t ? p_max : t);
+        if (q_hi < 1)
+            q_hi = 1;
+        /* compare before writing: at p_max = 0 the ring has one slot */
+        for (q = 1; q <= q_hi; q++) {
+            h = ring[(t - q) % size];
+            dq = fabs(c1 - h[0]);
+            e = fabs(c2 - h[1]);
+            if (e > dq)
+                dq = e;
+            e = fabs(c3 - h[2]);
+            if (e > dq)
+                dq = e;
+            e = fabs(c4 - h[3]);
+            if (e > dq)
+                dq = e;
+            if (q == 1)
+                d = dq;
+            if (dq <= tol)
+                break;
+        }
         h = ring[t % size];
         h[0] = c1;
         h[1] = c2;
         h[2] = c3;
         h[3] = c4;
-        if (d <= tol)
-            return Py_BuildValue("(innd[(dddd)])", FIXED, (Py_ssize_t)1, t, d, c1, c2, c3, c4);
-        if (t >= burn_in) {
-            q_hi = p_max < t ? p_max : t;
-            for (q = 2; q <= q_hi; q++) {
-                h = ring[(t - q) % size];
-                dq = fabs(c1 - h[0]);
-                e = fabs(c2 - h[1]);
-                if (e > dq)
-                    dq = e;
-                e = fabs(c3 - h[2]);
-                if (e > dq)
-                    dq = e;
-                e = fabs(c4 - h[3]);
-                if (e > dq)
-                    dq = e;
-                if (dq <= tol) {
-                    PyObject *states = state_list(ring, t - q + 1, q, size);
-                    if (states == NULL)
-                        return NULL;
-                    return Py_BuildValue("(inndN)", CYCLE, q, t, dq, states);
-                }
-            }
-        }
+        if (dq <= tol)
+            return Py_BuildValue("(inndN)", q == 1 ? FIXED : CYCLE, q, t, dq, state_list(ring, t - q + 1, q, size));
     }
-    return Py_BuildValue("(innd[(dddd)])", APERIODIC, (Py_ssize_t)0, max_iter, d, c1, c2, c3, c4);
+    /* t - 1 is max_iter, or 0 when max_iter < 1 */
+    return Py_BuildValue("(inndN)", APERIODIC, (Py_ssize_t)0, max_iter, d, state_list(ring, t - 1, 1, size));
 }
 
 static PyMethodDef methods[] = {
     {"run_trajectory", (PyCFunction)(void (*)(void))run_trajectory, METH_VARARGS | METH_KEYWORDS,
      "run_trajectory(a, b, u1, u2, u3, u4, max_iter, tol, burn_in, p_max)\n--\n\n"
      "Iterate step-and-renormalise from a unit-max-norm state.\n\n"
-     "Returns (kind, period, iterations, residual, states) with states a list of\n"
-     "4-tuples: the final state (kind FIXED/APERIODIC) or the final full period\n"
-     "(kind CYCLE, oldest first)."},
+     "Returns (kind, period, iterations, residual, states) with period 1, q or\n"
+     "0 and states a list of 4-tuples: the final state (kind FIXED/APERIODIC)\n"
+     "or the final full period (kind CYCLE, oldest first)."},
     {NULL, NULL, 0, NULL},
 };
 

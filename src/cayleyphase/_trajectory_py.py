@@ -1,4 +1,7 @@
-"""Pure-Python trajectory loop.
+"""Pure-Python trajectory loop.  Each step compares the new state with the one
+q steps back, q = 1 first: a return at q = 1 is a fixed direction (period 1),
+at q >= 2 (from ``burn_in`` on) a cycle of period q; with no return the run is
+aperiodic (period 0).
 
 Twin of the compiled loop in ``_trajectory.c``: the arithmetic is written
 operation-for-operation identically so the two backends produce bit-identical
@@ -14,12 +17,16 @@ CYCLE = 1
 APERIODIC = 2
 
 
+def _states(ring, first, count):
+    return [ring[(first + k) % len(ring)] for k in range(count)]
+
+
 def run_trajectory(a, b, u1, u2, u3, u4, max_iter, tol, burn_in, p_max):
     """Iterate step-and-renormalise from a unit-max-norm state.
 
-    Returns (kind, period, iterations, residual, states) with states a list of
-    4-tuples: the final state (kind FIXED/APERIODIC) or the final full period
-    (kind CYCLE, oldest first).
+    Returns (kind, period, iterations, residual, states) with period 1, q or
+    0 and states a list of 4-tuples: the final state (kind FIXED/APERIODIC)
+    or the final full period (kind CYCLE, oldest first).
     """
     ainv = 1.0 / a
     binv = 1.0 / b
@@ -47,35 +54,25 @@ def run_trajectory(a, b, u1, u2, u3, u4, max_iter, tol, burn_in, p_max):
         c2 = w2 / m
         c3 = w3 / m
         c4 = w4 / m
-        p1, p2, p3, p4 = ring[(t - 1) % size]
-        d = abs(c1 - p1)
-        e = abs(c2 - p2)
-        if e > d:
-            d = e
-        e = abs(c3 - p3)
-        if e > d:
-            d = e
-        e = abs(c4 - p4)
-        if e > d:
-            d = e
+        q_hi = 1 if t < burn_in else max(1, min(p_max, t))
+        # compare before writing: at p_max = 0 the ring has one slot
+        for q in range(1, q_hi + 1):
+            h1, h2, h3, h4 = ring[(t - q) % size]
+            dq = abs(c1 - h1)
+            e = abs(c2 - h2)
+            if e > dq:
+                dq = e
+            e = abs(c3 - h3)
+            if e > dq:
+                dq = e
+            e = abs(c4 - h4)
+            if e > dq:
+                dq = e
+            if q == 1:
+                d = dq
+            if dq <= tol:
+                break
         ring[t % size] = (c1, c2, c3, c4)
-        if d <= tol:
-            return (FIXED, 1, t, d, [(c1, c2, c3, c4)])
-        if t >= burn_in:
-            q_hi = p_max if p_max < t else t
-            for q in range(2, q_hi + 1):
-                h1, h2, h3, h4 = ring[(t - q) % size]
-                dq = abs(c1 - h1)
-                e = abs(c2 - h2)
-                if e > dq:
-                    dq = e
-                e = abs(c3 - h3)
-                if e > dq:
-                    dq = e
-                e = abs(c4 - h4)
-                if e > dq:
-                    dq = e
-                if dq <= tol:
-                    states = [ring[(t - q + k) % size] for k in range(1, q + 1)]
-                    return (CYCLE, q, t, dq, states)
-    return (APERIODIC, 0, max_iter, d, [(c1, c2, c3, c4)])
+        if dq <= tol:
+            return (FIXED if q == 1 else CYCLE, q, t, dq, _states(ring, t - q + 1, q))
+    return (APERIODIC, 0, max_iter, d, _states(ring, max_iter, 1))

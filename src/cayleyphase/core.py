@@ -101,7 +101,10 @@ class BoltzmannParams:
                 raise ParameterRangeError(
                     f"weight {name}={w!r} outside [{_WEIGHT_FLOOR:g}, {_WEIGHT_CEIL:g}]"
                 )
-        b_tilde = b**4
+        try:
+            b_tilde = b**4
+        except OverflowError:
+            b_tilde = math.inf
         if not (_WEIGHT_FLOOR <= b_tilde <= _WEIGHT_CEIL):
             raise ParameterRangeError("b**4 outside the supported range")
         try:

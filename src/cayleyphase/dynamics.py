@@ -2,10 +2,10 @@
 
 A trajectory repeats "apply one generation, rescale to unit max-norm"; the
 rescaling is harmless because the recurrence is homogeneous of degree two, and
-necessary because raw weights grow doubly exponentially.  A run ends in one of
-three ways: the direction stops moving (fixed direction), the direction
-revisits a state seen p steps earlier (cycle of period p), or the iteration
-budget runs out (aperiodic at the given tolerance).
+necessary because raw weights grow doubly exponentially.  A run ends when the
+direction returns to the state q steps back, smallest q first: q = 1 is a
+fixed direction (period 1), q >= 2 a cycle of period q.  A run with no return
+within its budget is aperiodic at the given tolerance (period 0).
 
 Phase dictionary: a fixed direction on the symmetric slice is paramagnetic;
 a fixed direction on the ferro surface is ferromagnetic; a period-p cycle is
@@ -89,6 +89,7 @@ CLASSIFY_TOL = 1e-6
 class TrajectoryOutcome:
     """Result of one projective run.
 
+    ``period`` is 1 (fixed direction), q (cycle) or 0 (aperiodic).
     ``attractor`` holds unit-max-norm states: the limit (fixed direction or
     aperiodic's last state) or the final full period, oldest first.
     ``residual`` is the max-norm difference that triggered the verdict (the
@@ -96,7 +97,7 @@ class TrajectoryOutcome:
     """
 
     kind: str
-    period: Optional[int]
+    period: int
     attractor: tuple[StateVector, ...]
     iterations_used: int
     residual: float
@@ -135,12 +136,12 @@ def iterate(
 ) -> TrajectoryOutcome:
     """Run the projective trajectory from ``u0`` until it resolves.
 
-    A fixed direction is declared when successive normalised states differ by
-    at most ``tol`` in max-norm; a cycle of period q (2 <= q <= p_max, smallest
-    first) when the state returns within ``tol`` to the state q steps earlier,
-    checked only after ``burn_in`` steps; otherwise the run is aperiodic after
-    ``max_iter`` steps -- a valid outcome, not an error.  Raises
-    ``ParameterRangeError`` when a component of the run underflows to zero.
+    The run ends at the smallest q whose state q steps earlier is within
+    ``tol`` in max-norm: q = 1, tested every step, is a fixed direction
+    (period 1); 2 <= q <= p_max, tested from ``burn_in`` on, a cycle of period
+    q.  With no return in ``max_iter`` steps the run is aperiodic (period 0)
+    -- a valid outcome, not an error.  Raises ``ParameterRangeError`` when a
+    component of the run underflows to zero.
     """
     if max_iter < 100:
         raise DomainError("max_iter must be at least 100")
@@ -160,7 +161,7 @@ def iterate(
         raise ParameterRangeError(f"trajectory left the floating-point range: {exc}") from exc
     return TrajectoryOutcome(
         kind=_KIND_NAMES[kind_code],
-        period=period if kind_code == 1 else None,
+        period=period,
         attractor=attractor,
         iterations_used=iters,
         residual=residual,

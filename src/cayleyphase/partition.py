@@ -83,7 +83,10 @@ def initial_branch_weights(p: BoltzmannParams) -> StateVector:
 
 
 def _close(u: StateVector) -> float:
-    return (u.u1 + u.u2) ** 2 + (u.u3 + u.u4) ** 2
+    try:
+        return (u.u1 + u.u2) ** 2 + (u.u3 + u.u4) ** 2
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
 
 
 def partition_recurrence(p: BoltzmannParams, n: int) -> tuple[float, StateVector]:

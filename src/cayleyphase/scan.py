@@ -94,6 +94,11 @@ class ScanConfig:
         if not 1 <= len(self.axes) <= 2:
             raise DomainError("a scan needs one or two axes")
         _check_seeds(self.seeds)
+        if not isinstance(self.max_iter, int):
+            raise DomainError(f"max_iter must be an integer, not {self.max_iter!r}")
+        for name in ("tol", "class_tol"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise DomainError(f"{name} must be a number, not {getattr(self, name)!r}")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.format not in ("csv", "json"):
@@ -193,7 +198,7 @@ def _evaluate_point(task) -> list[ScanRow]:
                 a=p.a,
                 b=p.b,
                 phase=label.phase,
-                cycle_period=label.period if label.period is not None else (1 if outcome.kind == "fixed-direction" else 0),
+                cycle_period=outcome.period,
                 para_count=para,
                 comm2_count=comm2,
                 m1_residual=label.m1_residual,

@@ -372,8 +372,11 @@ def lift_two_cycle(p: BoltzmannParams, y: float) -> StateVector:
         raise DomainError(f"y={y!r} is not a period-two ratio")
     a = p.a
     b = p.b
-    e1 = a * b * (b + 1.0 / (b * y)) ** 2 + (b / y + 1.0 / b) ** 2 / (a * b)
-    e2 = b * (b + y / b) ** 2 / a + a * (b * y + 1.0 / b) ** 2 / b
+    try:
+        e1 = a * b * (b + 1.0 / (b * y)) ** 2 + (b / y + 1.0 / b) ** 2 / (a * b)
+        e2 = b * (b + y / b) ** 2 / a + a * (b * y + 1.0 / b) ** 2 / b
+    except OverflowError as exc:
+        raise ParameterRangeError("two-cycle lift overflows a double") from exc
     u1 = a ** (-1.0 / 3.0) * e1 ** (-2.0 / 3.0)
     u2 = a ** (1.0 / 3.0) * e2 ** (-2.0 / 3.0)
     return StateVector(u1, u2, u2, u1)

@@ -53,6 +53,10 @@ class TestDeriveParams:
             derive_params(Couplings(500.0, 0.0, 1.0))
         with pytest.raises(ParameterRangeError):
             derive_params(Couplings(0.0, -200.0, 0.25))
+        # b itself is accepted; b**4 overflows (or underflows) a double
+        for b in (1e80, 1e-80):
+            with pytest.raises(ParameterRangeError, match="b\\*\\*4"):
+                BoltzmannParams.from_weights(1.0, b)
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(ParameterRangeError):

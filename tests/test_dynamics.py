@@ -1,8 +1,11 @@
 import importlib.machinery
 import importlib.util
 import math
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +117,17 @@ class TestIterate:
         with pytest.raises(DomainError):
             iterate(p, u, p_max=500)
 
+    def test_period_of_each_kind(self):
+        cases = [
+            (Couplings(1.0, 0.15, 0.6), (1.0, 0.3, 0.2, 0.05), "fixed-direction", 1),
+            (Couplings(1.0, -0.6, 0.3), (1.0, 0.618, 0.2718, 0.3141), "cycle", 4),
+            (Couplings(1.0, -0.8, 2.0), (1.0, 0.37, 0.11, 0.92), "aperiodic", 0),
+        ]
+        for c, u0, kind, period in cases:
+            out = iterate(derive_params(c), StateVector(*u0), max_iter=5000)
+            assert (out.kind, out.period) == (kind, period)
+            assert len(out.attractor) == max(period, 1)
+
     def test_matches_manual_stepping(self):
         p = derive_params(Couplings(0.4, -0.5, 0.7))
         u0 = StateVector(0.9, 0.2, 0.6, 0.1)
@@ -158,26 +172,57 @@ def compiled_kernel(tmp_path_factory):
 
 class TestBackends:
     def test_backends_agree_bitwise(self, compiled_kernel):
-        from cayleyphase import _trajectory_py
+        from cayleyphase import _trajectory_py as py
 
         assert compiled_kernel.BACKEND == "compiled"
+        fixed, aperiodic = (py.FIXED, 1), (py.APERIODIC, 0)
+        two, four = (py.CYCLE, 2), (py.CYCLE, 4)
+        ferro = ((1.0, 0.15, 0.6), (1.0, 0.3, 0.2, 0.05))  # fixed at step 9
+        slice2 = ((0.0, -0.69, 1.0), (1.0, 0.37, 0.37, 1.0))
+        lock4 = ((1.0, -0.6, 0.3), (1.0, 0.618, 0.2718, 0.3141))
+        # (point, start), max_iter, burn_in, p_max, expected (kind, period)
         cases = [
-            (0.6, -0.45, 0.45, (1.0, 0.37, 0.11, 0.92), 64),
-            (1.0, 0.15, 0.6, (1.0, 0.3, 0.2, 0.05), 64),
-            (0.0, -0.69, 1.0, (1.0, 0.37, 0.37, 1.0), 64),
-            (0.25, 0.9, 1.0, (0.2, 1.0, 0.8, 0.3), 64),
+            (((0.6, -0.45, 0.45), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 64, four),
+            (ferro, 5000, 200, 64, fixed),
+            (slice2, 5000, 200, 64, two),
+            (((0.25, 0.9, 1.0), (0.2, 1.0, 0.8, 0.3)), 5000, 200, 64, two),
             # p_max at the ring capacity, on a cycle and on an aperiodic run
-            (1.0, -1.0, 0.5, (1.0, 0.37, 0.11, 0.92), 256),
-            (1.0, -0.8, 2.0, (1.0, 0.37, 0.11, 0.92), 256),
+            (((1.0, -1.0, 0.5), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 256, four),
+            (((1.0, -0.8, 2.0), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 256, aperiodic),
+            # the period-1 test survives p_max 0 (a one-slot ring) and 1
+            (ferro, 5000, 200, 0, fixed),
+            (ferro, 5000, 200, 1, fixed),
+            (slice2, 5000, 200, 0, aperiodic),
+            (slice2, 5000, 200, 1, aperiodic),
+            # burn_in past max_iter: no cycle test, but the fixed test runs
+            (slice2, 300, 400, 64, aperiodic),
+            (ferro, 300, 400, 64, fixed),
+            # a period of exactly p_max is found, one above it is not
+            (slice2, 5000, 200, 2, two),
+            (lock4, 5000, 200, 4, four),
+            (lock4, 5000, 200, 3, aperiodic),
         ]
-        kinds = set()
-        for j1, j2, t, u0, p_max in cases:
+        for ((j1, j2, t), u0), max_iter, burn_in, p_max, expected in cases:
             p = derive_params(Couplings(j1, j2, t))
-            args = (p.a, p.b, *u0, 5000, 1e-12, 200, p_max)
-            out = _trajectory_py.run_trajectory(*args)
-            assert out == compiled_kernel.run_trajectory(*args)
-            kinds.add(out[0])
-        assert kinds == {_trajectory_py.FIXED, _trajectory_py.CYCLE, _trajectory_py.APERIODIC}
+            args = (p.a, p.b, *u0, max_iter, 1e-12, burn_in, p_max)
+            out = py.run_trajectory(*args)
+            assert out == compiled_kernel.run_trajectory(*args), args
+            assert out[:2] == expected, args
+            assert len(out[4]) == max(out[1], 1)
+
+    def test_kernel_compiles_without_warnings(self):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        include = Path(sysconfig.get_paths()["include"])
+        if shutil.which(cc[0]) is None or not (include / "Python.h").exists():
+            pytest.skip("no C compiler or no Python.h")
+        source = ROOT / "src" / "cayleyphase" / "_trajectory.c"
+        r = subprocess.run(
+            [*cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}", str(source)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert r.returncode == 0, r.stderr
 
 
 class TestClassifyPhase:

@@ -22,6 +22,8 @@ from cayleyphase import (
 )
 from cayleyphase.partition import tree_edges, tree_grandparent_pairs, tree_vertex_count
 
+from conftest import TINY_RATIOS
+
 
 class TestTreeLayout:
     def test_vertex_counts(self):
@@ -127,6 +129,13 @@ class TestLogScaledMode:
             partition_recurrence(p, 12)
         log_z, _, _ = partition_recurrence_log(p, 200)
         assert math.isfinite(log_z)
+        # the weights fit a double, the squares that close Z do not
+        for c, n in (
+            (Couplings(3.437490619714394, 0.007838059538823897, 0.31179924434389394), 6),
+            (TINY_RATIOS, 4),
+        ):
+            with pytest.raises(ParameterRangeError, match="log"):
+                partition_recurrence(derive_params(c), n)
 
     def test_positive_z(self):
         p = derive_params(Couplings(-0.9, 0.7, 0.6))
@@ -170,6 +179,14 @@ class TestPeriodicPartition:
     def test_rejects_non_cycle_ratio(self, params_symmetric_cycle):
         with pytest.raises(DomainError):
             periodic_partition(params_symmetric_cycle, 3.21, 0)
+
+    def test_lift_overflow_is_a_range_error(self):
+        # the partner ratio of y is 3.9e155: squaring it overflows in the lift
+        p = BoltzmannParams.from_weights(4.8787535436204675e42, 7.560174819073945e-31)
+        y = min(solve_two_cycles(p).roots)
+        assert math.isfinite(periodic_partition(p, y, 0))
+        with pytest.raises(ParameterRangeError):
+            periodic_partition(p, y, 1)
 
 
 class TestFreeEnergy:

@@ -36,6 +36,15 @@ class TestScanConfig:
         for seeds in ([], "12", [-1], [1.0], [True]):
             with pytest.raises(DomainError):
                 make_config(seeds=seeds)
+        for field, value in (
+            ("max_iter", "abc"),
+            ("max_iter", 2000.0),
+            ("tol", "x"),
+            ("tol", None),
+            ("class_tol", "x"),
+        ):
+            with pytest.raises(DomainError, match=field):
+                make_config(**{field: value})
         with pytest.raises(DomainError):
             ScanConfig(axes=[AxisSpec("temperature", 1, 2, 3)], j1=None, j2=0.5)
         with pytest.raises(DomainError):
@@ -258,7 +267,13 @@ class TestCli:
             ("diagnose", *point, "--seeds=-1"),
             ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "1", "--seeds=-1"),
         ]
-        configs = ['[1,2]', '{"bogus": 1}', '{"axes":[{"name":"j1","min":0}]}', '{"seeds":"12"}']
+        configs = [
+            '[1,2]',
+            '{"bogus": 1}',
+            '{"axes":[{"name":"j1","min":0}]}',
+            '{"seeds":"12"}',
+            '{"max_iter": "abc"}',
+        ]
         for k, text in enumerate(configs):
             path = tmp_path / f"config{k}.json"
             path.write_text(text)
@@ -271,6 +286,10 @@ class TestCli:
 
     def test_range_error_exit_code(self):
         point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
+        b4_overflow = (
+            "--j1", "-12.061028783664216", "--j2", "73.61062337106489",
+            "--temperature", "0.2255830960252875",
+        )
         for args in (
             ("diagnose", "--j1", "1000", "--j2", "0", "--temperature", "0.1"),
             # 2^1024 - 1 sites do not fit a double
@@ -282,10 +301,19 @@ class TestCli:
             # trajectory components underflow to zero
             ("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1"),
             ("diagnose", "--j1", "-71.7", "--j2", "-84.2", "--temperature", "1"),
+            # Z = (u1 + u2)^2 + (u3 + u4)^2 overflows, the weights do not
+            ("partition", "--j1", "3.437490619714394", "--j2", "0.007838059538823897",
+             "--temperature", "0.31179924434389394", "--depth", "6"),
+            ("partition", "--j1", "2.5645435717473593", "--j2", "2.8075571395478782",
+             "--temperature", "0.15735458936494023", "--depth", "4"),
+            # b fits a double, b**4 does not
+            ("diagnose", *b4_overflow),
+            ("partition", *b4_overflow),
         ):
             r = run_cli(*args)
             assert r.returncode == 2, args
-            assert "range" in r.stderr.lower()
+            assert r.stderr.count("numeric range error:") == 1, (args, r.stderr)
+            assert "Traceback" not in r.stderr, (args, r.stderr)
 
     def test_pure_python_kernel_is_loud(self):
         scan = (
