@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     BoltzmannParams,
     DomainError,
@@ -80,6 +78,8 @@ def _curve(rho: float, mu: float, w, upper: bool):
     The discriminant is clamped at zero, which is exact at the merge points;
     past them the curve has no real point and callers mask those w.
     """
+    import numpy as np
+
     r = rho * (w + mu * w * w)
     h = r * r
     z = 2.0 * h / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * h, 0.0)))
@@ -92,37 +92,35 @@ def _surface(rho: float, mu: float, z, w):
     return 1.0 - s + rho * rho * (s + mu * (z * z + w * w)) * (1.0 + mu * s)
 
 
-def _stationarity(p: BoltzmannParams, v: np.ndarray) -> np.ndarray:
+def _stationarity(p: BoltzmannParams, v) -> list[float]:
     v1, v2, v3, v4 = v
     a = p.alpha
     b = p.b
-    return np.array(
-        [
-            v1 - a * (b * v1 * v1 + v2 * v2 / b),
-            v2 - (b * v3 * v3 + v4 * v4 / b) / a,
-            v3 - (v1 * v1 / b + b * v2 * v2) / a,
-            v4 - a * (v3 * v3 / b + b * v4 * v4),
-        ]
-    )
+    return [
+        v1 - a * (b * v1 * v1 + v2 * v2 / b),
+        v2 - (b * v3 * v3 + v4 * v4 / b) / a,
+        v3 - (v1 * v1 / b + b * v2 * v2) / a,
+        v4 - a * (v3 * v3 / b + b * v4 * v4),
+    ]
 
 
-def _stationarity_jac(p: BoltzmannParams, v: np.ndarray) -> np.ndarray:
+def _stationarity_jac(p: BoltzmannParams, v) -> list[list[float]]:
     v1, v2, v3, v4 = v
     a = p.alpha
     b = p.b
-    return np.array(
-        [
-            [1.0 - 2.0 * a * b * v1, -2.0 * a * v2 / b, 0.0, 0.0],
-            [0.0, 1.0, -2.0 * b * v3 / a, -2.0 * v4 / (a * b)],
-            [-2.0 * v1 / (a * b), -2.0 * b * v2 / a, 1.0, 0.0],
-            [0.0, 0.0, -2.0 * a * v3 / b, 1.0 - 2.0 * a * b * v4],
-        ]
-    )
+    return [
+        [1.0 - 2.0 * a * b * v1, -2.0 * a * v2 / b, 0.0, 0.0],
+        [0.0, 1.0, -2.0 * b * v3 / a, -2.0 * v4 / (a * b)],
+        [-2.0 * v1 / (a * b), -2.0 * b * v2 / a, 1.0, 0.0],
+        [0.0, 0.0, -2.0 * a * v3 / b, 1.0 - 2.0 * a * b * v4],
+    ]
 
 
 def _polish(p: BoltzmannParams, v_seed) -> FerroCandidate | None:
     """Newton steps on the full four-equation system from ``v_seed``; the
     residual checks below, not the iteration, decide acceptance."""
+    import numpy as np
+
     v = np.asarray(v_seed, dtype=float)
     for _ in range(_NEWTON_STEPS):
         try:
@@ -190,6 +188,8 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
         if mu != 0.0:
             merges.append(-(1.0 + s) / (2.0 * mu))
     merges = [m for m in merges if _W_FLOOR < m < 1.0]
+    import numpy as np
+
     grid = np.union1d(np.geomspace(_W_FLOOR, 1.0, _W_POINTS), merges)
 
     seeds: list[tuple[float, float]] = []  # (z, w)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
     BoltzmannParams,
     Couplings,
@@ -145,6 +143,8 @@ def enumerate_partition(c: Couplings, n: int) -> float:
     """
     if not 1 <= n <= _MAX_ENUM_DEPTH:
         raise DomainError(f"enumeration supports 1 <= n <= {_MAX_ENUM_DEPTH}")
+    import numpy as np
+
     size = tree_vertex_count(n)
     count = 1 << size
     idx = np.arange(count, dtype=np.uint32)

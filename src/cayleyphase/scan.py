@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .core import Couplings, DomainError, StateVector, derive_params
@@ -63,13 +60,30 @@ class AxisSpec:
     def __post_init__(self) -> None:
         if self.name not in AXIS_NAMES:
             raise DomainError(f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}")
+        for name in ("min", "max"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise DomainError(f"axis {name} must be a number, not {getattr(self, name)!r}")
+        if not isinstance(self.steps, int):
+            raise DomainError(f"axis steps must be an integer, not {self.steps!r}")
         if self.steps < 1:
             raise DomainError("axis steps must be >= 1")
         if self.steps > 1 and not self.min < self.max:
             raise DomainError("axis requires min < max")
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.steps)
+    def values(self) -> list[float]:
+        # np.linspace's arithmetic in its order, so the grid matches it bit for bit
+        lo, hi = float(self.min), float(self.max)
+        delta = hi - lo
+        if self.steps == 1:
+            return [0.0 * delta + lo]
+        div = self.steps - 1
+        step = delta / div
+        if step == 0.0:  # the step underflows: divide first, as numpy does
+            grid = [i / div * delta + lo for i in range(div)]
+        else:
+            grid = [i * step + lo for i in range(div)]
+        grid.append(hi)
+        return grid
 
 
 def _check_seeds(seeds) -> None:
@@ -94,11 +108,16 @@ class ScanConfig:
         if not 1 <= len(self.axes) <= 2:
             raise DomainError("a scan needs one or two axes")
         _check_seeds(self.seeds)
-        if not isinstance(self.max_iter, int):
-            raise DomainError(f"max_iter must be an integer, not {self.max_iter!r}")
+        for name in ("max_iter", "workers"):
+            if not isinstance(getattr(self, name), int):
+                raise DomainError(f"{name} must be an integer, not {getattr(self, name)!r}")
         for name in ("tol", "class_tol"):
             if not isinstance(getattr(self, name), (int, float)):
                 raise DomainError(f"{name} must be a number, not {getattr(self, name)!r}")
+        for name in ("j1", "j2", "temperature"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, float)):
+                raise DomainError(f"{name} must be a number or null, not {value!r}")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.format not in ("csv", "json"):
@@ -159,6 +178,8 @@ class ScanRow:
 def _starts_for_seeds(seeds: list[int]) -> dict[int, tuple[float, float, float, float]]:
     # log-uniform components; the start is seed-determined and shared by every
     # grid point so phase differences across the grid are physical
+    import numpy as np
+
     starts = {}
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -219,19 +240,21 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
         axis1 = cfg.axes[1]
         values1 = axis1.values()
         tasks = [
-            (cfg, i, j, {axis0.name: float(v0), axis1.name: float(v1)}, starts)
+            (cfg, i, j, {axis0.name: v0, axis1.name: v1}, starts)
             for i, v0 in enumerate(values0)
             for j, v1 in enumerate(values1)
         ]
     else:
         tasks = [
-            (cfg, i, 0, {axis0.name: float(v0)}, starts)
+            (cfg, i, 0, {axis0.name: v0}, starts)
             for i, v0 in enumerate(values0)
         ]
 
     if cfg.workers == 1:
         chunks = [_evaluate_point(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunks = list(pool.map(_evaluate_point, tasks, chunksize=4))
     return [row for chunk in chunks for row in chunk]

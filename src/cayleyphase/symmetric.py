@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     BoltzmannParams,
     Couplings,
@@ -375,11 +373,42 @@ def lift_two_cycle(p: BoltzmannParams, y: float) -> StateVector:
     try:
         e1 = a * b * (b + 1.0 / (b * y)) ** 2 + (b / y + 1.0 / b) ** 2 / (a * b)
         e2 = b * (b + y / b) ** 2 / a + a * (b * y + 1.0 / b) ** 2 / b
-    except OverflowError as exc:
-        raise ParameterRangeError("two-cycle lift overflows a double") from exc
-    u1 = a ** (-1.0 / 3.0) * e1 ** (-2.0 / 3.0)
-    u2 = a ** (1.0 / 3.0) * e2 ** (-2.0 / 3.0)
+        u1 = a ** (-1.0 / 3.0) * e1 ** (-2.0 / 3.0)
+        u2 = a ** (1.0 / 3.0) * e2 ** (-2.0 / 3.0)
+    except OverflowError:
+        u1 = u2 = 0.0
+    if not (0.0 < u1 < math.inf and 0.0 < u2 < math.inf):
+        # an intermediate left the double range; the state may not have
+        u1, u2 = _lift_two_cycle_log(a, b, y)
     return StateVector(u1, u2, u2, u1)
+
+
+def _log_add(x: float, y: float) -> float:
+    """log(e^x + e^y) without leaving the double range."""
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _lift_two_cycle_log(a: float, b: float, y: float) -> tuple[float, float]:
+    """(u1, u2) of :func:`lift_two_cycle` through logs, for weights where an
+    intermediate of the direct form leaves the double range but the state
+    itself need not."""
+    la, lb, ly = math.log(a), math.log(b), math.log(y)
+    # e1 = a b p1^2 + q1^2 / (a b) and e2 = b p2^2 / a + a q2^2 / b
+    log_p1 = _log_add(lb, -lb - ly)  # p1 = b + 1/(b y)
+    log_q1 = _log_add(lb - ly, -lb)  # q1 = b/y + 1/b
+    log_p2 = _log_add(lb, ly - lb)  # p2 = b + y/b
+    log_q2 = _log_add(lb + ly, -lb)  # q2 = b y + 1/b
+    log_e1 = _log_add(la + lb + 2.0 * log_p1, 2.0 * log_q1 - la - lb)
+    log_e2 = _log_add(lb + 2.0 * log_p2 - la, la + 2.0 * log_q2 - lb)
+    try:
+        u1 = math.exp(-la / 3.0 - 2.0 / 3.0 * log_e1)
+        u2 = math.exp(la / 3.0 - 2.0 / 3.0 * log_e2)
+    except OverflowError:
+        u1 = u2 = math.inf
+    if not (0.0 < u1 < math.inf and 0.0 < u2 < math.inf):
+        raise ParameterRangeError("two-cycle lift leaves the double range")
+    return u1, u2
 
 
 def critical_temperature(j2: float) -> Optional[float]:
@@ -462,6 +491,8 @@ def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusi
     """
     if not 3 <= max_period <= 8:
         raise DomainError("max_period must be between 3 and 8")
+    import numpy as np
+
     fixed = tuple(r.x for r in solve_fixed_points(p).roots)
     cycle = solve_two_cycles(p).roots
     reference = fixed + cycle

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -247,8 +248,38 @@ class TestBracketedRoot:
             bracketed_root(lambda x: math.nan if x > 1.0 else x - 3.0, 0.5, 10.0)
 
 
-def test_package_import_leaves_scipy_unloaded():
-    code = "import sys, cayleyphase; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+_LAZY_IMPORTS_PROBE = """
+import contextlib, io, json, sys
+import cayleyphase, cayleyphase.cli as cli
+
+def loaded(name):
+    return any(m == name or m.startswith(name + ".") for m in sys.modules)
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+seen = {"import": [m for m in ("scipy", "numpy", "concurrent.futures.process") if loaded(m)]}
+point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
+codes = [
+    run("--version"),
+    run("partition", *point, "--depth", "3"),
+    run("curves", "--axis", "j2:-2:-0.1:5", "--temperature", "1"),
+]
+seen["numpy after closed forms"] = loaded("numpy")
+codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "1"))
+seen["pool after one-worker scan"] = loaded("concurrent.futures.process")
+print(json.dumps({"codes": codes, **seen}))
+"""
+
+
+def test_imports_stay_lazy():
+    # numpy loads only where an array is computed, the process pool only for
+    # a scan with more than one worker
+    r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS_PROBE], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    seen = json.loads(r.stdout)
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["import"] == []
+    assert seen["numpy after closed forms"] is False
+    assert seen["pool after one-worker scan"] is False

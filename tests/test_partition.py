@@ -21,6 +21,7 @@ from cayleyphase import (
     solve_two_cycles,
 )
 from cayleyphase.partition import tree_edges, tree_grandparent_pairs, tree_vertex_count
+from cayleyphase.symmetric import _lift_two_cycle_log
 
 from conftest import TINY_RATIOS
 
@@ -180,13 +181,20 @@ class TestPeriodicPartition:
         with pytest.raises(DomainError):
             periodic_partition(params_symmetric_cycle, 3.21, 0)
 
-    def test_lift_overflow_is_a_range_error(self):
-        # the partner ratio of y is 3.9e155: squaring it overflows in the lift
+    def test_lift_survives_intermediate_overflow(self):
+        # the partner ratio of y is 3.9e155: squaring it overflows in the lift,
+        # yet the lifted state is representable; the reference is a 50-digit
+        # mpmath evaluation of the closed form
         p = BoltzmannParams.from_weights(4.8787535436204675e42, 7.560174819073945e-31)
         y = min(solve_two_cycles(p).roots)
         assert math.isfinite(periodic_partition(p, y, 0))
+        assert math.isfinite(periodic_partition(p, y, 1))
+        u = lift_two_cycle(p, ratio_map(p, y))
+        assert u.u1 == u.u4 == pytest.approx(9.6939320111748535903e-47, rel=1e-12)
+        assert u.u2 == u.u3 == pytest.approx(2.4624784229669904546e-202, rel=1e-12)
+        # a state past the double range still raises
         with pytest.raises(ParameterRangeError):
-            periodic_partition(p, y, 1)
+            _lift_two_cycle_log(1e300, 1.0, 1e-200)
 
 
 class TestFreeEnergy:

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cayleyphase import (
@@ -42,15 +45,44 @@ class TestScanConfig:
             ("tol", "x"),
             ("tol", None),
             ("class_tol", "x"),
+            ("j1", "abc"),
+            ("j2", [0.5]),
+            ("temperature", "1"),
+            ("workers", 2.5),
         ):
             with pytest.raises(DomainError, match=field):
                 make_config(**{field: value})
+        for field, args in (
+            ("min", ("-1", 0.0, 2)),
+            ("max", (-1.0, "0", 2)),
+            ("steps", (-1.0, 0.0, 2.0)),
+        ):
+            with pytest.raises(DomainError, match=field):
+                AxisSpec("j2", *args)
         with pytest.raises(DomainError):
             ScanConfig(axes=[AxisSpec("temperature", 1, 2, 3)], j1=None, j2=0.5)
         with pytest.raises(DomainError):
             AxisSpec("temperature", 2.0, 1.0, 5)
         with pytest.raises(DomainError):
             AxisSpec("volume", 1.0, 2.0, 5)
+
+    def test_axis_values_match_linspace_bitwise(self):
+        rng = random.Random(20261018)
+        axes = [(0.8, 2.4, 3), (-1.0, -1.0, 1), (1e300, 1e300, 1)]
+        axes += [(0.0, 4e-323, 101), (-5e-324, 5e-324, 40)]  # subnormal step: divide first
+        axes += [(-1e308, 1.5e308, 5), (-1.7e308, 1.7e308, 2)]  # max - min overflows
+        for _ in range(2000):
+            lo, hi = sorted(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0) for _ in range(2))
+            if lo < hi:
+                axes.append((lo, hi, rng.choice((1, 2, 3, 5, 10, 80, 101, 1000))))
+            lo, hi = sorted(rng.uniform(-3.0, 3.0) for _ in range(2))
+            axes.append((lo, hi, rng.randint(1, 400)))
+        for lo, hi, steps in axes:
+            got = AxisSpec("j2", lo, hi, steps).values()
+            with np.errstate(all="ignore"):  # 0 * inf where max - min overflows
+                want = np.linspace(lo, hi, steps).tolist()
+            assert all(type(x) is float for x in got)
+            assert [struct.pack("d", x) for x in got] == [struct.pack("d", x) for x in want], (lo, hi, steps)
 
     def test_ratio_axis(self):
         cfg = ScanConfig(
@@ -273,6 +305,11 @@ class TestCli:
             '{"axes":[{"name":"j1","min":0}]}',
             '{"seeds":"12"}',
             '{"max_iter": "abc"}',
+            '{"j1": "abc"}',
+            '{"temperature": "1"}',
+            '{"workers": 2.5}',
+            '{"axes":[{"name":"j2","min":"-1","max":"0","steps":2}]}',
+            '{"axes":[{"name":"j2","min":-1,"max":0,"steps":2.0}]}',
         ]
         for k, text in enumerate(configs):
             path = tmp_path / f"config{k}.json"

@@ -26,6 +26,7 @@ from cayleyphase import (
     symmetric_residual,
     tabulate_critical_curves,
 )
+from cayleyphase.symmetric import _lift_two_cycle_log
 
 from conftest import TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff
 
@@ -233,6 +234,13 @@ class TestLifts:
             assert maxdiff(w1, u) / scale > 1e-3
             partner = lift_two_cycle(p, ratio_map(p, y))
             assert maxdiff(w1, partner) / partner.max_norm() <= 1e-9
+
+    def test_two_cycle_log_lift_matches_direct_form(self, params_symmetric_cycle):
+        # the fallback for extreme weights, checked where both forms are exact
+        for p in (params_symmetric_cycle, BoltzmannParams.from_weights(1e-4, 0.01)):
+            for y in solve_two_cycles(p).roots:
+                u = lift_two_cycle(p, y)
+                assert _lift_two_cycle_log(p.a, p.b, y) == pytest.approx((u.u1, u.u2), rel=1e-12)
 
     def test_two_cycle_lift_rejects_fixed_ratio(self, params_symmetric_cycle):
         with pytest.raises(DomainError):
