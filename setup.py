@@ -1,7 +1,7 @@
 """Build hook for the compiled trajectory loop.
 
 The extension is optional: without a C compiler the package still installs
-and runs on the bit-identical pure-Python twin (about 70x slower).
+and runs on the bit-identical pure-Python twin (about 60x slower).
 -ffp-contract=off keeps the compiled arithmetic bit-for-bit identical to the
 pure-Python loop.
 """

@@ -1,7 +1,10 @@
 /* Compiled trajectory loop.  Each step compares the new state with the one q
  * steps back, q = 1 first: a return at q = 1 is a fixed direction (period 1),
  * at q >= 2 (from burn_in on) a cycle of period q; with no return the run is
- * aperiodic (period 0).
+ * aperiodic (period 0).  A candidate q >= 2 must first agree within tol in
+ * one component, c1, or c2 when c1 is the max: the max is 1.0 in every state
+ * where it leads, so it would pass many candidates, each at the cost of a
+ * mispredicted branch.
  *
  * Twin of _trajectory_py.run_trajectory: the arithmetic is written
  * operation-for-operation identically, and setup.py compiles this file with
@@ -15,17 +18,20 @@
 
 enum { FIXED = 0, CYCLE = 1, APERIODIC = 2 };
 
-/* ring capacity bounds p_max; the Python wrapper enforces p_max <= 256 */
-#define RING_CAP 257
+/* The state of step s sits in slot s & RING_MASK.  Each step compares before
+ * it writes, so the state P_MAX_CAP steps back is still there and a
+ * power-of-two ring of P_MAX_CAP slots needs no division. */
+#define P_MAX_CAP 256
+#define RING_MASK (P_MAX_CAP - 1)
 
 static PyObject *
-state_list(double ring[][4], Py_ssize_t first, Py_ssize_t count, Py_ssize_t size)
+state_list(double ring[][4], Py_ssize_t first, Py_ssize_t count)
 {
     PyObject *states = PyList_New(count);
     if (states == NULL)
         return NULL;
     for (Py_ssize_t k = 0; k < count; k++) {
-        double *s = ring[(first + k) % size];
+        double *s = ring[(first + k) & RING_MASK];
         PyObject *item = Py_BuildValue("(dddd)", s[0], s[1], s[2], s[3]);
         if (item == NULL) {
             Py_DECREF(states);
@@ -34,6 +40,23 @@ state_list(double ring[][4], Py_ssize_t first, Py_ssize_t count, Py_ssize_t size
         PyList_SET_ITEM(states, k, item);
     }
     return states;
+}
+
+/* max-norm of the difference between the state c1..c4 and h */
+static inline double
+distance(double c1, double c2, double c3, double c4, const double *h)
+{
+    double dq = fabs(c1 - h[0]), e;
+    e = fabs(c2 - h[1]);
+    if (e > dq)
+        dq = e;
+    e = fabs(c3 - h[2]);
+    if (e > dq)
+        dq = e;
+    e = fabs(c4 - h[3]);
+    if (e > dq)
+        dq = e;
+    return dq;
 }
 
 static PyObject *
@@ -49,18 +72,22 @@ run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
         return NULL;
     }
-    if (p_max < 0 || p_max + 1 > RING_CAP) {
+    if (p_max < 0 || p_max > P_MAX_CAP) {
         PyErr_SetString(PyExc_ValueError, "p_max must be between 0 and 256 for the compiled ring");
         return NULL;
     }
     /* slot 0 holds the start; every other slot is written before it is read */
-    double ring[RING_CAP][4] = {{u1, u2, u3, u4}};
+    double ring[P_MAX_CAP][4];
+    ring[0][0] = u1;
+    ring[0][1] = u2;
+    ring[0][2] = u3;
+    ring[0][3] = u4;
     double ainv = 1.0 / a;
     double binv = 1.0 / b;
-    Py_ssize_t size = p_max + 1;
     double c1 = u1, c2 = u2, c3 = u3, c4 = u4;
-    double t1, t2, t3, t4, w1, w2, w3, w4, m, d, e, dq, *h;
+    double t1, t2, t3, t4, w1, w2, w3, w4, m, d, dq, cj, *h;
     Py_ssize_t t, q, q_hi;
+    int j;
 
     d = 0.0;
     for (t = 1; t <= max_iter; t++) {
@@ -90,34 +117,32 @@ run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         q_hi = t < burn_in ? 1 : (p_max < t ? p_max : t);
         if (q_hi < 1)
             q_hi = 1;
-        /* compare before writing: at p_max = 0 the ring has one slot */
-        for (q = 1; q <= q_hi; q++) {
-            h = ring[(t - q) % size];
-            dq = fabs(c1 - h[0]);
-            e = fabs(c2 - h[1]);
-            if (e > dq)
-                dq = e;
-            e = fabs(c3 - h[2]);
-            if (e > dq)
-                dq = e;
-            e = fabs(c4 - h[3]);
-            if (e > dq)
-                dq = e;
-            if (q == 1)
-                d = dq;
-            if (dq <= tol)
-                break;
+        /* q = 1 in full: its difference is an aperiodic run's residual */
+        q = 1;
+        d = dq = distance(c1, c2, c3, c4, ring[(t - 1) & RING_MASK]);
+        if (!(d <= tol)) {
+            j = c1 < 1.0 ? 0 : 1;
+            cj = j ? c2 : c1;
+            for (q = 2; q <= q_hi; q++) {
+                h = ring[(t - q) & RING_MASK];
+                /* the max-norm is at least one component's difference */
+                if (fabs(cj - h[j]) > tol)
+                    continue;
+                dq = distance(c1, c2, c3, c4, h);
+                if (dq <= tol)
+                    break;
+            }
         }
-        h = ring[t % size];
+        h = ring[t & RING_MASK];
         h[0] = c1;
         h[1] = c2;
         h[2] = c3;
         h[3] = c4;
         if (dq <= tol)
-            return Py_BuildValue("(inndN)", q == 1 ? FIXED : CYCLE, q, t, dq, state_list(ring, t - q + 1, q, size));
+            return Py_BuildValue("(inndN)", q == 1 ? FIXED : CYCLE, q, t, dq, state_list(ring, t - q + 1, q));
     }
     /* t - 1 is max_iter, or 0 when max_iter < 1 */
-    return Py_BuildValue("(inndN)", APERIODIC, (Py_ssize_t)0, max_iter, d, state_list(ring, t - 1, 1, size));
+    return Py_BuildValue("(inndN)", APERIODIC, (Py_ssize_t)0, max_iter, d, state_list(ring, t - 1, 1));
 }
 
 static PyMethodDef methods[] = {

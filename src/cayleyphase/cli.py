@@ -136,7 +136,7 @@ def _warn_if_pure_python() -> None:
     if KERNEL_BACKEND == "python":
         print(
             "warning: the compiled trajectory kernel is unavailable; running on the"
-            " pure-Python kernel, about 70x slower (build it with `pip install -e .`"
+            " pure-Python kernel, about 60x slower (build it with `pip install -e .`"
             " or `python setup.py build_ext --inplace`)",
             file=sys.stderr,
         )
@@ -259,7 +259,7 @@ def _cmd_scan(args) -> int:
     if args.config:
         try:
             overrides = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: also an integer past the digit limit
             print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
             return USAGE_ERROR
     try:

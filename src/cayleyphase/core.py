@@ -49,6 +49,14 @@ _WEIGHT_CEIL = 1e150
 _MAX_LOG_WEIGHT = math.log(_WEIGHT_CEIL)
 
 
+def _is_finite(x) -> bool:
+    # an int too large for a double is not finite either
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 class ParameterRangeError(ValueError):
     """Parameters would leave the supported floating-point range."""
 
@@ -67,9 +75,9 @@ class Couplings:
     temperature: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
+        if not (_is_finite(self.j1) and _is_finite(self.j2)):
             raise ParameterRangeError("couplings must be finite")
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+        if not (_is_finite(self.temperature) and self.temperature > 0.0):
             raise ParameterRangeError("temperature must be positive and finite")
 
     @property

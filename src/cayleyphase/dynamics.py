@@ -23,7 +23,7 @@ built by ``setup.py``), with a bit-identical pure-Python twin
 (``_trajectory_py``) used where the extension was not built;
 ``KERNEL_BACKEND`` records which one was selected (set
 CAYLEYPHASE_PURE_PYTHON=1 to force the twin).  ``scan`` and ``diagnose`` say
-on stderr when they run on the twin, which is about 70x slower.
+on stderr when they run on the twin, which is about 60x slower.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +40,7 @@ from .core import (
     DomainError,
     ParameterRangeError,
     StateVector,
+    _is_finite,
     ferro_residual,
     recurrence_step,
     symmetric_residual,
@@ -143,9 +145,9 @@ def iterate(
     -- a valid outcome, not an error.  Raises ``ParameterRangeError`` when a
     component of the run underflows to zero.
     """
-    if max_iter < 100:
-        raise DomainError("max_iter must be at least 100")
-    if not (tol > 0.0 and math.isfinite(tol)):
+    if not 100 <= max_iter <= sys.maxsize:  # the compiled kernel counts in a C ssize_t
+        raise DomainError(f"max_iter must be between 100 and {sys.maxsize}")
+    if not (tol > 0.0 and _is_finite(tol)):
         raise DomainError("tol must be positive")
     if burn_in < 1:
         raise DomainError("burn_in must be at least 1")

@@ -61,8 +61,7 @@ class AxisSpec:
         if self.name not in AXIS_NAMES:
             raise DomainError(f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}")
         for name in ("min", "max"):
-            if not isinstance(getattr(self, name), (int, float)):
-                raise DomainError(f"axis {name} must be a number, not {getattr(self, name)!r}")
+            _check_number(f"axis {name}", getattr(self, name))
         if not isinstance(self.steps, int):
             raise DomainError(f"axis steps must be an integer, not {self.steps!r}")
         if self.steps < 1:
@@ -84,6 +83,16 @@ class AxisSpec:
             grid = [i * step + lo for i in range(div)]
         grid.append(hi)
         return grid
+
+
+def _check_number(name: str, value) -> None:
+    # a JSON integer is an int of any size; it must also convert to a double
+    if not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a number, not {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a double") from None
 
 
 def _check_seeds(seeds) -> None:
@@ -112,12 +121,10 @@ class ScanConfig:
             if not isinstance(getattr(self, name), int):
                 raise DomainError(f"{name} must be an integer, not {getattr(self, name)!r}")
         for name in ("tol", "class_tol"):
-            if not isinstance(getattr(self, name), (int, float)):
-                raise DomainError(f"{name} must be a number, not {getattr(self, name)!r}")
+            _check_number(name, getattr(self, name))
         for name in ("j1", "j2", "temperature"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, float)):
-                raise DomainError(f"{name} must be a number or null, not {value!r}")
+            if getattr(self, name) is not None:
+                _check_number(name, getattr(self, name))
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.format not in ("csv", "json"):
@@ -175,18 +182,79 @@ class ScanRow:
     seed: int
 
 
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (XSL-RR 128/64)
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, uint64)`` as 32-bit words."""
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    words = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    return words
+
+
+def _uniforms(seed: int) -> list[float]:
+    """``np.random.default_rng(seed).uniform(-2.0, 2.0, 4)``, bit for bit."""
+    w = _seed_words(seed)
+    # little-endian 64-bit words s0..s3: state seed s0:s1, stream s2:s3
+    s = [w[k] | w[k + 1] << 32 for k in (0, 2, 4, 6)]
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+    # PCG's seeding: one step from 0, add the seed, one more step
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(4):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        x = (x >> rot | x << (-rot & 63)) & _M64
+        out.append(-2.0 + 4.0 * ((x >> 11) * 2.0**-53))
+    return out
+
+
 def _starts_for_seeds(seeds: list[int]) -> dict[int, tuple[float, float, float, float]]:
     # log-uniform components; the start is seed-determined and shared by every
     # grid point so phase differences across the grid are physical
     import numpy as np
 
-    starts = {}
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        # Python floats: numpy scalars would make the pure-Python kernel twice
-        # as slow and leak their repr into error messages
-        starts[seed] = tuple(float(x) for x in 10.0 ** rng.uniform(-2.0, 2.0, size=4))
-    return starts
+    # numpy's array ``**`` (SIMD pow, not libm's) fixes the recorded starts;
+    # Python floats, because numpy scalars would make the pure-Python kernel
+    # twice as slow and leak their repr into error messages
+    return {seed: tuple(float(x) for x in 10.0 ** np.array(_uniforms(seed))) for seed in seeds}
 
 
 def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:

@@ -54,6 +54,10 @@ class TestDeriveParams:
             derive_params(Couplings(500.0, 0.0, 1.0))
         with pytest.raises(ParameterRangeError):
             derive_params(Couplings(0.0, -200.0, 0.25))
+        # ints past the double range, as a JSON config can give them
+        for j1, j2 in ((10**400, 0.0), (0.0, -(10**400))):
+            with pytest.raises(ParameterRangeError, match="finite"):
+                Couplings(j1, j2, 1.0)
         # b itself is accepted; b**4 overflows (or underflows) a double
         for b in (1e80, 1e-80):
             with pytest.raises(ParameterRangeError, match="b\\*\\*4"):
@@ -64,6 +68,8 @@ class TestDeriveParams:
             Couplings(0.0, 0.0, 0.0)
         with pytest.raises(ParameterRangeError):
             Couplings(0.0, 0.0, -1.0)
+        with pytest.raises(ParameterRangeError):
+            Couplings(0.0, 0.0, 10**400)
 
 
 class TestRecurrenceStep:
@@ -269,17 +275,23 @@ codes = [
 seen["numpy after closed forms"] = loaded("numpy")
 codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "1"))
 seen["pool after one-worker scan"] = loaded("concurrent.futures.process")
+codes.append(run("diagnose", *point))
+seen["numpy.random after scan and diagnose"] = loaded("numpy.random")
+seen["numpy major"] = int(sys.modules["numpy"].__version__.split(".")[0])
 print(json.dumps({"codes": codes, **seen}))
 """
 
 
 def test_imports_stay_lazy():
     # numpy loads only where an array is computed, the process pool only for
-    # a scan with more than one worker
+    # a scan with more than one worker, and numpy.random never: the scan's
+    # start vectors come from a pure-Python generator
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS_PROBE], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout)
-    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["codes"] == [0, 0, 0, 0, 0]
     assert seen["import"] == []
     assert seen["numpy after closed forms"] is False
     assert seen["pool after one-worker scan"] is False
+    if seen["numpy major"] >= 2:  # numpy 1.x imports numpy.random with numpy itself
+        assert seen["numpy.random after scan and diagnose"] is False

@@ -112,6 +112,10 @@ class TestIterate:
         u = StateVector(1, 1, 1, 1)
         with pytest.raises(DomainError):
             iterate(p, u, max_iter=10)
+        with pytest.raises(DomainError, match="max_iter"):
+            iterate(p, u, max_iter=sys.maxsize + 1)  # past the kernel's C integer
+        with pytest.raises(DomainError, match="tol"):
+            iterate(p, u, tol=10**400)  # past a double
         with pytest.raises(DomainError):
             iterate(p, u, p_max=1)
         with pytest.raises(DomainError):
@@ -180,6 +184,7 @@ class TestBackends:
         ferro = ((1.0, 0.15, 0.6), (1.0, 0.3, 0.2, 0.05))  # fixed at step 9
         slice2 = ((0.0, -0.69, 1.0), (1.0, 0.37, 0.37, 1.0))
         lock4 = ((1.0, -0.6, 0.3), (1.0, 0.618, 0.2718, 0.3141))
+        c1_max = ((-0.10900364533813267, 0.8752956962632124, 2.660675840715349), (1.0, 0.2, 0.5, 0.1))
         # (point, start), max_iter, burn_in, p_max, expected (kind, period)
         cases = [
             (((0.6, -0.45, 0.45), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 64, four),
@@ -201,6 +206,12 @@ class TestBackends:
             (slice2, 5000, 200, 2, two),
             (lock4, 5000, 200, 4, four),
             (lock4, 5000, 200, 3, aperiodic),
+            # c1 stays at the max, 1.0, for 1,758 steps: every candidate agrees
+            # there and the reject must read another component
+            (c1_max, 5000, 200, 64, two),
+            (c1_max, 5000, 200, 256, two),
+            # aperiodic at p_max 256 that wraps the ring many times
+            (((1.0, -0.4, 0.36), (1.0, 0.2, 0.5, 0.1)), 5000, 1, 256, aperiodic),
         ]
         for ((j1, j2, t), u0), max_iter, burn_in, p_max, expected in cases:
             p = derive_params(Couplings(j1, j2, t))
@@ -209,6 +220,8 @@ class TestBackends:
             assert out == compiled_kernel.run_trajectory(*args), args
             assert out[:2] == expected, args
             assert len(out[4]) == max(out[1], 1)
+            if ((j1, j2, t), u0) == c1_max:
+                assert out[2] == 1758 and all(state[0] == 1.0 for state in out[4])
 
     def test_kernel_compiles_without_warnings(self):
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")

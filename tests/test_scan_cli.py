@@ -18,7 +18,7 @@ from cayleyphase import (
     format_json,
     run_scan,
 )
-from cayleyphase.scan import CSV_COLUMNS, _starts_for_seeds
+from cayleyphase.scan import CSV_COLUMNS, _starts_for_seeds, _uniforms
 
 
 def make_config(**overrides):
@@ -49,6 +49,12 @@ class TestScanConfig:
             ("j2", [0.5]),
             ("temperature", "1"),
             ("workers", 2.5),
+            # ints that a JSON config can hold but a double cannot
+            ("j1", 10**400),
+            ("j2", -(10**400)),
+            ("temperature", 10**400),
+            ("tol", 10**400),
+            ("class_tol", 10**400),
         ):
             with pytest.raises(DomainError, match=field):
                 make_config(**{field: value})
@@ -56,6 +62,8 @@ class TestScanConfig:
             ("min", ("-1", 0.0, 2)),
             ("max", (-1.0, "0", 2)),
             ("steps", (-1.0, 0.0, 2.0)),
+            ("min", (-(10**400), 0.0, 2)),
+            ("max", (-1.0, 10**400, 2)),
         ):
             with pytest.raises(DomainError, match=field):
                 AxisSpec("j2", *args)
@@ -108,6 +116,17 @@ class TestScanDeterminism:
         # numpy scalars would slow the pure-Python kernel and leak into messages
         starts = _starts_for_seeds([0, 1, 7])
         assert all(type(x) is float for start in starts.values() for x in start)
+
+    def test_starts_match_numpy_generator_bitwise(self):
+        # the pure-Python SeedSequence/PCG64 against numpy's, on small seeds and
+        # on seeds of 33 to 200 bits (more entropy words than the pool holds)
+        rng = random.Random(20261018)
+        seeds = list(range(4096)) + [rng.getrandbits(n) | 1 << (n - 1) for n in range(33, 201)]
+        starts = _starts_for_seeds(seeds)
+        for seed in seeds:
+            want = np.random.default_rng(seed).uniform(-2.0, 2.0, 4)
+            assert struct.pack("4d", *_uniforms(seed)) == want.tobytes(), seed
+            assert struct.pack("4d", *starts[seed]) == (10.0 ** want).tobytes(), seed
 
     def test_workers_do_not_change_bytes(self):
         cfg1 = make_config(workers=1)
@@ -204,7 +223,7 @@ def run_cli(*args, env=None):
     )
 
 
-SLOW_KERNEL_WARNING = "about 70x slower"
+SLOW_KERNEL_WARNING = "about 60x slower"
 
 
 class TestCli:
@@ -311,15 +330,30 @@ class TestCli:
             '{"axes":[{"name":"j2","min":"-1","max":"0","steps":2}]}',
             '{"axes":[{"name":"j2","min":-1,"max":0,"steps":2.0}]}',
         ]
+        # JSON integers too large for a double (and, for max_iter, for a C ssize_t)
+        big = "1" + "0" * 400
+        configs += [f'{{"{name}": {big}}}' for name in ("j1", "j2", "temperature", "tol", "class_tol")]
+        configs += [
+            f'{{"axes":[{{"name":"j2","min":-{big},"max":0,"steps":2}}]}}',
+            f'{{"axes":[{{"name":"j2","min":-1,"max":{big},"steps":2}}]}}',
+            '{"max_iter": 1000000000000000000000000000000}',
+        ]
         for k, text in enumerate(configs):
             path = tmp_path / f"config{k}.json"
             path.write_text(text)
             cases.append(("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--config", str(path)))
+        cases.append(("diagnose", *point, "--max-iter", "1" + "0" * 30))
         for args in cases:
             r = run_cli(*args)
             assert r.returncode == 1, args
-            assert "error:" in r.stderr, args
+            assert r.stderr.count("error:") == 1, (args, r.stderr)
             assert "Traceback" not in r.stderr, (args, r.stderr)
+        # an integer past Python's digit limit fails in the JSON parser itself
+        path = tmp_path / "digits.json"
+        path.write_text('{"j1": ' + "1" * 5000 + "}")
+        r = run_cli("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--config", str(path))
+        assert r.returncode == 1
+        assert r.stderr.startswith("cannot read config") and "Traceback" not in r.stderr, r.stderr
 
     def test_range_error_exit_code(self):
         point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
