@@ -18,9 +18,9 @@ from pathlib import Path
 
 from . import __version__
 from .core import Couplings, DomainError, ParameterRangeError, StateVector, derive_params
-from .dynamics import KERNEL_BACKEND, classify_phase, iterate
+from .dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, KERNEL_BACKEND, classify_phase, iterate
 from .ferro import solve_ferro_fixed_points
-from .partition import free_energy_density, partition_recurrence, partition_recurrence_log
+from .partition import _free_energy_and_log_z, partition_recurrence
 from .scan import (
     AxisSpec,
     ScanConfig,
@@ -98,8 +98,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("diagnose", help="full report for one parameter point")
     add_point_args(sp)
     sp.add_argument("--seeds", type=str, default="0")
-    sp.add_argument("--max-iter", type=int, default=20000)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--output", type=str, default=None)
 
@@ -107,8 +107,8 @@ def _build_parser() -> _Parser:
     add_point_args(sp)
     sp.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:STEPS")
     sp.add_argument("--seeds", type=str, default="0")
-    sp.add_argument("--max-iter", type=int, default=20000)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", type=str, default=None)
     sp.add_argument("--workers", type=int, default=1)
@@ -300,9 +300,9 @@ def _cmd_partition(args) -> int:
     p = derive_params(c)
     if args.depth < 1:
         raise DomainError("--depth must be >= 1")
-    result = {"depth": args.depth, "free_energy_density": free_energy_density(c, args.depth)}
+    free_energy, log_z = _free_energy_and_log_z(c, args.depth)
+    result = {"depth": args.depth, "free_energy_density": free_energy}
     if args.log:
-        log_z, _, _ = partition_recurrence_log(p, args.depth)
         result["log_Z"] = log_z
     else:
         z, _ = partition_recurrence(p, args.depth)

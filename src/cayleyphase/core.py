@@ -175,6 +175,8 @@ def recurrence_step(p: BoltzmannParams, u: StateVector) -> StateVector:
     Homogeneous of degree two: scaling the input by ``lam`` scales the output
     by ``lam**2``.  The symmetric slice is exactly invariant (the additions
     below commute, so ``u1' == u4'`` and ``u2' == u3'`` hold bitwise there).
+    A component that overflows, or underflows to zero, raises
+    ``ParameterRangeError``.
     """
     a = p.a
     b = p.b
@@ -189,8 +191,8 @@ def recurrence_step(p: BoltzmannParams, u: StateVector) -> StateVector:
     w3 = ainv * (t3 * t3)
     w4 = a * (t4 * t4)
     for i, w in enumerate((w1, w2, w3, w4), start=1):
-        if not math.isfinite(w):
-            raise ParameterRangeError(f"recurrence overflowed in component u{i}")
+        if not 0.0 < w < math.inf:
+            raise ParameterRangeError(f"recurrence left the double range in component u{i}")
     return StateVector(w1, w2, w3, w4)
 
 

@@ -196,7 +196,7 @@ def classify_phase(
     if outcome.kind == FIXED_DIRECTION:
         try:
             m2 = ferro_residual(p, _rescale_to_fixed_point(p, state))
-        except DomainError:
+        except (DomainError, ParameterRangeError):
             m2 = ferro_residual(p, state)
     else:
         m2 = ferro_residual(p, state)

@@ -26,8 +26,8 @@ symmetric slice are therefore the roots of D along the curve: a
 one-dimensional search in w.  Dividing out ``v1 - v4`` removes the symmetric
 fixed points from the roots, so fixed points close to the slice are not
 masked by them.  Every root is polished with Newton steps on the full
-four-equation system, and only states whose four-component residual is at
-machine scale are accepted.
+four-equation system, and a state is accepted only when the recurrence fixes
+each of its four components to 1e-9 relative to that component.
 
 Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1),
 which swap z and w; both members are returned.  Candidates that collapse onto
@@ -43,17 +43,18 @@ from dataclasses import dataclass
 from .core import (
     BoltzmannParams,
     DomainError,
+    ParameterRangeError,
     StateVector,
     bracketed_root,
     ferro_residual,
     recurrence_residual,
+    recurrence_step,
     symmetric_residual,
 )
 
 __all__ = ["FerroCandidate", "solve_ferro_fixed_points"]
 
 FULL_RESIDUAL_TOL = 1e-9
-_COMPONENT_FLOOR = 1e-12
 _NEAR_SYMMETRIC_TOL = 1e-3
 _W_POINTS = 512
 _W_FLOOR = 1e-14
@@ -136,17 +137,17 @@ def _polish(p: BoltzmannParams, v_seed) -> FerroCandidate | None:
         return None
     try:
         u = StateVector(*(float(x) * float(x) for x in v))
-    except DomainError:
+        fu = recurrence_step(p, u)
+    except (DomainError, ParameterRangeError):
         return None
-    if min(u.components) < _COMPONENT_FLOOR * u.max_norm():
-        return None
-    res = recurrence_residual(p, u)
-    if res > FULL_RESIDUAL_TOL:
+    # componentwise, so that a small component must converge too
+    if any(abs(f - x) > FULL_RESIDUAL_TOL * x for f, x in zip(fu, u)):
         return None
     if symmetric_residual(u) <= _NEAR_SYMMETRIC_TOL:
         return None
     if ferro_residual(p, u) > FULL_RESIDUAL_TOL:
         return None
+    res = recurrence_residual(p, u)
     return FerroCandidate(C=float(v[1] + v[2]), v=tuple(float(x) for x in v), u=u, full_residual=res)
 
 

@@ -109,6 +109,16 @@ def partition_recurrence(p: BoltzmannParams, n: int) -> tuple[float, StateVector
     return z, u
 
 
+def _unit(u: StateVector) -> tuple[StateVector, float]:
+    """(``u`` scaled to unit max-norm, its max-norm); a component that
+    underflows to zero in the scaling raises ``ParameterRangeError``."""
+    m = u.max_norm()
+    scaled = [x / m for x in u]
+    if min(scaled) == 0.0:
+        raise ParameterRangeError("a branch weight underflowed relative to the largest")
+    return StateVector(*scaled), m
+
+
 def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVector, float]:
     """(log Z_n, unit-max-norm branch weights, accumulated log scale).
 
@@ -119,15 +129,11 @@ def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVe
     """
     if n < 1:
         raise DomainError("depth n must be >= 1")
-    u = initial_branch_weights(p)
-    log_scale = math.log(u.max_norm())
-    m = u.max_norm()
-    u = StateVector(u.u1 / m, u.u2 / m, u.u3 / m, u.u4 / m)
+    u, m = _unit(initial_branch_weights(p))
+    log_scale = math.log(m)
     for _ in range(n - 1):
-        u = recurrence_step(p, u)
-        m = u.max_norm()
+        u, m = _unit(recurrence_step(p, u))
         log_scale = 2.0 * log_scale + math.log(m)
-        u = StateVector(u.u1 / m, u.u2 / m, u.u3 / m, u.u4 / m)
     log_z = 2.0 * log_scale + math.log(_close(u))
     if not math.isfinite(log_z):
         raise ParameterRangeError(f"log Z overflowed at depth {n}")
@@ -180,10 +186,14 @@ def periodic_partition(p: BoltzmannParams, y: float, n: int) -> float:
 
 def free_energy_density(c: Couplings, n: int) -> float:
     """Free energy per site, -log(Z_n) * T / |V_n|, via the log recurrence."""
+    return _free_energy_and_log_z(c, n)[0]
+
+
+def _free_energy_and_log_z(c: Couplings, n: int) -> tuple[float, float]:
+    # one log recurrence for callers that report log Z_n as well
     if n < 1:
         raise DomainError("depth n must be >= 1")
     if n > _MAX_SITE_DEPTH:
         raise ParameterRangeError(f"depth {n}: the site count 2^{n + 1} - 1 exceeds the float range")
-    p = derive_params(c)
-    log_z, _, _ = partition_recurrence_log(p, n)
-    return -c.temperature * log_z / tree_vertex_count(n)
+    log_z, _, _ = partition_recurrence_log(derive_params(c), n)
+    return -c.temperature * log_z / tree_vertex_count(n), log_z

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -299,6 +300,13 @@ def _evaluate_point(task) -> list[ScanRow]:
     return rows
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Evaluate the grid; rows are returned in deterministic grid order."""
     starts = _starts_for_seeds(cfg.seeds)
@@ -318,12 +326,15 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
             for i, v0 in enumerate(values0)
         ]
 
-    if cfg.workers == 1:
+    # a forked pool starts all its workers at once: start no more than can
+    # have work or a CPU
+    workers = min(cfg.workers, len(tasks), _available_cpus())
+    if workers == 1:
         chunks = [_evaluate_point(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_evaluate_point, tasks, chunksize=4))
     return [row for chunk in chunks for row in chunk]
 

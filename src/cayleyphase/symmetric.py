@@ -24,6 +24,7 @@ so the two cannot disagree on the number of fixed points.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,6 +75,7 @@ _LIFT_INPUT_RTOL = 1e-8
 # degenerate (merged-pair) boundary.
 _DEGENERATE_WINDOW = 1e-14
 _SCAN_POINTS_PER_DECADE = 4096
+_LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -186,15 +188,6 @@ def _target_log_level(p: BoltzmannParams) -> float:
     return -2.0 * math.log(p.a) - 6.0 * math.log(p.b)
 
 
-def _expand(psi, y: float, factor: float, sign: float) -> float:
-    # step y by factor until psi(y) has the given sign
-    for _ in range(800):
-        if sign * psi(y) > 0.0:
-            return y
-        y *= factor
-    raise ArithmeticError("failed to bracket fixed-point root")
-
-
 def _polish(p: BoltzmannParams, x: float, period: int) -> float:
     # one or two Newton steps on g^period(x) - x in the original (non-cleared) form
     for _ in range(2):
@@ -246,15 +239,23 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
     Roots are bracketed on the monotone intervals of the level function (so
     the count is structurally exact, including double roots at the window
     edges, which are reported once with the boundary tag) and polished by
-    Newton steps on ``ratio_map(x) - x``.
+    Newton steps on ``ratio_map(x) - x``.  Every fixed ratio lies in the map's
+    range ``a^2/B .. a^2 B``, ``B = max(b^4, b^-4)``; widened by a factor 2,
+    that range bounds every bracket and gives ``psi = log(g(x)/x)`` strict
+    signs at its ends.  A root outside the double range (in ``x`` or in
+    ``y``) raises ``ParameterRangeError``.
     """
     psi, knots = _level_signs(p)
+    log_b2 = 2.0 * math.log(p.b)
+    mid, half = 2.0 * math.log(p.a) + log_b2, abs(2.0 * log_b2) + math.log(2.0)
+    lo = math.exp(max(mid - half, _LOG_DOUBLE[0] + max(log_b2, 0.0)))
+    hi = math.exp(min(mid + half, _LOG_DOUBLE[1] + min(log_b2, 0.0)))
+    if not psi(lo) > 0.0 > psi(hi):
+        raise ParameterRangeError("a fixed ratio lies outside the double range")
     ys: list[float] = []
     for (y0, s0), (y1, s1) in zip(knots, knots[1:]):
         if s0 * s1 < 0:
-            lo = y0 if y0 > 0.0 else _expand(psi, 0.9 * y1 if y1 < math.inf else 1.0, 0.1, 1.0)
-            hi = y1 if y1 < math.inf else _expand(psi, max(10.0 * lo, 1.0), 10.0, -1.0)
-            ys.append(bracketed_root(psi, lo, hi))
+            ys.append(bracketed_root(psi, max(y0, lo), min(y1, hi)))
         if s1 == 0:
             ys.append(y1)
 
@@ -486,8 +487,8 @@ def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusi
     Scans a dense log grid for sign changes of the p-fold composed ratio map
     minus identity, refines each bracket, and checks that every root found
     coincides with a known fixed point or two-cycle ratio.  The scan interval
-    is the union of [1e-6, 1e6] with (a safety margin around) the map's range
-    envelope, so roots cannot sit outside it.
+    is the map's range with a factor-10 margin at each end: every periodic
+    point is an image, so none can sit outside it.
     """
     if not 3 <= max_period <= 8:
         raise DomainError("max_period must be between 3 and 8")
@@ -497,11 +498,8 @@ def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusi
     cycle = solve_two_cycles(p).roots
     reference = fixed + cycle
 
-    a2 = p.a * p.a
-    env_lo = a2 * min(p.b_tilde, 1.0 / p.b_tilde)
-    env_hi = a2 * max(p.b_tilde, 1.0 / p.b_tilde)
-    lo = min(1e-6, env_lo / 10.0)
-    hi = max(1e6, env_hi * 10.0)
+    spread = 10.0 * max(p.b_tilde, 1.0 / p.b_tilde)
+    lo, hi = p.a * p.a / spread, p.a * p.a * spread
     n = int(math.ceil(_SCAN_POINTS_PER_DECADE * math.log10(hi / lo))) + 1
     xs = np.geomspace(lo, hi, n)
 

@@ -93,6 +93,12 @@ class TestRecurrenceStep:
         with pytest.raises(ParameterRangeError, match="u1"):
             recurrence_step(p, StateVector(1e120, 1.0, 1.0, 1.0))
 
+    def test_underflow_names_component(self):
+        # a zero weight is as far outside the double range as an infinite one
+        p = BoltzmannParams.from_weights(1e-150, 1.0)
+        with pytest.raises(ParameterRangeError, match="u1"):
+            recurrence_step(p, StateVector(1e-100, 1e-100, 1.0, 1.0))
+
     @settings(max_examples=60, deadline=None)
     @given(a=weights, b=weights, c=st.tuples(components, components, components, components), lam=scales)
     def test_degree2_homogeneity(self, a, b, c, lam):

@@ -13,6 +13,7 @@ from cayleyphase import (
     solve_ferro_fixed_points,
     symmetric_residual,
 )
+from cayleyphase.scan import _starts_for_seeds
 
 from conftest import maxdiff, normalized
 
@@ -34,6 +35,21 @@ def assert_genuine(p, cands):
         assert symmetric_residual(f.u) > 1e-3
         assert ferro_residual(p, f.u) <= 1e-9
         assert f.C == pytest.approx(f.v[1] + f.v[2], rel=1e-12)
+
+
+def unmatched_ferro_limits(c: Couplings) -> list[int]:
+    """Program seeds 0-3 whose trajectory ends ferromagnetic at a limit that
+    no candidate matches within 1e-6 at unit max-norm."""
+    p = derive_params(c)
+    cands = [normalized(f.u) for f in solve_ferro_fixed_points(p)]
+    missing = []
+    for seed, start in _starts_for_seeds([0, 1, 2, 3]).items():
+        out = iterate(p, StateVector(*start), max_iter=5000)
+        if classify_phase(p, out).phase == "ferromagnetic":
+            limit = normalized(out.attractor[-1])
+            if not any(maxdiff(limit, f) <= 1e-6 for f in cands):
+                missing.append(seed)
+    return missing
 
 
 def assert_flip_closed(cands):
@@ -101,3 +117,23 @@ class TestSolveFerroFixedPoints:
             limit = normalized(out.attractor[-1])
             best = min(maxdiff(limit, normalized(f.u)) for f in cands)
             assert best <= 1e-6
+
+    def test_tiny_components_are_kept(self):
+        # at (1, 0, 0.2) the ferro states have components 1e-13 of the
+        # largest; a floor relative to the largest component discarded them
+        p = derive_params(Couplings(1.0, 0.0, 0.2))
+        cands = solve_ferro_fixed_points(p)
+        assert len(cands) == 2
+        assert_genuine(p, cands)
+        assert min(min(normalized(f.u)) for f in cands) < 1e-12
+        assert unmatched_ferro_limits(Couplings(1.0, 0.0, 0.2)) == []
+
+    def test_every_ferromagnetic_limit_is_a_candidate(self):
+        grid = [
+            Couplings(j1, ratio * abs(j1), t)
+            for j1 in (1.0, -1.0)
+            for ratio in (0.5, 1.0, 1.5, 2.0)
+            for t in (0.3, 0.45, 0.6, 0.75)
+        ]
+        missing = {c: unmatched_ferro_limits(c) for c in grid}
+        assert not any(missing.values()), {c: s for c, s in missing.items() if s}

@@ -138,6 +138,15 @@ class TestLogScaledMode:
             with pytest.raises(ParameterRangeError, match="log"):
                 partition_recurrence(derive_params(c), n)
 
+    def test_underflow_is_a_range_error(self):
+        # the recurrence's smallest weight falls below the double range,
+        # directly and relative to the largest one
+        p = derive_params(Couplings(-242.5308157325041, 69.13014666047783, 1.0))
+        with pytest.raises(ParameterRangeError):
+            partition_recurrence(p, 3)
+        with pytest.raises(ParameterRangeError):
+            partition_recurrence_log(p, 60)
+
     def test_positive_z(self):
         p = derive_params(Couplings(-0.9, 0.7, 0.6))
         for n in (1, 3, 7):

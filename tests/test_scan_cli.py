@@ -9,15 +9,21 @@ import sys
 import numpy as np
 import pytest
 
+import cayleyphase.partition
+import cayleyphase.scan
 from cayleyphase import (
     KERNEL_BACKEND,
     AxisSpec,
+    Couplings,
     DomainError,
+    ParameterRangeError,
     ScanConfig,
+    derive_params,
     format_csv,
     format_json,
     run_scan,
 )
+from cayleyphase.cli import main
 from cayleyphase.scan import CSV_COLUMNS, _starts_for_seeds, _uniforms
 
 
@@ -128,12 +134,50 @@ class TestScanDeterminism:
             assert struct.pack("4d", *_uniforms(seed)) == want.tobytes(), seed
             assert struct.pack("4d", *starts[seed]) == (10.0 ** want).tobytes(), seed
 
-    def test_workers_do_not_change_bytes(self):
+    def test_workers_do_not_change_bytes(self, monkeypatch):
+        # two CPUs, so the pool path runs on any machine
+        monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: 2)
         cfg1 = make_config(workers=1)
         cfg4 = make_config(workers=4)
         rows1, rows4 = run_scan(cfg1), run_scan(cfg4)
         assert format_csv(rows1) == format_csv(rows4)
         assert format_json(rows1, cfg1) == format_json(rows4, cfg4)
+
+    def test_pool_is_bounded(self, monkeypatch):
+        # a fake executor records the pool size and runs the tasks in-process;
+        # no real process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        one_point = {"axes": [AxisSpec("temperature", 1.0, 1.0, 1)], "j1": 0.5}
+        two_points = {"axes": [AxisSpec("temperature", 1.0, 2.0, 2)], "j1": 0.5}
+        for workers, grid, cpus, expected in (
+            (6, one_point, 8, []),  # in-process
+            (6, {}, 1, []),  # in-process
+            (6, {}, 4, [4]),
+            (3, {}, 8, [3]),
+            (6, two_points, 8, [2]),
+        ):
+            sizes.clear()
+            monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: cpus)
+            rows = run_scan(make_config(workers=workers, **grid))
+            assert sizes == expected, (workers, grid, cpus)
+            assert format_csv(rows) == format_csv(run_scan(make_config(**grid)))
 
     def test_repeat_runs_identical(self):
         cfg = make_config()
@@ -385,6 +429,43 @@ class TestCli:
             assert r.returncode == 2, args
             assert r.stderr.count("numeric range error:") == 1, (args, r.stderr)
             assert "Traceback" not in r.stderr, (args, r.stderr)
+
+    def test_range_errors_found_at_accepted_couplings(self, capsys):
+        # in-process, so that a traceback would fail the test as an exception
+        underflow = ("--j1", "-242.5308157325041", "--j2", "69.13014666047783", "--temperature", "1")
+        for argv in (
+            # a fixed ratio above, then below, the double range
+            ("diagnose", "--j1", "300", "--j2", "20", "--temperature", "1"),
+            ("diagnose", "--j1", "-336.8354134704659", "--j2", "38.459677197930944", "--temperature", "1"),
+            # the recurrence underflows
+            ("partition", *underflow, "--depth", "3"),
+            ("partition", *underflow, "--depth", "60", "--log"),
+        ):
+            assert main(list(argv)) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("numeric range error:") and err.count("\n") == 1, (argv, err)
+
+    def test_extreme_couplings_answer_or_exit_2(self, capsys):
+        rng = random.Random(20261018)
+        codes = []
+        while len(codes) < 100:
+            j1, j2 = rng.uniform(-345, 345), rng.uniform(-86, 86)
+            try:
+                derive_params(Couplings(j1, j2, 1.0))
+            except ParameterRangeError:
+                continue
+            point = ["--j1", repr(j1), "--j2", repr(j2), "--temperature", "1"]
+            for argv in (["diagnose", *point, "--max-iter", "200"], ["partition", *point]):
+                codes.append(main(argv))
+                assert codes[-1] in (0, 2), (argv, capsys.readouterr().err)
+        assert 0 in codes and 2 in codes
+
+    def test_partition_log_runs_the_recurrence_once(self, monkeypatch, capsys):
+        steps = []
+        step = cayleyphase.partition.recurrence_step
+        monkeypatch.setattr(cayleyphase.partition, "recurrence_step", lambda p, u: steps.append(1) or step(p, u))
+        assert main(["partition", "--j1", "0.5", "--j2", "-0.3", "--temperature", "1", "--depth", "50", "--log"]) == 0
+        assert len(steps) == 49
 
     def test_pure_python_kernel_is_loud(self):
         scan = (

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from cayleyphase import (
     BoltzmannParams,
     Couplings,
     DomainError,
+    ParameterRangeError,
     critical_curve,
     critical_temperature,
     cycle_thresholds,
@@ -116,6 +119,37 @@ class TestSolveFixedPoints:
             assert r.x == pytest.approx(exact, rel=1e-13)
             assert abs(ratio_map(p, r.x) - r.x) <= 1e-13 * r.x
         assert phase_counts(TINY_RATIOS) == (3, 0)
+
+    @pytest.mark.parametrize(
+        "c",
+        [Couplings(300.0, 20.0, 1.0), Couplings(-336.8354134704659, 38.459677197930944, 1.0)],
+        ids=["above", "below"],
+    )
+    def test_root_outside_double_range_is_a_range_error(self, c):
+        # a fixed ratio beyond the largest or below the smallest normal double
+        with pytest.raises(ParameterRangeError, match="outside the double range"):
+            solve_fixed_points(derive_params(c))
+
+    def test_accepted_couplings_answer_or_raise_range_error(self):
+        # across the accepted range at T = 1 every answer is a list of
+        # normal positive doubles that the map fixes
+        rng = random.Random(20261018)
+        answered = refused = 0
+        for _ in range(300):
+            try:
+                p = derive_params(Couplings(rng.uniform(-345, 345), rng.uniform(-86, 86), 1.0))
+            except ParameterRangeError:
+                continue
+            try:
+                rep = solve_fixed_points(p)
+            except ParameterRangeError:
+                refused += 1
+                continue
+            answered += 1
+            for r in rep.roots:
+                assert sys.float_info.min <= r.x < math.inf, r
+                assert abs(ratio_map(p, r.x) - r.x) <= 1e-12 * r.x
+        assert answered >= 200 and refused >= 5
 
 
 class TestTwoCycles:
