@@ -209,10 +209,10 @@ def ratio_map(p: BoltzmannParams, x):
 
 
 def ratio_map_deriv(p: BoltzmannParams, x):
-    """Closed-form derivative of :func:`ratio_map`; sign equals sign(b**4 - 1)."""
+    """Closed-form derivative of :func:`ratio_map`; sign equals sign(b**4 - 1).
+    As ``2 g(x) (b^4 - 1)/((b^2 + x)(1 + b^2 x))`` it is finite where g is."""
     b2 = p.b * p.b
-    den = b2 + x
-    return 2.0 * (p.a * p.a) * (b2 * b2 - 1.0) * (1.0 + b2 * x) / (den * den * den)
+    return 2.0 * ratio_map(p, x) * ((b2 * b2 - 1.0) / (b2 + x)) / (1.0 + b2 * x)
 
 
 def ratio_map2(p: BoltzmannParams, x):
@@ -267,11 +267,11 @@ def bracketed_root(f, lo: float, hi: float) -> float:
     ``f`` changes sign; raises ``ValueError`` when it does not, or when ``f``
     returns NaN.
 
-    Geometric bisection while the bracket spans more than a factor of two, so
-    brackets over many decades close as fast as narrow ones; Illinois
-    false-position steps after that, falling back to a bisection whenever
-    three steps in a row fail to halve the bracket.  Stops once the bracket
-    is within 1e-15 relative and returns the end with the smaller ``|f|``.
+    Plain bisection: at the geometric midpoint while the bracket spans more
+    than a factor of two, so brackets over many decades close as fast as
+    narrow ones, and at the arithmetic midpoint after that.  Stops once the
+    bracket is within 1e-15 relative and returns the end with the smaller
+    ``|f|``.
     """
     lo, hi = float(lo), float(hi)
     f_lo, f_hi = f(lo), f(hi)
@@ -281,37 +281,17 @@ def bracketed_root(f, lo: float, hi: float) -> float:
         return hi
     if not f_lo * f_hi < 0.0:
         raise ValueError("f must change sign over the bracket")
-    # g_lo, g_hi are the end values the Illinois rule scales down
-    g_lo, g_hi = f_lo, f_hi
-    side = 0  # the end that moved last: -1 lo, +1 hi
-    slow = 0
-    for _ in range(400):
-        width = hi - lo
-        if width <= 1e-15 * hi:
-            break
-        if hi > 2.0 * lo or slow >= 3:
-            x = math.sqrt(lo) * math.sqrt(hi)
-            slow = 0
-        else:
-            x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+    while hi - lo > 1e-15 * hi:
+        x = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
+            break
         fx = f(x)
         if fx == 0.0:
             return x
         if math.isnan(fx):
             raise ValueError(f"f({x!r}) is NaN")
         if (fx < 0.0) == (f_lo < 0.0):
-            lo, f_lo, g_lo = x, fx, fx
-            if side == -1:
-                g_hi *= 0.5
-            side = -1
+            lo, f_lo = x, fx
         else:
-            hi, f_hi, g_hi = x, fx, fx
-            if side == 1:
-                g_lo *= 0.5
-            side = 1
-        slow = slow + 1 if hi - lo > 0.5 * width else 0
+            hi, f_hi = x, fx
     return lo if abs(f_lo) <= abs(f_hi) else hi

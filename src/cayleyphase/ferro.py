@@ -30,9 +30,10 @@ four-equation system, and a state is accepted only when the recurrence fixes
 each of its four components to 1e-9 relative to that component.
 
 Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1),
-which swap z and w; both members are returned.  Candidates that collapse onto
-the symmetric slice are dropped -- they belong to the fixed-point analysis
-there, not here.
+which swap z and w.  Each pair is solved once, on its ``u1 > u4`` member; the
+partner is that member reversed, since the map commutes with the reversal
+bit for bit.  Candidates that collapse onto the symmetric slice are dropped
+-- they belong to the fixed-point analysis there, not here.
 """
 
 from __future__ import annotations
@@ -151,19 +152,18 @@ def _polish(p: BoltzmannParams, v_seed) -> FerroCandidate | None:
     return FerroCandidate(C=float(v[1] + v[2]), v=tuple(float(x) for x in v), u=u, full_residual=res)
 
 
+def _mirror(c: FerroCandidate) -> FerroCandidate:
+    # v2 + v3 == v3 + v2 and F(flip u) == flip F(u) hold bit for bit
+    return FerroCandidate(c.C, c.v[::-1], StateVector(*c.u.components[::-1]), c.full_residual)
+
+
 def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:
-    kept: list[FerroCandidate] = []
+    kept: list[tuple[FerroCandidate, list[float]]] = []
     for c in sorted(cands, key=lambda c: c.C):
-        nc = [x / c.u.max_norm() for x in c.u.components]
-        dup = False
-        for k in kept:
-            nk = [x / k.u.max_norm() for x in k.u.components]
-            if max(abs(a - b) for a, b in zip(nc, nk)) <= 1e-6:
-                dup = True
-                break
-        if not dup:
-            kept.append(c)
-    return kept
+        unit = [x / c.u.max_norm() for x in c.u.components]
+        if all(max(abs(a - b) for a, b in zip(unit, k)) > 1e-6 for _, k in kept):
+            kept.append((c, unit))
+    return [c for c, _ in kept]
 
 
 def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
@@ -173,9 +173,10 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     on (1e-14, 1), plus the points where the branches merge.  Every sign
     change of D is refined by a bracketing root-find in w, and every local
     minimum of |D| below 1e-2 is kept as a seed as well.  Each seed is
-    polished on the full four-equation system.  An empty list is a legitimate
-    outcome (no ferromagnetic order at these parameters).  Deterministic for
-    fixed inputs.
+    polished on the full four-equation system, and each distinct flip pair is
+    returned as its ``u1 > u4`` member followed by the mirror.  An empty list
+    is a legitimate outcome (no ferromagnetic order at these parameters).
+    Deterministic for fixed inputs.
     """
     rho = p.b / p.a
     mu = 1.0 / p.b_tilde - 1.0
@@ -230,11 +231,5 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
             continue
         cand = _polish(p, v)
         if cand is not None:
-            candidates.append(cand)
-    # complete each candidate with its global-spin-flip partner
-    # (u1,u2,u3,u4) -> (u4,u3,u2,u1), an exact symmetry of the map
-    for cand in list(candidates):
-        flipped = _polish(p, cand.v[::-1])
-        if flipped is not None:
-            candidates.append(flipped)
-    return _dedup(candidates)
+            candidates.append(cand if cand.u.u1 > cand.u.u4 else _mirror(cand))
+    return [m for c in _dedup(candidates) for m in (c, _mirror(c))]

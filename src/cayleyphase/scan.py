@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import __version__
@@ -31,24 +31,6 @@ from .symmetric import _phase_counts
 __all__ = ["AxisSpec", "ScanConfig", "ScanRow", "format_csv", "format_json", "run_scan"]
 
 AXIS_NAMES = ("j1", "j2", "temperature", "j2_over_j1")
-
-CSV_COLUMNS = (
-    "grid_i",
-    "grid_j",
-    "j1",
-    "j2",
-    "temperature",
-    "a",
-    "b",
-    "phase",
-    "cycle_period",
-    "para_count",
-    "comm2_count",
-    "m1_residual",
-    "m2_residual",
-    "iterations",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -181,6 +163,10 @@ class ScanRow:
     m2_residual: float
     iterations: int
     seed: int
+
+
+# the CSV header and the JSON keys, in column order
+CSV_COLUMNS = tuple(f.name for f in fields(ScanRow))
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (XSL-RR 128/64)

@@ -188,23 +188,6 @@ def _target_log_level(p: BoltzmannParams) -> float:
     return -2.0 * math.log(p.a) - 6.0 * math.log(p.b)
 
 
-def _polish(p: BoltzmannParams, x: float, period: int) -> float:
-    # one or two Newton steps on g^period(x) - x in the original (non-cleared) form
-    for _ in range(2):
-        y, d = x, 1.0
-        for _ in range(period):
-            d *= ratio_map_deriv(p, y)
-            y = ratio_map(p, y)
-        d -= 1.0
-        if abs(d) < 1e-6:
-            break
-        xn = x - (y - x) / d
-        if not (xn > 0.0 and math.isfinite(xn)):
-            break
-        x = xn
-    return x
-
-
 def _stability_tag(deriv: float) -> str:
     if abs(abs(deriv) - 1.0) <= _BOUNDARY_RTOL:
         return SADDLE_BOUNDARY
@@ -238,12 +221,13 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
 
     Roots are bracketed on the monotone intervals of the level function (so
     the count is structurally exact, including double roots at the window
-    edges, which are reported once with the boundary tag) and polished by
-    Newton steps on ``ratio_map(x) - x``.  Every fixed ratio lies in the map's
-    range ``a^2/B .. a^2 B``, ``B = max(b^4, b^-4)``; widened by a factor 2,
-    that range bounds every bracket and gives ``psi = log(g(x)/x)`` strict
-    signs at its ends.  A root outside the double range (in ``x`` or in
-    ``y``) raises ``ParameterRangeError``.
+    edges, which are reported once with the boundary tag), bisected in ``y``,
+    and moved by one Newton step on ``ratio_map(x) - x`` unless the slope,
+    which is the reported derivative, is within 1e-6 of 1.  Every fixed ratio
+    lies in the map's range ``a^2/B .. a^2 B``, ``B = max(b^4, b^-4)``;
+    widened by a factor 2, that range bounds every bracket and gives ``psi =
+    log(g(x)/x)`` strict signs at its ends.  A root outside the double range
+    (in ``x`` or in ``y``) raises ``ParameterRangeError``.
     """
     psi, knots = _level_signs(p)
     log_b2 = 2.0 * math.log(p.b)
@@ -261,11 +245,25 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
 
     b2 = p.b * p.b
     roots = []
-    for x in sorted(_polish(p, y / b2, 1) for y in ys):
+    for y in ys:
+        x = y / b2
         deriv = ratio_map_deriv(p, x)
+        if abs(deriv - 1.0) > 1e-6:
+            x -= (ratio_map(p, x) - x) / (deriv - 1.0)
         roots.append(FixedPointRoot(x=x, derivative=deriv, stability=_stability_tag(deriv)))
     regime = {1: "unique", 2: "two", 3: "three"}[len(roots)]
     return FixedPointReport(roots=tuple(roots), regime=regime)
+
+
+def _star_numerator(b: float) -> Optional[float]:
+    """``mid + r``, where ``(mid + r) / (8 b^6)`` is the upper star threshold in
+    ``a**2``; None where the star window is empty (``9 b^4 - 1 > 1e-12``)."""
+    b4 = b**4
+    s = 9.0 * b4 - 1.0
+    if s > 1e-12:
+        return None
+    r = math.sqrt(max((b4 - 1.0) ** 3 * s, 0.0))
+    return 1.0 - 3.0 * b**8 - 6.0 * b4 + r
 
 
 def cycle_thresholds(b: float) -> CycleThresholds:
@@ -276,14 +274,11 @@ def cycle_thresholds(b: float) -> CycleThresholds:
     b6 = b**6
     b8 = b**8
     star_minus = star_plus = None
-    s = 9.0 * b4 - 1.0
-    if s <= 1e-12:
-        rad = max((b4 - 1.0) ** 3 * s, 0.0)
-        r = math.sqrt(rad)
-        mid = 1.0 - 3.0 * b8 - 6.0 * b4
+    num = _star_numerator(b)
+    if num is not None:
         # both threshold quadratics have root product exactly 1; the lower
         # root via the reciprocal avoids the cancellation in (mid - r)
-        star_plus = (mid + r) / (8.0 * b6)
+        star_plus = num / (8.0 * b6)
         star_minus = 1.0 / star_plus
     outer_minus = outer_plus = None
     s2 = (b4 - 1.0) ** 2 - 4.0 * b4
@@ -329,15 +324,15 @@ def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
     identically at ``b == 1`` and changes sign exactly at the ``star``
     thresholds of :func:`cycle_thresholds`.  Two positive roots exist iff
     ``B < 0`` and the discriminant is positive; they are returned ascending,
-    polished on the two-generation residual, and map to each other under one
-    generation.
+    straight from the stable form of the quadratic formula, and map to each
+    other under one generation.
     """
     B, disc, lead, const, count = _two_cycle_quadratic(p)
     roots: tuple[float, ...] = ()
     if count == 2:
         # stable quadratic formula: large root via -B + sqrt(D), small via product
         t = 0.5 * (-B + math.sqrt(disc))
-        roots = (_polish(p, const / t, 2), _polish(p, t / lead, 2))
+        roots = (const / t, t / lead)
     elif count == 1:
         roots = (-B / (2.0 * lead),)
     return TwoCycleReport(
@@ -435,13 +430,12 @@ def critical_curve(j2: float, beta: float) -> CriticalCurveSample:
         raise DomainError("critical curves require j2 < 0")
     if not (math.isfinite(beta) and beta > 0.0):
         raise DomainError("beta must be positive and finite")
-    b = math.exp(j2 * beta)
-    th = cycle_thresholds(b)
+    num = _star_numerator(math.exp(j2 * beta))
     j1_plus = j1_minus = None
-    if th.star_plus is not None and th.star_plus > 0.0:
-        j1_plus = math.log(th.star_plus) / (2.0 * beta)
-    if th.star_minus is not None and th.star_minus > 0.0:
-        j1_minus = math.log(th.star_minus) / (2.0 * beta)
+    if num is not None:
+        # log(num / (8 b^6)) / (2 beta) with log b = j2 beta: b^6 may underflow
+        j1_plus = (math.log(num) - math.log(8.0)) / (2.0 * beta) - 3.0 * j2
+        j1_minus = -j1_plus
     return CriticalCurveSample(j2=j2, beta=beta, j1_plus=j1_plus, j1_minus=j1_minus)
 
 
@@ -449,8 +443,11 @@ def tabulate_critical_curves(j2_values, temperature: float) -> list[CriticalCurv
     """Critical-curve samples over a j2 range at fixed temperature.
 
     Samples with ``j2 >= 0`` or ``T >= critical_temperature(j2)`` yield rows
-    with absent branches rather than errors.
+    with absent branches rather than errors; a temperature that is not
+    positive and finite raises ``DomainError``.
     """
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise DomainError("temperature must be positive and finite")
     beta = 1.0 / temperature
     out = []
     for j2 in j2_values:

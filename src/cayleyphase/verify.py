@@ -102,11 +102,10 @@ def _check_ferro_fixed_points() -> VerifyResult:
     states = [f.u for f in solve_ferro_fixed_points(p)]
     worst = max((recurrence_residual(p, u) for u in states), default=math.inf)
     nearest = min((symmetric_residual(u) for u in states), default=0.0)
-    unit = [tuple(x / u.max_norm() for x in u.components) for u in states]
-    # the global spin flip reverses the components and maps the set onto itself
-    closed = all(
-        min(max(abs(x - y) for x, y in zip(s[::-1], t)) for t in unit) <= 1e-8 for s in unit
-    )
+    # the global spin flip reverses the components, exactly in floating point,
+    # and maps the set onto itself
+    comps = {u.components for u in states}
+    closed = {c[::-1] for c in comps} == comps
     ok = bool(states) and closed and worst <= 1e-9 and nearest > 1e-3
     return VerifyResult(
         "ferro fixed points against the full map",

@@ -169,6 +169,12 @@ class TestRatioMapDeriv:
             fd = (ratio_map(p, x + h) - ratio_map(p, x - h)) / (2.0 * h)
             assert ratio_map_deriv(p, x) == pytest.approx(fd, rel=1e-5)
 
+    def test_finite_where_its_factors_overflow(self):
+        # at b^2 = 1e50, x = 1e160, both (b^4 - 1)(1 + b^2 x) and (b^2 + x)^3
+        # overflow; g' = 2 g (b^4 - 1)/((b^2 + x)(1 + b^2 x)) is about 2e-170
+        p = BoltzmannParams.from_weights(1.0, 1e25)
+        assert ratio_map_deriv(p, 1e160) == pytest.approx(2e-170, rel=1e-12)
+
 
 class TestFerroConstraint:
     def test_unit_weights(self):
@@ -237,18 +243,51 @@ class TestStateVector:
         assert u.max_norm() == 9.0
 
 
+BRACKETS = pytest.mark.parametrize(
+    "f,lo,hi,root",
+    [
+        (lambda x: math.log(x / 3e-200), 1e-300, 1e300, 3e-200),
+        (lambda x: x * x - 2.0, 1.0, 1.5, math.sqrt(2.0)),
+        (lambda x: (7.25 - x) * (x + 1.0) ** 3, 0.5, 1e6, 7.25),
+    ],
+    ids=["wide", "narrow", "cubic"],
+)
+
+
+def counting(f, calls: list):
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted
+
+
 class TestBracketedRoot:
-    @pytest.mark.parametrize(
-        "f,lo,hi,root",
-        [
-            (lambda x: math.log(x / 3e-200), 1e-300, 1e300, 3e-200),
-            (lambda x: x * x - 2.0, 1.0, 1.5, math.sqrt(2.0)),
-            (lambda x: (7.25 - x) * (x + 1.0) ** 3, 0.5, 1e6, 7.25),
-        ],
-        ids=["wide", "narrow", "cubic"],
-    )
+    @BRACKETS
     def test_converges_to_full_precision(self, f, lo, hi, root):
         assert bracketed_root(f, lo, hi) == pytest.approx(root, rel=4e-15, abs=0.0)
+
+    @BRACKETS
+    def test_evaluations_bounded_by_bisection(self, f, lo, hi, root):
+        # halving log(hi/lo) down to one factor of two, then about 50
+        # arithmetic halvings to 1e-15 relative, plus the two ends
+        calls = []
+        bracketed_root(counting(f, calls), lo, hi)
+        geometric = max(0, math.ceil(math.log2(math.log2(hi) - math.log2(lo))))
+        assert len(calls) <= geometric + 55
+
+    def test_midpoint_on_the_root_does_not_stall(self, monkeypatch):
+        # at (0, -ln 2, 1) the first geometric midpoint lands within rounding
+        # of the root
+        from cayleyphase import symmetric
+
+        calls = []
+        def counted(f, lo, hi):
+            return bracketed_root(counting(f, calls), lo, hi)
+
+        monkeypatch.setattr(symmetric, "bracketed_root", counted)
+        symmetric.solve_fixed_points(derive_params(Couplings(0.0, -math.log(2.0), 1.0)))
+        assert 0 < len(calls) <= 60
 
     def test_exact_zero_at_an_end(self):
         assert bracketed_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0

@@ -341,6 +341,18 @@ class TestCli:
         assert lines[0] == "j2,j1_plus,j1_minus"
         assert len(lines) == 5
 
+    def test_curves_cold_and_bad_temperatures(self):
+        r = run_cli("curves", "--axis", "j2:-2:-0.1:5", "--temperature", "0.01")
+        assert r.returncode == 0, r.stderr
+        j2, plus, minus = r.stdout.splitlines()[1].split(",")
+        assert float(j2) == -2.0
+        assert float(plus) == pytest.approx(6.0 - math.log(4.0) / 200.0, rel=1e-15)
+        assert float(minus) == -float(plus)
+        for t in ("0", "-1", "inf", "nan"):
+            r = run_cli("curves", "--axis", "j2:-2:-0.1:5", "--temperature", t)
+            assert r.returncode == 1, t
+            assert r.stderr.count("error:") == 1 and "Traceback" not in r.stderr, (t, r.stderr)
+
     def test_partition(self):
         r = run_cli("partition", "--j1", "0", "--j2", "0", "--temperature", "1", "--depth", "2")
         assert r.returncode == 0

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -120,6 +121,15 @@ class TestSolveFixedPoints:
             assert abs(ratio_map(p, r.x) - r.x) <= 1e-13 * r.x
         assert phase_counts(TINY_RATIOS) == (3, 0)
 
+    def test_huge_root_gets_a_finite_slope(self):
+        # the root near 1.7e143 sits where g is flat; a derivative formed
+        # from overflowing factors came out NaN and tagged it unstable
+        c = Couplings(1.9085939472954179, 2.325617488934192, 0.0397799707469168)
+        big = solve_fixed_points(derive_params(c)).roots[-1]
+        assert big.x == pytest.approx(1.709071185844e143, rel=1e-12)
+        assert 0.0 < big.derivative < 1e-90
+        assert big.stability == "stable"
+
     @pytest.mark.parametrize(
         "c",
         [Couplings(300.0, 20.0, 1.0), Couplings(-336.8354134704659, 38.459677197930944, 1.0)],
@@ -152,7 +162,28 @@ class TestSolveFixedPoints:
         assert answered >= 200 and refused >= 5
 
 
+def exact_two_cycle_roots(p: BoltzmannParams) -> tuple[Decimal, Decimal]:
+    """Roots of the two-cycle quadratic at the exact weights, to 120 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        a2, b2 = Decimal(p.a) ** 2, Decimal(p.b) ** 2
+        b4 = b2 * b2
+        B = a2 * (b4 * b4 + 2 * (1 / a2 + a2) * b4 * b2 + 4 * b4 - 1)
+        lead, const = b4 * (1 + a2 * b2) ** 2, b4 * (a2 + b2) ** 2
+        t = (-B + (B * B - 4 * lead * const).sqrt()) / 2
+        return const / t, t / lead
+
+
 class TestTwoCycles:
+    def test_closed_form_roots_are_not_degraded(self):
+        # a Newton polish on the two-generation residual moved these roots
+        # 5.9e-13 away from the quadratic's
+        p = derive_params(Couplings(1.0599117557546407, -1.8320372213859288, 3.2569739092725816))
+        roots = solve_two_cycles(p).roots
+        assert len(roots) == 2
+        for r, exact in zip(roots, exact_two_cycle_roots(p)):
+            assert abs(Decimal(r) - exact) <= Decimal(2e-14) * exact
+
     def test_half_b_unit_a(self, params_symmetric_cycle):
         rep = solve_two_cycles(params_symmetric_cycle)
         # exact dyadic inputs: B and the factored discriminant are exact
@@ -340,6 +371,18 @@ class TestCriticalCurve:
         for j1 in (s.j1_plus, s.j1_minus):
             rep = solve_two_cycles(derive_params(Couplings(j1, j2, 1.0 / beta)))
             assert abs(rep.discriminant) <= 1e-8 * rep.b_coeff**2
+
+    def test_cold_curve_where_b6_underflows(self):
+        # b = e^-200: b^6 underflows, and the threshold (mid + r)/(8 b^6) with
+        # it; in logs, j1+ = (log(mid + r) - log 8)/(2 beta) - 3 j2
+        s = critical_curve(-2.0, 100.0)
+        assert s.j1_plus == pytest.approx(6.0 - math.log(4.0) / 200.0, rel=1e-15)
+        assert s.j1_minus == -s.j1_plus
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_tabulate_rejects_bad_temperature(self, t):
+        with pytest.raises(DomainError, match="temperature"):
+            tabulate_critical_curves([-1.0], temperature=t)
 
     def test_tabulate_handles_absent(self):
         rows = tabulate_critical_curves(np.linspace(-2.0, -0.1, 5), temperature=0.8)
