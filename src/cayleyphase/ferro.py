@@ -9,25 +9,35 @@ Two eliminations are exact: equation 4 substituted into equation 2 gives
 ``v2 = q(v4)``, and equation 1 substituted into equation 3 gives
 ``v3 = q(v1)``, with ``q(t) = (b^2/alpha^2) t + ((1/b - b^3)/alpha) t^2``.
 In the scaled variables ``z = alpha b v1`` and ``w = alpha b v4``, both in
-(0, 1), and with ``rho = b/a``, ``mu = b^-4 - 1`` and ``psi(t) = t + mu t^2``
-(so that ``q(t) = (b/alpha^3) psi(alpha b t)``), equation 1 becomes the curve
+(0, 1), and with ``rho = b/a``, ``beta = b^-4``, ``mu = beta - 1`` and
+``psi(t) = t + mu t^2`` (so that ``q(t) = (b/alpha^3) psi(alpha b t)``),
+equation 1 becomes the curve
 
-    z (1 - z) = rho^2 psi(w)^2,
+    z (1 - z) = R,    R = rho^2 psi(w)^2.
 
-whose two branches ``z = (1 -+ sqrt(1 - 4 rho^2 psi(w)^2)) / 2`` are explicit
-and merge where ``rho psi(w) = 1/2``.  Equation 1 minus equation 4, divided
-by ``v1 - v4``, leaves
+Equation 1 minus equation 4, divided by ``v1 - v4``, leaves
 
     D = 1 - (z + w) + rho^2 (psi(z) + psi(w)) (1 + mu (z + w)),
 
 which is the ferro surface ``v1 + v4 = ferro_constraint(v2 + v3)`` of
-:mod:`cayleyphase.core` written in these variables.  The fixed points off the
-symmetric slice are therefore the roots of D along the curve: a
-one-dimensional search in w.  Dividing out ``v1 - v4`` removes the symmetric
-fixed points from the roots, so fixed points close to the slice are not
-masked by them.  Every root is polished with Newton steps on the full
-four-equation system, and a state is accepted only when the recurrence fixes
-each of its four components to 1e-9 relative to that component.
+:mod:`cayleyphase.core` written in these variables.  On the curve
+``z^2 = z - R``, which makes D linear in z: ``D = A(w) z + B(w)`` with
+
+    A = -1 + q (q + s w) + s e,      B = 1 - w + e (rho + s w) - q s R,
+    q = rho beta,  s = rho mu,  r = rho psi(w),  R = r^2,  e = r - s R,
+
+written with rho inside every product, so that rho^2 never under- or
+overflows on its own.  A fixed point off the symmetric slice therefore has
+``z = -B/A`` and is a root of the one function of w
+
+    H(w) = z (1 - z) - R,
+
+wherever A is not 0: a one-dimensional search with no branches to follow.
+Dividing out ``v1 - v4`` removes the symmetric fixed points from the roots,
+so fixed points close to the slice are not masked by them.  Every root is
+polished with Newton steps on the full four-equation system, and a state is
+accepted only when the recurrence fixes each of its four components to 1e-9
+relative to that component.
 
 Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1),
 which swap z and w.  Each pair is solved once, on its ``u1 > u4`` member; the
@@ -72,26 +82,6 @@ class FerroCandidate:
     v: tuple[float, float, float, float]
     u: StateVector
     full_residual: float
-
-
-def _curve(rho: float, mu: float, w, upper: bool):
-    """z on the lower or upper branch of ``z (1 - z) = rho^2 psi(w)^2``.
-
-    The discriminant is clamped at zero, which is exact at the merge points;
-    past them the curve has no real point and callers mask those w.
-    """
-    import numpy as np
-
-    r = rho * (w + mu * w * w)
-    h = r * r
-    z = 2.0 * h / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * h, 0.0)))
-    return 1.0 - z if upper else z
-
-
-def _surface(rho: float, mu: float, z, w):
-    """D, the ferro-surface residual in the scaled variables."""
-    s = z + w
-    return 1.0 - s + rho * rho * (s + mu * (z * z + w * w)) * (1.0 + mu * s)
 
 
 def _stationarity(p: BoltzmannParams, v) -> list[float]:
@@ -169,65 +159,61 @@ def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:
 def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     """All symmetry-broken fixed points at these parameters (possibly none).
 
-    D is evaluated on both branches of the curve over a geometric grid in w
-    on (1e-14, 1), plus the points where the branches merge.  Every sign
-    change of D is refined by a bracketing root-find in w, and every local
-    minimum of |D| below 1e-2 is kept as a seed as well.  Each seed is
-    polished on the full four-equation system, and each distinct flip pair is
-    returned as its ``u1 > u4`` member followed by the mirror.  An empty list
-    is a legitimate outcome (no ferromagnetic order at these parameters).
-    Deterministic for fixed inputs.
+    H is evaluated over a geometric grid in w on (1e-14, 1).  Every sign
+    change of H across a grid interval where A keeps its sign is refined by
+    bisection in w (where A changes sign, the sign change is a pole of z, not
+    a root), and every local minimum of |H| below 1e-2 is kept as a seed as
+    well; a seed needs ``0 < z < 1``.  Each seed is polished on the full
+    four-equation system, and each distinct flip pair is returned as its
+    ``u1 > u4`` member followed by the mirror.  An empty list is a legitimate
+    outcome (no ferromagnetic order at these parameters).  Deterministic for
+    fixed inputs.
     """
-    rho = p.b / p.a
-    mu = 1.0 / p.b_tilde - 1.0
-    # the branches merge where rho psi(w) = 1/2: roots of mu w^2 + w - c
-    c = 0.5 / rho
-    merges = []
-    disc = 1.0 + 4.0 * mu * c
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        merges.append(2.0 * c / (1.0 + s))
-        if mu != 0.0:
-            merges.append(-(1.0 + s) / (2.0 * mu))
-    merges = [m for m in merges if _W_FLOOR < m < 1.0]
-    import numpy as np
+    # Python floats, so that far from unit weights the products below
+    # overflow to inf or NaN quietly (numpy scalars would warn) and those
+    # grid points drop out
+    rho = float(p.b) / float(p.a)
+    beta = 1.0 / float(p.b_tilde)
+    mu = beta - 1.0
+    q = rho * beta
+    s = rho * mu
 
-    grid = np.union1d(np.geomspace(_W_FLOOR, 1.0, _W_POINTS), merges)
+    def curve(w: float) -> tuple[float, float, float]:
+        """``(A, z, H)`` at w."""
+        r = rho * (w + mu * w * w)
+        R = r * r
+        e = r - s * R
+        A = -1.0 + q * (q + s * w) + s * e
+        B = 1.0 - w + e * (rho + s * w) - q * s * R
+        z = -B / A if A else math.nan
+        return A, z, z * (1.0 - z) - R
 
+    def h(w: float) -> float:
+        return curve(w)[2]
+
+    grid = [_W_FLOOR ** (1.0 - i / (_W_POINTS - 1)) for i in range(_W_POINTS)]
+    walk = [(w, *curve(w)) for w in grid]
     seeds: list[tuple[float, float]] = []  # (z, w)
-    # far from unit weights rho^2 psi(w)^2 and D overflow; those grid points
-    # drop out as inf/NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = rho * (grid + mu * grid * grid)
-        on_curve = (4.0 * r * r <= 1.0) | np.isin(grid, merges)
-        for upper in (False, True):
-            z = _curve(rho, mu, grid, upper)
-            d = np.where(on_curve, _surface(rho, mu, z, grid), np.nan)
-
-            def residual(w: float, _upper=upper) -> float:
-                return float(_surface(rho, mu, _curve(rho, mu, w, _upper), w))
-
-            for i in np.nonzero(d[:-1] * d[1:] < 0.0)[0]:
-                try:
-                    w = bracketed_root(residual, grid[i], grid[i + 1])
-                except ValueError:
-                    continue
-                seeds.append((float(_curve(rho, mu, w, upper)), w))
-            # local minima of |D| catch the near-double roots the sign test
-            # cannot see: a flip pair close to the slice puts two roots of D
-            # into one grid interval
-            ad = np.abs(d)
-            left = np.concatenate(([np.inf], ad[:-1]))
-            right = np.concatenate((ad[1:], [np.inf]))
-            near = (ad < _NEAR_MISS) & ~(left < ad) & ~(right < ad)
-            seeds.extend((float(z[i]), float(grid[i])) for i in np.nonzero(near)[0])
+    for (w0, a0, _, h0), (w1, a1, _, h1) in zip(walk, walk[1:]):
+        if a0 * a1 > 0.0 and h0 * h1 < 0.0:
+            try:
+                w = bracketed_root(h, w0, w1)
+            except ValueError:
+                continue
+            seeds.append((curve(w)[1], w))
+    # local minima of |H| catch the near-double roots the sign test cannot
+    # see: a flip pair close to the slice puts two roots into one interval
+    ah = [math.inf, *(abs(x[3]) for x in walk), math.inf]
+    for (w, _, z, _), left, mid, right in zip(walk, ah, ah[1:], ah[2:]):
+        if mid < _NEAR_MISS and not left < mid and not right < mid:
+            seeds.append((z, w))
 
     scale = p.alpha * p.b  # z = scale v1, w = scale v4
     lift = p.b / p.alpha**3  # v2 = lift psi(w), v3 = lift psi(z)
     candidates: list[FerroCandidate] = []
     for z, w in seeds:
         v = (z / scale, lift * (w + mu * w * w), lift * (z + mu * z * z), w / scale)
-        if not all(0.0 < x < math.inf for x in v):
+        if not (z < 1.0 and all(0.0 < x < math.inf for x in v)):
             continue
         cand = _polish(p, v)
         if cand is not None:

@@ -124,7 +124,6 @@ class TwoCycleReport:
     discriminant: float
     roots: tuple[float, ...]
     degenerate: bool
-    thresholds: CycleThresholds
 
 
 @dataclass(frozen=True)
@@ -267,12 +266,22 @@ def _star_numerator(b: float) -> Optional[float]:
 
 
 def cycle_thresholds(b: float) -> CycleThresholds:
-    """Closed-form thresholds in ``a**2`` for two-cycle existence at this b."""
+    """Closed-form thresholds in ``a**2`` for two-cycle existence at this b.
+
+    Both pairs exist only for ``b < 1``.  They span about ``2 b^6`` to
+    ``1/(2 b^6)``, so ``ParameterRangeError`` is raised where ``b**6`` is
+    below the normal doubles (b below about 5.3e-52): the thresholds lose
+    precision there and then leave the double range.
+    """
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError("b must be positive and finite")
+    if b >= 1.0:
+        return CycleThresholds(None, None, None, None)
     b4 = b**4
     b6 = b**6
     b8 = b**8
+    if b6 < sys.float_info.min:
+        raise ParameterRangeError(f"two-cycle thresholds at b={b!r} leave the double range")
     star_minus = star_plus = None
     num = _star_numerator(b)
     if num is not None:
@@ -282,7 +291,7 @@ def cycle_thresholds(b: float) -> CycleThresholds:
         star_minus = 1.0 / star_plus
     outer_minus = outer_plus = None
     s2 = (b4 - 1.0) ** 2 - 4.0 * b4
-    if b < 1.0 and s2 >= -1e-12:
+    if s2 >= -1e-12:
         r2 = (1.0 - b4) * math.sqrt(max(s2, 0.0))
         mid2 = 1.0 - 4.0 * b4 - b8
         outer_plus = (mid2 + r2) / (4.0 * b6)
@@ -335,13 +344,7 @@ def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
         roots = (const / t, t / lead)
     elif count == 1:
         roots = (-B / (2.0 * lead),)
-    return TwoCycleReport(
-        b_coeff=B,
-        discriminant=disc,
-        roots=roots,
-        degenerate=count == 1,
-        thresholds=cycle_thresholds(p.b),
-    )
+    return TwoCycleReport(b_coeff=B, discriminant=disc, roots=roots, degenerate=count == 1)
 
 
 def lift_fixed_point(p: BoltzmannParams, x: float) -> StateVector:

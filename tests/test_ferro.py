@@ -25,6 +25,12 @@ FERRO_POINTS = [
     # a flip pair at machine-scale residual that a solver success flag once
     # rejected
     Couplings(0.25, 0.5, 1.5),
+    # cold flip pairs with b^4 > 2e16, where mu = b^-4 - 1 rounds to -1 and a
+    # walk along the branches of the curve found no candidate
+    Couplings(1.0, 1.5, 0.09),
+    Couplings(0.3, 0.48, 0.03),
+    Couplings(1.0, 1.2, 0.125),
+    Couplings(1.0, 0.9, 0.09),
 ]
 
 

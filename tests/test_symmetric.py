@@ -201,9 +201,9 @@ class TestTwoCycles:
         assert abs(d) < 1.0
 
     def test_no_roots_above_threshold(self):
-        rep = solve_two_cycles(BoltzmannParams.from_weights(1.0, 0.9))
-        assert rep.roots == ()
-        assert rep.thresholds.star_minus is None
+        p = BoltzmannParams.from_weights(1.0, 0.9)
+        assert solve_two_cycles(p).roots == ()
+        assert cycle_thresholds(p.b).star_minus is None
 
     def test_b_one_discriminant_exactly_zero(self):
         rep = solve_two_cycles(BoltzmannParams.from_weights(2.0, 1.0))
@@ -225,8 +225,9 @@ class TestTwoCycles:
         for _ in range(200):
             b = float(10.0 ** rng.uniform(-0.8, 0.5))
             a = float(10.0 ** rng.uniform(-0.8, 0.8))
-            rep = solve_two_cycles(BoltzmannParams.from_weights(a, b))
-            th = rep.thresholds
+            p = BoltzmannParams.from_weights(a, b)
+            rep = solve_two_cycles(p)
+            th = cycle_thresholds(p.b)
             expect_positive = (
                 th.star_minus is not None and th.star_minus < a * a < th.star_plus
             )
@@ -267,6 +268,18 @@ class TestCycleThresholds:
             b = float(rng.uniform(0.1, math.sqrt(1.0 / 3.0) - 1e-6))
             th = cycle_thresholds(b)
             assert th.outer_minus <= th.star_minus < th.star_plus <= th.outer_plus
+
+    def test_range_at_extreme_b(self):
+        # the thresholds scale as b^-6: below b ~ 5.3e-52 they leave the
+        # double range, which once gave 0 and inf, or a ZeroDivisionError
+        for b in (1e-52, 1e-60):
+            with pytest.raises(ParameterRangeError):
+                cycle_thresholds(b)
+        th = cycle_thresholds(1e-51)
+        assert 0.0 < th.outer_minus <= th.star_minus < th.star_plus <= th.outer_plus < math.inf
+        assert th.star_minus * th.star_plus == pytest.approx(1.0, rel=1e-12)
+        # b**4 overflows a double here; no threshold exists above b = 1
+        assert cycle_thresholds(1e100) == cycle_thresholds(1.5)
 
 
 class TestLifts:
