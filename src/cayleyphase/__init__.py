@@ -14,6 +14,8 @@ from .core import (
     derive_params,
     ferro_constraint,
     ferro_residual,
+    normalize,
+    periodic_state,
     ratio_map,
     ratio_map2,
     ratio_map_deriv,
@@ -28,7 +30,6 @@ from .dynamics import (
     TrajectoryOutcome,
     classify_phase,
     iterate,
-    normalize,
     symmetric_attractor_class,
 )
 from .ferro import FerroCandidate, solve_ferro_fixed_points

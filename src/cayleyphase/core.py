@@ -34,6 +34,8 @@ __all__ = [
     "derive_params",
     "ferro_constraint",
     "ferro_residual",
+    "normalize",
+    "periodic_state",
     "ratio_map",
     "ratio_map2",
     "ratio_map_deriv",
@@ -194,6 +196,43 @@ def recurrence_step(p: BoltzmannParams, u: StateVector) -> StateVector:
         if not 0.0 < w < math.inf:
             raise ParameterRangeError(f"recurrence left the double range in component u{i}")
     return StateVector(w1, w2, w3, w4)
+
+
+def _scaled(u: StateVector, m: float) -> StateVector:
+    try:
+        return StateVector(u.u1 / m, u.u2 / m, u.u3 / m, u.u4 / m)
+    except DomainError as exc:
+        raise ParameterRangeError(f"rescaling left the double range: {exc}") from exc
+
+
+def normalize(u: StateVector) -> StateVector:
+    """Rescale so the largest component is exactly 1; a component that
+    underflows to zero raises ``ParameterRangeError``."""
+    return _scaled(u, u.max_norm())
+
+
+def periodic_state(p: BoltzmannParams, s: StateVector, period: int = 1) -> StateVector:
+    """The state ``u`` on the ray through ``s`` with ``F^period(u) = u``.
+
+    ``s`` must point along a periodic direction of the recurrence F.  Degree-2
+    homogeneity, ``F^n(s/c) = F^n(s) / c^(2^n)``, fixes the scale:
+    ``c^(2^n - 1) = |F^n(s)| / |s|``.  The steps are normalised in between,
+    so with ``m_i`` the max-norm of step i, ``|F^n(s)|`` is the product of the
+    ``m_i^(2^(n-i))``, and ``c`` is taken factor by factor without forming a
+    power of a norm.  Raises ``ParameterRangeError`` where a step or the
+    rescaled state leaves the double range.
+    """
+    if period < 1:
+        raise DomainError("period must be at least 1")
+    denom = 2**period - 1
+    scale = 1.0
+    v = s
+    for i in range(1, period + 1):
+        w = recurrence_step(p, v)
+        scale *= w.max_norm() ** (2.0 ** (period - i) / denom)
+        if i < period:
+            v = normalize(w)
+    return _scaled(s, scale / s.max_norm() ** (1.0 / denom))
 
 
 def ratio_map(p: BoltzmannParams, x):

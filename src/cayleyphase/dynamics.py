@@ -42,7 +42,8 @@ from .core import (
     StateVector,
     _is_finite,
     ferro_residual,
-    recurrence_step,
+    normalize,
+    periodic_state,
     symmetric_residual,
 )
 from .symmetric import solve_fixed_points, solve_two_cycles
@@ -122,12 +123,6 @@ class SymmetricClass:
     target: float
 
 
-def normalize(u: StateVector) -> StateVector:
-    """Rescale so the largest component is exactly 1."""
-    m = u.max_norm()
-    return StateVector(u.u1 / m, u.u2 / m, u.u3 / m, u.u4 / m)
-
-
 def iterate(
     p: BoltzmannParams,
     u0: StateVector,
@@ -170,36 +165,25 @@ def iterate(
     )
 
 
-def _rescale_to_fixed_point(p: BoltzmannParams, state: StateVector) -> StateVector:
-    """True fixed point behind a unit-norm fixed direction.
-
-    If F(u_hat) = lam * u_hat then F(u_hat / lam) = u_hat / lam exactly, by
-    degree-2 homogeneity; the ferro surface lives at that absolute scale, so
-    membership must be tested there, not at unit normalisation.
-    """
-    lam = recurrence_step(p, state).max_norm() / state.max_norm()
-    return StateVector(*(c / lam for c in state.components))
-
-
 def classify_phase(
     p: BoltzmannParams, outcome: TrajectoryOutcome, tol: float = CLASSIFY_TOL
 ) -> PhaseLabel:
     """Phase label for a resolved trajectory.
 
-    The slice residual is scale-free; the ferro residual of a fixed direction
-    is evaluated on the homogeneity-rescaled true fixed point.  For cycles and
-    aperiodic runs both residuals are reported as diagnostics of the last
-    state only.
+    The slice residual is scale-free; the ferro surface lives at the absolute
+    scale of a fixed point, so the ferro residual of a fixed direction is
+    evaluated on :func:`periodic_state` of it (on the unit state where that
+    leaves the double range).  For cycles and aperiodic runs both residuals
+    are reported as diagnostics of the last state only.
     """
     state = outcome.attractor[-1]
     m1 = symmetric_residual(state)
     if outcome.kind == FIXED_DIRECTION:
         try:
-            m2 = ferro_residual(p, _rescale_to_fixed_point(p, state))
-        except (DomainError, ParameterRangeError):
-            m2 = ferro_residual(p, state)
-    else:
-        m2 = ferro_residual(p, state)
+            state = periodic_state(p, state)
+        except ParameterRangeError:
+            pass
+    m2 = ferro_residual(p, state)
     if outcome.kind == CYCLE:
         return PhaseLabel(COMMENSURATE, outcome.period, m1, m2)
     if outcome.kind == APERIODIC:

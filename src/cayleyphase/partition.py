@@ -27,6 +27,7 @@ from .core import (
     ParameterRangeError,
     StateVector,
     derive_params,
+    normalize,
     ratio_map,
     recurrence_step,
 )
@@ -109,16 +110,6 @@ def partition_recurrence(p: BoltzmannParams, n: int) -> tuple[float, StateVector
     return z, u
 
 
-def _unit(u: StateVector) -> tuple[StateVector, float]:
-    """(``u`` scaled to unit max-norm, its max-norm); a component that
-    underflows to zero in the scaling raises ``ParameterRangeError``."""
-    m = u.max_norm()
-    scaled = [x / m for x in u]
-    if min(scaled) == 0.0:
-        raise ParameterRangeError("a branch weight underflowed relative to the largest")
-    return StateVector(*scaled), m
-
-
 def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVector, float]:
     """(log Z_n, unit-max-norm branch weights, accumulated log scale).
 
@@ -129,11 +120,12 @@ def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVe
     """
     if n < 1:
         raise DomainError("depth n must be >= 1")
-    u, m = _unit(initial_branch_weights(p))
-    log_scale = math.log(m)
+    u = initial_branch_weights(p)
+    log_scale = math.log(u.max_norm())
     for _ in range(n - 1):
-        u, m = _unit(recurrence_step(p, u))
-        log_scale = 2.0 * log_scale + math.log(m)
+        u = recurrence_step(p, normalize(u))
+        log_scale = 2.0 * log_scale + math.log(u.max_norm())
+    u = normalize(u)
     log_z = 2.0 * log_scale + math.log(_close(u))
     if not math.isfinite(log_z):
         raise ParameterRangeError(f"log Z overflowed at depth {n}")

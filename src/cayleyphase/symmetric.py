@@ -3,7 +3,8 @@
 On the slice ``u1 == u4, u2 == u3`` the four-component recurrence closes over
 the scalar ratio map ``x -> a^2 ((1 + b^2 x)/(b^2 + x))^2``.  This module
 locates that map's fixed points and period-two orbits, classifies their
-stability, lifts them back to four-component states, derives the critical
+stability, lifts them back to four-component states (at the scale degree-2
+homogeneity fixes, :func:`core.periodic_state`), derives the critical
 temperature and critical curves where the counts change, and verifies that no
 periods beyond two occur on the slice.
 
@@ -36,6 +37,8 @@ from .core import (
     StateVector,
     bracketed_root,
     derive_params,
+    normalize,
+    periodic_state,
     ratio_map,
     ratio_map2,
     ratio_map_deriv,
@@ -350,64 +353,24 @@ def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
 def lift_fixed_point(p: BoltzmannParams, x: float) -> StateVector:
     """Four-component fixed point on the symmetric slice with ratio ``x``.
 
-    ``x`` must be a fixed point of the ratio map (checked to 1e-8 relative).
+    ``x`` must be a fixed point of the ratio map (checked to 1e-8 relative);
+    the scale comes from homogeneity (:func:`periodic_state`).
     """
     if abs(ratio_map(p, x) - x) > _LIFT_INPUT_RTOL * x:
         raise DomainError(f"x={x!r} is not a fixed point of the ratio map")
-    u1 = 1.0 / (p.a * (p.b + 1.0 / (p.b * x)) ** 2)
-    u2 = p.a / (p.b + x / p.b) ** 2
-    return StateVector(u1, u2, u2, u1)
+    return periodic_state(p, normalize(StateVector(x, 1.0, 1.0, x)))
 
 
 def lift_two_cycle(p: BoltzmannParams, y: float) -> StateVector:
     """Four-component period-two point on the symmetric slice with ratio ``y``.
 
-    ``y`` must satisfy the two-generation fixed-point condition.  The partner
-    state of the cycle is ``lift_two_cycle(p, ratio_map(p, y))``.
+    ``y`` must satisfy the two-generation fixed-point condition; the scale
+    comes from homogeneity (:func:`periodic_state`).  The partner state of
+    the cycle is ``lift_two_cycle(p, ratio_map(p, y))``.
     """
     if abs(ratio_map2(p, y) - y) > _LIFT_INPUT_RTOL * y:
         raise DomainError(f"y={y!r} is not a period-two ratio")
-    a = p.a
-    b = p.b
-    try:
-        e1 = a * b * (b + 1.0 / (b * y)) ** 2 + (b / y + 1.0 / b) ** 2 / (a * b)
-        e2 = b * (b + y / b) ** 2 / a + a * (b * y + 1.0 / b) ** 2 / b
-        u1 = a ** (-1.0 / 3.0) * e1 ** (-2.0 / 3.0)
-        u2 = a ** (1.0 / 3.0) * e2 ** (-2.0 / 3.0)
-    except OverflowError:
-        u1 = u2 = 0.0
-    if not (0.0 < u1 < math.inf and 0.0 < u2 < math.inf):
-        # an intermediate left the double range; the state may not have
-        u1, u2 = _lift_two_cycle_log(a, b, y)
-    return StateVector(u1, u2, u2, u1)
-
-
-def _log_add(x: float, y: float) -> float:
-    """log(e^x + e^y) without leaving the double range."""
-    hi, lo = max(x, y), min(x, y)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _lift_two_cycle_log(a: float, b: float, y: float) -> tuple[float, float]:
-    """(u1, u2) of :func:`lift_two_cycle` through logs, for weights where an
-    intermediate of the direct form leaves the double range but the state
-    itself need not."""
-    la, lb, ly = math.log(a), math.log(b), math.log(y)
-    # e1 = a b p1^2 + q1^2 / (a b) and e2 = b p2^2 / a + a q2^2 / b
-    log_p1 = _log_add(lb, -lb - ly)  # p1 = b + 1/(b y)
-    log_q1 = _log_add(lb - ly, -lb)  # q1 = b/y + 1/b
-    log_p2 = _log_add(lb, ly - lb)  # p2 = b + y/b
-    log_q2 = _log_add(lb + ly, -lb)  # q2 = b y + 1/b
-    log_e1 = _log_add(la + lb + 2.0 * log_p1, 2.0 * log_q1 - la - lb)
-    log_e2 = _log_add(lb + 2.0 * log_p2 - la, la + 2.0 * log_q2 - lb)
-    try:
-        u1 = math.exp(-la / 3.0 - 2.0 / 3.0 * log_e1)
-        u2 = math.exp(la / 3.0 - 2.0 / 3.0 * log_e2)
-    except OverflowError:
-        u1 = u2 = math.inf
-    if not (0.0 < u1 < math.inf and 0.0 < u2 < math.inf):
-        raise ParameterRangeError("two-cycle lift leaves the double range")
-    return u1, u2
+    return periodic_state(p, normalize(StateVector(y, 1.0, 1.0, y)), 2)
 
 
 def critical_temperature(j2: float) -> Optional[float]:

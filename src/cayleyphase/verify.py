@@ -1,12 +1,15 @@
 """Fast built-in cross-checks (the ``verify`` CLI subcommand).
 
-Every check pits an implementation against an independent route to the same
+Every check pits an implementation against a second route to the same
 number: the recurrence against exact enumeration, closed-form thresholds
 against their defining identities, lifted states and the ferro solver's
 fixed points against the full map, the periodic partition form against the
-iterated orbit, and the two trajectory backends against each other.
-Intended as a seconds-scale smoke test; the full acceptance suite lives in
-the test tree.
+iterated orbit, and the two trajectory backends against each other.  The
+lifts take their scale from the map's own steps, so the lift check certifies
+the solvers' ratios and the homogeneity scale, and the partition check
+compares the partner state lifted on its own with the orbit's next state;
+the closed-form lifts serve as oracles in the test tree.  Intended as a
+seconds-scale smoke test; the full acceptance suite lives in the test tree.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -17,6 +18,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 # 60 digits
 TINY_RATIOS = Couplings(2.5645435717473593, 2.8075571395478782, 0.15735458936494023)
 TINY_RATIOS_EXACT = (1.5980862893751724252e-17, 6.3280166699261682895e-15, 1.4166947065883585375e45)
+
+# one point per trajectory phase: ferromagnetic, multi-root, paramagnetic,
+# 2-commensurate and 4-commensurate
+DIAGNOSE_POINTS = ((1.0, 0.15, 0.6), (0.25, 0.9, 1.0), (0.1, 0.05, 3.0), (0.0, -math.log(2.0), 1.0), (1.0, -0.6, 0.3))
 
 
 def maxdiff(u, v) -> float:

@@ -17,6 +17,8 @@ from cayleyphase import (
     derive_params,
     ferro_constraint,
     ferro_residual,
+    iterate,
+    periodic_state,
     ratio_map,
     ratio_map2,
     ratio_map_deriv,
@@ -241,6 +243,25 @@ class TestStateVector:
         u = StateVector(4.0, 9.0, 1.0, 0.25)
         assert u.sqrts == (2.0, 3.0, 1.0, 0.5)
         assert u.max_norm() == 9.0
+
+
+class TestPeriodicState:
+    def test_period_four_cycle_from_any_point_on_its_ray(self):
+        p = derive_params(Couplings(1.0, -0.6, 0.3))
+        out = iterate(p, StateVector(1.0, 0.618, 0.2718, 0.3141))
+        assert out.period == 4
+        s = out.attractor[0]
+        u = periodic_state(p, s, 4)
+        w = u
+        for _ in range(4):
+            w = recurrence_step(p, w)
+        assert maxdiff(w, u) <= 1e-12 * u.max_norm()
+        far = StateVector(*(1e-30 * c for c in s.components))
+        assert periodic_state(p, far, 4).components == pytest.approx(u.components, rel=1e-12)
+
+    def test_rejects_period_below_one(self):
+        with pytest.raises(DomainError):
+            periodic_state(BoltzmannParams.from_weights(1.0, 1.0), StateVector(1.0, 1.0, 1.0, 1.0), 0)
 
 
 BRACKETS = pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from cayleyphase import (
     BoltzmannParams,
     Couplings,
     DomainError,
+    ParameterRangeError,
     StateVector,
     SymmetricClass,
     classify_phase,
@@ -24,6 +25,7 @@ from cayleyphase import (
     lift_two_cycle,
     multi_root_window,
     normalize,
+    periodic_state,
     ratio_map,
     recurrence_step,
     solve_fixed_points,
@@ -32,7 +34,7 @@ from cayleyphase import (
     symmetric_residual,
 )
 
-from conftest import TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff, normalized
+from conftest import DIAGNOSE_POINTS, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff, normalized
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,6 +52,10 @@ class TestNormalize:
         u = StateVector(0.7, 0.1, 0.4, 1.3)
         v = StateVector(*(8.0 * c for c in u.components))  # power of two: exact
         assert normalize(v).components == normalize(u).components
+
+    def test_underflow_is_a_range_error(self):
+        with pytest.raises(ParameterRangeError, match="u1"):
+            normalize(StateVector(1e-200, 1.0, 1.0, 1e200))
 
 
 class TestIterate:
@@ -253,6 +259,28 @@ class TestClassifyPhase:
         assert label.phase == "ferromagnetic"
         assert label.m2_residual <= 1e-6
         assert label.m1_residual > 1e-3
+
+    def test_fixed_point_scale_keeps_its_bits(self):
+        # at period 1 the homogeneity lift is the one-step rescale
+        # s / (|F(s)| / |s|) to the last bit
+        starts = [
+            StateVector(1.0, 0.3, 0.2, 0.05),
+            StateVector(0.05, 0.2, 0.3, 1.0),
+            StateVector(0.9, 1.0, 1.0, 0.9),
+            StateVector(1.0, 0.618, 0.2718, 0.3141),
+        ]
+        fixed = 0
+        for point in (*DIAGNOSE_POINTS, (1.0, 1.5, 0.09)):
+            p = derive_params(Couplings(*point))
+            for u0 in starts:
+                out = iterate(p, u0)
+                if out.kind != "fixed-direction":
+                    continue
+                s = out.attractor[-1]
+                lam = recurrence_step(p, s).max_norm() / s.max_norm()
+                assert periodic_state(p, s).components == tuple(c / lam for c in s.components)
+                fixed += 1
+        assert fixed == 16
 
     def test_commensurate(self, params_symmetric_cycle):
         out = iterate(params_symmetric_cycle, StateVector(1.0, 0.4, 0.4, 1.0))

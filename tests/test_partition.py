@@ -8,20 +8,23 @@ from cayleyphase import (
     Couplings,
     DomainError,
     ParameterRangeError,
+    StateVector,
     derive_params,
     enumerate_partition,
     free_energy_density,
     initial_branch_weights,
     lift_two_cycle,
+    normalize,
     partition_recurrence,
     partition_recurrence_log,
     periodic_partition,
+    periodic_state,
     ratio_map,
     recurrence_step,
+    solve_fixed_points,
     solve_two_cycles,
 )
 from cayleyphase.partition import tree_edges, tree_grandparent_pairs, tree_vertex_count
-from cayleyphase.symmetric import _lift_two_cycle_log
 
 from conftest import TINY_RATIOS
 
@@ -201,9 +204,12 @@ class TestPeriodicPartition:
         u = lift_two_cycle(p, ratio_map(p, y))
         assert u.u1 == u.u4 == pytest.approx(9.6939320111748535903e-47, rel=1e-12)
         assert u.u2 == u.u3 == pytest.approx(2.4624784229669904546e-202, rel=1e-12)
-        # a state past the double range still raises
+        # a period-two state past the double range still raises: the fixed
+        # state here, which is periodic at every period, has u1 near 1e-360
+        p = BoltzmannParams.from_weights(1e-100, 1e10)
+        (root,) = solve_fixed_points(p).roots
         with pytest.raises(ParameterRangeError):
-            _lift_two_cycle_log(1e300, 1.0, 1e-200)
+            periodic_state(p, normalize(StateVector(root.x, 1.0, 1.0, root.x)), 2)
 
 
 class TestFreeEnergy:

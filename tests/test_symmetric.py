@@ -30,9 +30,22 @@ from cayleyphase import (
     symmetric_residual,
     tabulate_critical_curves,
 )
-from cayleyphase.symmetric import _lift_two_cycle_log
 
-from conftest import TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff
+from conftest import DIAGNOSE_POINTS, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff
+
+
+# closed forms of the slice lifts: independent oracles for the homogeneity lift
+def closed_form_fixed_lift(p: BoltzmannParams, x: float) -> tuple[float, float]:
+    u1 = 1.0 / (p.a * (p.b + 1.0 / (p.b * x)) ** 2)
+    u2 = p.a / (p.b + x / p.b) ** 2
+    return u1, u2
+
+
+def closed_form_two_cycle_lift(p: BoltzmannParams, y: float) -> tuple[float, float]:
+    a, b = p.a, p.b
+    e1 = a * b * (b + 1.0 / (b * y)) ** 2 + (b / y + 1.0 / b) ** 2 / (a * b)
+    e2 = b * (b + y / b) ** 2 / a + a * (b * y + 1.0 / b) ** 2 / b
+    return a ** (-1.0 / 3.0) * e1 ** (-2.0 / 3.0), a ** (1.0 / 3.0) * e2 ** (-2.0 / 3.0)
 
 
 def params_at_level(level: float, b: float) -> BoltzmannParams:
@@ -313,12 +326,59 @@ class TestLifts:
             partner = lift_two_cycle(p, ratio_map(p, y))
             assert maxdiff(w1, partner) / partner.max_norm() <= 1e-9
 
-    def test_two_cycle_log_lift_matches_direct_form(self, params_symmetric_cycle):
-        # the fallback for extreme weights, checked where both forms are exact
-        for p in (params_symmetric_cycle, BoltzmannParams.from_weights(1e-4, 0.01)):
+    def test_lifts_match_closed_forms(self, params_three_roots, params_symmetric_cycle):
+        cases = [params_three_roots, params_symmetric_cycle, BoltzmannParams.from_weights(1e-4, 0.01)]
+        cases += [derive_params(Couplings(j1, j2, t)) for j1, j2, t in DIAGNOSE_POINTS]
+        for p in cases:
+            for r in solve_fixed_points(p).roots:
+                u = lift_fixed_point(p, r.x)
+                assert (u.u1, u.u2) == pytest.approx(closed_form_fixed_lift(p, r.x), rel=1e-14)
             for y in solve_two_cycles(p).roots:
                 u = lift_two_cycle(p, y)
-                assert _lift_two_cycle_log(p.a, p.b, y) == pytest.approx((u.u1, u.u2), rel=1e-12)
+                assert (u.u1, u.u2) == pytest.approx(closed_form_two_cycle_lift(p, y), rel=1e-12)
+
+    def test_fixed_lift_past_an_overflowing_closed_form(self):
+        # (b + 1/(b x))**2 overflows in the closed form; the state does not
+        p = BoltzmannParams.from_weights(1e-60, 1e20)
+        (root,) = solve_fixed_points(p).roots
+        with pytest.raises(OverflowError):
+            closed_form_fixed_lift(p, root.x)
+        u = lift_fixed_point(p, root.x)
+        assert u.components == pytest.approx((1e-300, 1e-100, 1e-100, 1e-300), rel=1e-13)
+        assert recurrence_residual(p, u) <= 1e-15
+
+    def test_lift_past_the_double_range_raises(self):
+        p = BoltzmannParams.from_weights(1e-100, 1e10)  # u1 near 1e-360
+        (root,) = solve_fixed_points(p).roots
+        with pytest.raises(ParameterRangeError):
+            lift_fixed_point(p, root.x)
+
+    def test_lift_sweep_fixes_or_raises_range_error(self):
+        # log-uniform weights over the whole accepted range and near 1; every
+        # lift either is periodic to 1e-12 in each component or is a
+        # numeric-range error
+        rng = random.Random(14)
+        lifted = 0
+        for k in range(400):
+            la, lb = (150.0, 37.5) if k % 2 else (5.0, 2.0)
+            try:
+                p = BoltzmannParams.from_weights(10.0 ** rng.uniform(-la, la), 10.0 ** rng.uniform(-lb, lb))
+                fixed = [r.x for r in solve_fixed_points(p).roots]
+                cycles = list(solve_two_cycles(p).roots)
+            except ParameterRangeError:
+                continue
+            for n, lift, ratios in ((1, lift_fixed_point, fixed), (2, lift_two_cycle, cycles)):
+                for x in ratios:
+                    try:
+                        u = lift(p, x)
+                    except ParameterRangeError:
+                        continue
+                    w = u
+                    for _ in range(n):
+                        w = recurrence_step(p, w)
+                    assert all(abs(wi - ui) <= 1e-12 * ui for wi, ui in zip(w, u))
+                    lifted += 1
+        assert lifted > 300
 
     def test_two_cycle_lift_rejects_fixed_ratio(self, params_symmetric_cycle):
         with pytest.raises(DomainError):
