@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import Couplings, DomainError, ParameterRangeError, StateVector, derive_params
-from .dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, KERNEL_BACKEND, classify_phase, iterate
+from .core import Couplings, DomainError, ParameterRangeError, derive_params
+from .dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, KERNEL_BACKEND
 from .ferro import solve_ferro_fixed_points
 from .partition import _free_energy_and_log_z, partition_recurrence
 from .scan import (
@@ -28,6 +28,7 @@ from .scan import (
     _fmt,
     _json_safe,
     _starts_for_seeds,
+    _trajectories,
     format_csv,
     format_json,
     run_scan,
@@ -161,11 +162,7 @@ def _cmd_diagnose(args) -> int:
 
     starts = _starts_for_seeds(seeds)
     _warn_if_pure_python()
-    runs = []
-    for seed in seeds:
-        outcome = iterate(p, StateVector(*starts[seed]), max_iter=args.max_iter, tol=args.tol)
-        label = classify_phase(p, outcome)
-        runs.append((seed, outcome, label))
+    runs = _trajectories(p, seeds, starts, args.max_iter, args.tol)
     phases = [label.phase for _, _, label in runs]
     # majority phase; ties resolved by first appearance, for determinism
     consensus = max(dict.fromkeys(phases), key=phases.count)

@@ -3,15 +3,19 @@
 A trajectory repeats "apply one generation, rescale to unit max-norm"; the
 rescaling is harmless because the recurrence is homogeneous of degree two, and
 necessary because raw weights grow doubly exponentially.  A run ends when the
-direction returns to the state q steps back, smallest q first: q = 1 is a
-fixed direction (period 1), q >= 2 a cycle of period q.  A run with no return
-within its budget is aperiodic at the given tolerance (period 0).
+direction returns to the state q steps back, smallest q first: q = 1, tested
+every step, is a fixed direction (period 1); 2 <= q <= ``P_MAX`` (64), tested
+from step ``BURN_IN`` (200) on, a cycle of period q.  A run with no return
+within its budget is aperiodic at the given tolerance (period 0).  Every run
+uses the same cap and burn-in; the kernels take both as arguments, and their
+ring of past states holds 256.
 
 Phase dictionary: a fixed direction on the symmetric slice is paramagnetic;
-a fixed direction on the ferro surface is ferromagnetic; a period-p cycle is
-the p-commensurate phase; an unresolved trajectory is labelled incommensurate.
-A fixed direction matching neither surface is labelled ``fixed-direction-other``
-and counted -- it is not expected to occur, since a fixed direction rescales
+a fixed direction on the ferro surface is ferromagnetic (on a surface means
+within ``CLASSIFY_TOL``, 1e-6, of it); a period-p cycle is the p-commensurate
+phase; an unresolved trajectory is labelled incommensurate.  A fixed
+direction matching neither surface is labelled ``fixed-direction-other`` and
+counted -- it is not expected to occur, since a fixed direction rescales
 to a true fixed point, but the label keeps the classifier honest.
 
 On the symmetric slice the asymptotic class of a start needs no trajectory:
@@ -65,7 +69,6 @@ __all__ = [
     "TrajectoryOutcome",
     "classify_phase",
     "iterate",
-    "normalize",
     "symmetric_attractor_class",
 ]
 
@@ -83,8 +86,8 @@ _KIND_NAMES = {0: FIXED_DIRECTION, 1: CYCLE, 2: APERIODIC}
 
 DEFAULT_MAX_ITER = 20000
 DEFAULT_TOL = 1e-12
-DEFAULT_BURN_IN = 200
-DEFAULT_P_MAX = 64
+BURN_IN = 200
+P_MAX = 64
 CLASSIFY_TOL = 1e-6
 
 
@@ -128,29 +131,23 @@ def iterate(
     u0: StateVector,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    burn_in: int = DEFAULT_BURN_IN,
-    p_max: int = DEFAULT_P_MAX,
 ) -> TrajectoryOutcome:
     """Run the projective trajectory from ``u0`` until it resolves.
 
     The run ends at the smallest q whose state q steps earlier is within
     ``tol`` in max-norm: q = 1, tested every step, is a fixed direction
-    (period 1); 2 <= q <= p_max, tested from ``burn_in`` on, a cycle of period
-    q.  With no return in ``max_iter`` steps the run is aperiodic (period 0)
-    -- a valid outcome, not an error.  Raises ``ParameterRangeError`` when a
-    component of the run underflows to zero.
+    (period 1); 2 <= q <= ``P_MAX`` (64), tested from step ``BURN_IN`` (200)
+    on, a cycle of period q.  With no return in ``max_iter`` steps the run is
+    aperiodic (period 0) -- a valid outcome, not an error.  Raises
+    ``ParameterRangeError`` when a component of the run underflows to zero.
     """
     if not 100 <= max_iter <= sys.maxsize:  # the compiled kernel counts in a C ssize_t
         raise DomainError(f"max_iter must be between 100 and {sys.maxsize}")
     if not (tol > 0.0 and _is_finite(tol)):
         raise DomainError("tol must be positive")
-    if burn_in < 1:
-        raise DomainError("burn_in must be at least 1")
-    if not 2 <= p_max <= 256:
-        raise DomainError("p_max must be between 2 and 256")
     start = normalize(u0)
     kind_code, period, iters, residual, states = _traj.run_trajectory(
-        p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, tol, burn_in, p_max
+        p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, tol, BURN_IN, P_MAX
     )
     try:
         attractor = tuple(StateVector(*s) for s in states)
@@ -165,10 +162,14 @@ def iterate(
     )
 
 
-def classify_phase(
-    p: BoltzmannParams, outcome: TrajectoryOutcome, tol: float = CLASSIFY_TOL
-) -> PhaseLabel:
+def classify_phase(p: BoltzmannParams, outcome: TrajectoryOutcome) -> PhaseLabel:
     """Phase label for a resolved trajectory.
+
+    A fixed direction is paramagnetic when its slice residual is at most
+    ``CLASSIFY_TOL`` (1e-6), else ferromagnetic when its ferro residual is.
+    A cycle is commensurate; :func:`iterate` tests periods up to ``P_MAX``
+    (64) from step ``BURN_IN`` (200) on, so a longer period reads as
+    incommensurate.
 
     The slice residual is scale-free; the ferro surface lives at the absolute
     scale of a fixed point, so the ferro residual of a fixed direction is
@@ -188,9 +189,9 @@ def classify_phase(
         return PhaseLabel(COMMENSURATE, outcome.period, m1, m2)
     if outcome.kind == APERIODIC:
         return PhaseLabel(INCOMMENSURATE, None, m1, m2)
-    if m1 <= tol:
+    if m1 <= CLASSIFY_TOL:
         return PhaseLabel(PARAMAGNETIC, None, m1, m2)
-    if m2 <= tol:
+    if m2 <= CLASSIFY_TOL:
         return PhaseLabel(FERROMAGNETIC, None, m1, m2)
     return PhaseLabel(FIXED_DIRECTION_OTHER, None, m1, m2)
 

@@ -14,15 +14,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from . import __version__
-from .core import Couplings, DomainError, StateVector, derive_params
+from .core import BoltzmannParams, Couplings, DomainError, StateVector, derive_params
 from .dynamics import (
-    CLASSIFY_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    PhaseLabel,
+    TrajectoryOutcome,
     classify_phase,
     iterate,
 )
@@ -92,7 +93,6 @@ class ScanConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     max_iter: int = DEFAULT_MAX_ITER
     tol: float = DEFAULT_TOL
-    class_tol: float = CLASSIFY_TOL
     format: str = "csv"
     workers: int = 1
 
@@ -103,8 +103,7 @@ class ScanConfig:
         for name in ("max_iter", "workers"):
             if not isinstance(getattr(self, name), int):
                 raise DomainError(f"{name} must be an integer, not {getattr(self, name)!r}")
-        for name in ("tol", "class_tol"):
-            _check_number(name, getattr(self, name))
+        _check_number("tol", self.tol)
         for name in ("j1", "j2", "temperature"):
             if getattr(self, name) is not None:
                 _check_number(name, getattr(self, name))
@@ -130,20 +129,9 @@ class ScanConfig:
     def to_dict(self) -> dict:
         # no worker count: it does not change the rows, and the output bytes
         # must not depend on it either
-        return {
-            "axes": [
-                {"name": a.name, "min": a.min, "max": a.max, "steps": a.steps}
-                for a in self.axes
-            ],
-            "j1": self.j1,
-            "j2": self.j2,
-            "temperature": self.temperature,
-            "seeds": list(self.seeds),
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "class_tol": self.class_tol,
-            "format": self.format,
-        }
+        config = asdict(self)
+        del config["workers"]
+        return config
 
 
 @dataclass(frozen=True)
@@ -254,36 +242,42 @@ def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
     return Couplings(j1=j1, j2=j2, temperature=temperature)
 
 
+def _trajectories(
+    p: BoltzmannParams, seeds: list[int], starts: dict, max_iter: int, tol: float
+) -> list[tuple[int, TrajectoryOutcome, PhaseLabel]]:
+    """Each seed's classified run from its start, in seed order."""
+    runs = []
+    for seed in seeds:
+        outcome = iterate(p, StateVector(*starts[seed]), max_iter, tol)
+        runs.append((seed, outcome, classify_phase(p, outcome)))
+    return runs
+
+
 def _evaluate_point(task) -> list[ScanRow]:
     (cfg, i, j, axis_values, starts) = task
     c = _couplings_at(cfg, axis_values)
     p = derive_params(c)
     para, comm2 = _phase_counts(p)
-    rows = []
-    for seed in cfg.seeds:
-        u0 = StateVector(*starts[seed])
-        outcome = iterate(p, u0, max_iter=cfg.max_iter, tol=cfg.tol)
-        label = classify_phase(p, outcome, tol=cfg.class_tol)
-        rows.append(
-            ScanRow(
-                grid_i=i,
-                grid_j=j,
-                j1=c.j1,
-                j2=c.j2,
-                temperature=c.temperature,
-                a=p.a,
-                b=p.b,
-                phase=label.phase,
-                cycle_period=outcome.period,
-                para_count=para,
-                comm2_count=comm2,
-                m1_residual=label.m1_residual,
-                m2_residual=label.m2_residual,
-                iterations=outcome.iterations_used,
-                seed=seed,
-            )
+    return [
+        ScanRow(
+            grid_i=i,
+            grid_j=j,
+            j1=c.j1,
+            j2=c.j2,
+            temperature=c.temperature,
+            a=p.a,
+            b=p.b,
+            phase=label.phase,
+            cycle_period=outcome.period,
+            para_count=para,
+            comm2_count=comm2,
+            m1_residual=label.m1_residual,
+            m2_residual=label.m2_residual,
+            iterations=outcome.iterations_used,
+            seed=seed,
         )
-    return rows
+        for seed, outcome, label in _trajectories(p, cfg.seeds, starts, cfg.max_iter, cfg.tol)
+    ]
 
 
 def _available_cpus() -> int:

@@ -40,7 +40,6 @@ from .core import (
     normalize,
     periodic_state,
     ratio_map,
-    ratio_map2,
     ratio_map_deriv,
 )
 
@@ -364,12 +363,17 @@ def lift_fixed_point(p: BoltzmannParams, x: float) -> StateVector:
 def lift_two_cycle(p: BoltzmannParams, y: float) -> StateVector:
     """Four-component period-two point on the symmetric slice with ratio ``y``.
 
-    ``y`` must satisfy the two-generation fixed-point condition; the scale
-    comes from homogeneity (:func:`periodic_state`).  The partner state of
-    the cycle is ``lift_two_cycle(p, ratio_map(p, y))``.
+    ``y`` must satisfy the two-generation fixed-point condition but not the
+    one-generation one (both checked to 1e-8 relative), except at the merged
+    root of the degenerate boundary, where the slope is -1; the scale comes
+    from homogeneity (:func:`periodic_state`).  The partner state of the
+    cycle is ``lift_two_cycle(p, ratio_map(p, y))``.
     """
-    if abs(ratio_map2(p, y) - y) > _LIFT_INPUT_RTOL * y:
+    gy = ratio_map(p, y)
+    if abs(ratio_map(p, gy) - y) > _LIFT_INPUT_RTOL * y:
         raise DomainError(f"y={y!r} is not a period-two ratio")
+    if abs(gy - y) <= _LIFT_INPUT_RTOL * y and abs(ratio_map_deriv(p, y) + 1.0) > _BOUNDARY_RTOL:
+        raise DomainError(f"y={y!r} is a fixed ratio, not a period-two ratio")
     return periodic_state(p, normalize(StateVector(y, 1.0, 1.0, y)), 2)
 
 

@@ -25,6 +25,7 @@ from cayleyphase import (
 )
 from cayleyphase.cli import main
 from cayleyphase.scan import CSV_COLUMNS, _starts_for_seeds, _uniforms
+from conftest import DIAGNOSE_POINTS
 
 
 def make_config(**overrides):
@@ -50,7 +51,6 @@ class TestScanConfig:
             ("max_iter", 2000.0),
             ("tol", "x"),
             ("tol", None),
-            ("class_tol", "x"),
             ("j1", "abc"),
             ("j2", [0.5]),
             ("temperature", "1"),
@@ -60,7 +60,6 @@ class TestScanConfig:
             ("j2", -(10**400)),
             ("temperature", 10**400),
             ("tol", 10**400),
-            ("class_tol", 10**400),
         ):
             with pytest.raises(DomainError, match=field):
                 make_config(**{field: value})
@@ -312,6 +311,27 @@ class TestCli:
         assert payload["weights"]["b"] == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert len(payload["two_cycles"]["roots"]) == 2
 
+    def test_scan_and_diagnose_agree(self, capsys):
+        # a one-point scan and diagnose run the same seeds the same way
+        budget = ("--seeds", "0,1,2", "--max-iter", "5000")
+        phases = set()
+        for j1, j2, t in DIAGNOSE_POINTS:
+            point = ("--j1", repr(j1), "--j2", repr(j2))
+            axis = f"temperature:{t!r}:{t!r}:1"
+            assert main(["scan", *point, "--axis", axis, *budget, "--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)["results"]
+            assert main(["diagnose", *point, "--temperature", repr(t), *budget, "--format", "json"]) == 0
+            runs = json.loads(capsys.readouterr().out)["trajectories"]
+            assert [r["seed"] for r in rows] == [r["seed"] for r in runs] == [0, 1, 2]
+            for row, run in zip(rows, runs):
+                assert row["phase"] == run["phase"], (j1, j2, t, row["seed"])
+                period = row["cycle_period"] if row["phase"] == "commensurate" else None
+                assert period == run["period"]
+                for key in ("iterations", "m1_residual", "m2_residual"):
+                    assert row[key] == run[key], (j1, j2, t, row["seed"], key)
+                phases.add(row["phase"])
+        assert phases == {"ferromagnetic", "paramagnetic", "commensurate"}
+
     def test_scan_roundtrip(self, tmp_path):
         out = tmp_path / "scan.csv"
         r = run_cli(
@@ -385,10 +405,12 @@ class TestCli:
             '{"workers": 2.5}',
             '{"axes":[{"name":"j2","min":"-1","max":"0","steps":2}]}',
             '{"axes":[{"name":"j2","min":-1,"max":0,"steps":2.0}]}',
+            # the label tolerance is a constant, not a setting
+            '{"class_tol": 1e-6}',
         ]
         # JSON integers too large for a double (and, for max_iter, for a C ssize_t)
         big = "1" + "0" * 400
-        configs += [f'{{"{name}": {big}}}' for name in ("j1", "j2", "temperature", "tol", "class_tol")]
+        configs += [f'{{"{name}": {big}}}' for name in ("j1", "j2", "temperature", "tol")]
         configs += [
             f'{{"axes":[{{"name":"j2","min":-{big},"max":0,"steps":2}}]}}',
             f'{{"axes":[{{"name":"j2","min":-1,"max":{big},"steps":2}}]}}',

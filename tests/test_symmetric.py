@@ -381,8 +381,10 @@ class TestLifts:
         assert lifted > 300
 
     def test_two_cycle_lift_rejects_fixed_ratio(self, params_symmetric_cycle):
-        with pytest.raises(DomainError):
-            lift_two_cycle(params_symmetric_cycle, 123.0)
+        # 1.0 is the fixed ratio at a = 1, b = 0.5: it satisfies the
+        # two-generation condition too, but is no period-two ratio
+        with pytest.raises(DomainError, match="fixed ratio"):
+            lift_two_cycle(params_symmetric_cycle, 1.0)
 
     def test_lifts_check_tiny_ratios_relatively(self):
         # ratio_map(1e-12) is 1.4e-10 here: 140 times off, yet within an absolute 1e-8
