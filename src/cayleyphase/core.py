@@ -22,7 +22,7 @@ Two invariant sets organise the fixed points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "BoltzmannParams",
@@ -67,28 +67,33 @@ class DomainError(ValueError):
     """An input lies outside an operation's mathematical domain."""
 
 
-@dataclass(frozen=True)
-class Couplings:
-    """Physical couplings: bond strength ``j1``, same-branch second-generation
-    strength ``j2``, and the temperature (all in the same energy units)."""
-
+# The records are named tuples.  A NamedTuple class may not define __new__,
+# so a record that checks its arguments keeps its fields in a base class.
+class _CouplingsFields(NamedTuple):
     j1: float
     j2: float
     temperature: float
 
-    def __post_init__(self) -> None:
-        if not (_is_finite(self.j1) and _is_finite(self.j2)):
+
+class Couplings(_CouplingsFields):
+    """Physical couplings: bond strength ``j1``, same-branch second-generation
+    strength ``j2``, and the temperature (all in the same energy units)."""
+
+    __slots__ = ()
+
+    def __new__(cls, j1: float, j2: float, temperature: float) -> "Couplings":
+        if not (_is_finite(j1) and _is_finite(j2)):
             raise ParameterRangeError("couplings must be finite")
-        if not (_is_finite(self.temperature) and self.temperature > 0.0):
+        if not (_is_finite(temperature) and temperature > 0.0):
             raise ParameterRangeError("temperature must be positive and finite")
+        return super().__new__(cls, j1, j2, temperature)
 
     @property
     def beta(self) -> float:
         return 1.0 / self.temperature
 
 
-@dataclass(frozen=True)
-class BoltzmannParams:
+class BoltzmannParams(NamedTuple):
     """Bond weights ``a = exp(j1*beta)``, ``b = exp(j2*beta)`` and the derived
     combinations the analysis runs on.
 
@@ -126,8 +131,14 @@ class BoltzmannParams:
         return cls(a=a, b=b, alpha=math.sqrt(a), a_tilde=a_tilde, b_tilde=b_tilde)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class _StateVectorFields(NamedTuple):
+    u1: float
+    u2: float
+    u3: float
+    u4: float
+
+
+class StateVector(_StateVectorFields):
     """Strictly positive branch-weight vector.
 
     Component ``u_i`` corresponds to the top-spin pair ``(+,+), (+,-), (-,+),
@@ -135,29 +146,24 @@ class StateVector:
     are exposed through :attr:`sqrts` rather than stored.
     """
 
-    u1: float
-    u2: float
-    u3: float
-    u4: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, v in zip(("u1", "u2", "u3", "u4"), self.components):
+    def __new__(cls, u1: float, u2: float, u3: float, u4: float) -> "StateVector":
+        for name, v in (("u1", u1), ("u2", u2), ("u3", u3), ("u4", u4)):
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"state component {name}={v!r} must be finite and > 0")
+        return super().__new__(cls, u1, u2, u3, u4)
 
     @property
     def components(self) -> tuple[float, float, float, float]:
-        return (self.u1, self.u2, self.u3, self.u4)
+        return tuple(self)
 
     @property
     def sqrts(self) -> tuple[float, float, float, float]:
-        return tuple(math.sqrt(v) for v in self.components)
+        return tuple(math.sqrt(v) for v in self)
 
     def max_norm(self) -> float:
-        return max(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
+        return max(self)
 
 
 def derive_params(c: Couplings) -> BoltzmannParams:

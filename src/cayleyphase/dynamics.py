@@ -36,8 +36,7 @@ import bisect
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     BoltzmannParams,
@@ -91,8 +90,7 @@ P_MAX = 64
 CLASSIFY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class TrajectoryOutcome:
+class TrajectoryOutcome(NamedTuple):
     """Result of one projective run.
 
     ``period`` is 1 (fixed direction), q (cycle) or 0 (aperiodic).
@@ -109,16 +107,14 @@ class TrajectoryOutcome:
     residual: float
 
 
-@dataclass(frozen=True)
-class PhaseLabel:
+class PhaseLabel(NamedTuple):
     phase: str
     period: Optional[int]
     m1_residual: float
     m2_residual: float
 
 
-@dataclass(frozen=True)
-class SymmetricClass:
+class SymmetricClass(NamedTuple):
     """Asymptotic class of a symmetric-slice trajectory: the attracting ratio
     and whether the full sequence or only every second step converges."""
 

@@ -49,7 +49,7 @@ bit for bit.  Candidates that collapse onto the symmetric slice are dropped
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BoltzmannParams,
@@ -73,8 +73,7 @@ _NEAR_MISS = 1e-2
 _NEWTON_STEPS = 50
 
 
-@dataclass(frozen=True)
-class FerroCandidate:
+class FerroCandidate(NamedTuple):
     """One symmetry-broken fixed point: its diagonal sum C = v2+v3, the
     square-root state, the weight state, and its residual."""
 

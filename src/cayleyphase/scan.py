@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .core import BoltzmannParams, Couplings, DomainError, StateVector, derive_params
@@ -34,24 +33,29 @@ __all__ = ["AxisSpec", "ScanConfig", "ScanRow", "format_csv", "format_json", "ru
 AXIS_NAMES = ("j1", "j2", "temperature", "j2_over_j1")
 
 
-@dataclass(frozen=True)
-class AxisSpec:
+# fields in a base class, so that __new__ can check them (see core.Couplings)
+class _AxisSpecFields(NamedTuple):
     name: str
     min: float
     max: float
     steps: int
 
-    def __post_init__(self) -> None:
-        if self.name not in AXIS_NAMES:
-            raise DomainError(f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}")
-        for name in ("min", "max"):
-            _check_number(f"axis {name}", getattr(self, name))
-        if not isinstance(self.steps, int):
-            raise DomainError(f"axis steps must be an integer, not {self.steps!r}")
-        if self.steps < 1:
+
+class AxisSpec(_AxisSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, min: float, max: float, steps: int) -> "AxisSpec":
+        if name not in AXIS_NAMES:
+            raise DomainError(f"unknown axis {name!r}; expected one of {AXIS_NAMES}")
+        _check_number("axis min", min)
+        _check_number("axis max", max)
+        if not isinstance(steps, int):
+            raise DomainError(f"axis steps must be an integer, not {steps!r}")
+        if steps < 1:
             raise DomainError("axis steps must be >= 1")
-        if self.steps > 1 and not self.min < self.max:
+        if steps > 1 and not min < max:
             raise DomainError("axis requires min < max")
+        return super().__new__(cls, name, min, max, steps)
 
     def values(self) -> list[float]:
         # np.linspace's arithmetic in its order, so the grid matches it bit for bit
@@ -84,39 +88,53 @@ def _check_seeds(seeds) -> None:
         raise DomainError(f"seeds must be a non-empty list of non-negative integers, not {seeds!r}")
 
 
-@dataclass
-class ScanConfig:
+class _ScanConfigFields(NamedTuple):
     axes: list[AxisSpec]
-    j1: Optional[float] = None
-    j2: Optional[float] = None
-    temperature: Optional[float] = None
-    seeds: list[int] = field(default_factory=lambda: [0])
-    max_iter: int = DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
-    format: str = "csv"
-    workers: int = 1
+    j1: Optional[float]
+    j2: Optional[float]
+    temperature: Optional[float]
+    seeds: list[int] | tuple[int, ...]
+    max_iter: int
+    tol: float
+    format: str
+    workers: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.axes) <= 2:
+
+class ScanConfig(_ScanConfigFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        axes: list[AxisSpec],
+        j1: Optional[float] = None,
+        j2: Optional[float] = None,
+        temperature: Optional[float] = None,
+        seeds: list[int] | tuple[int, ...] = (0,),
+        max_iter: int = DEFAULT_MAX_ITER,
+        tol: float = DEFAULT_TOL,
+        format: str = "csv",
+        workers: int = 1,
+    ) -> "ScanConfig":
+        if not 1 <= len(axes) <= 2:
             raise DomainError("a scan needs one or two axes")
-        _check_seeds(self.seeds)
-        for name in ("max_iter", "workers"):
-            if not isinstance(getattr(self, name), int):
-                raise DomainError(f"{name} must be an integer, not {getattr(self, name)!r}")
-        _check_number("tol", self.tol)
-        for name in ("j1", "j2", "temperature"):
-            if getattr(self, name) is not None:
-                _check_number(name, getattr(self, name))
-        if self.workers < 1:
+        _check_seeds(seeds)
+        for name, value in (("max_iter", max_iter), ("workers", workers)):
+            if not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, not {value!r}")
+        _check_number("tol", tol)
+        fixed = {"j1": j1, "j2": j2, "temperature": temperature}
+        for name, value in fixed.items():
+            if value is not None:
+                _check_number(name, value)
+        if workers < 1:
             raise DomainError("workers must be >= 1")
-        if self.format not in ("csv", "json"):
+        if format not in ("csv", "json"):
             raise DomainError("format must be 'csv' or 'json'")
-        axis_names = [a.name for a in self.axes]
+        axis_names = [a.name for a in axes]
         if len(set(axis_names)) != len(axis_names):
             raise DomainError("duplicate axis")
         if "j2" in axis_names and "j2_over_j1" in axis_names:
             raise DomainError("axes j2 and j2_over_j1 conflict")
-        fixed = {"j1": self.j1, "j2": self.j2, "temperature": self.temperature}
         covers_j2 = "j2" in axis_names or "j2_over_j1" in axis_names
         if "j2_over_j1" in axis_names and "j1" in axis_names:
             raise DomainError("axis j2_over_j1 requires a fixed j1")
@@ -125,17 +143,18 @@ class ScanConfig:
                 raise DomainError(f"{name} must be fixed or an axis")
         if not covers_j2 and fixed["j2"] is None:
             raise DomainError("j2 must be fixed or an axis")
+        return super().__new__(cls, axes, j1, j2, temperature, seeds, max_iter, tol, format, workers)
 
     def to_dict(self) -> dict:
         # no worker count: it does not change the rows, and the output bytes
         # must not depend on it either
-        config = asdict(self)
+        config = self._asdict()
+        config["axes"] = [a._asdict() for a in self.axes]
         del config["workers"]
         return config
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     grid_i: int
     grid_j: int
     j1: float
@@ -154,7 +173,7 @@ class ScanRow:
 
 
 # the CSV header and the JSON keys, in column order
-CSV_COLUMNS = tuple(f.name for f in fields(ScanRow))
+CSV_COLUMNS = ScanRow._fields
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (XSL-RR 128/64)
@@ -253,8 +272,21 @@ def _trajectories(
     return runs
 
 
-def _evaluate_point(task) -> list[ScanRow]:
-    (cfg, i, j, axis_values, starts) = task
+def _grid(cfg: ScanConfig) -> list[tuple[int, int, dict[str, float]]]:
+    """Every grid point as ``(i, j, axis values)``, in grid order."""
+    axis0 = cfg.axes[0]
+    if len(cfg.axes) == 1:
+        return [(i, 0, {axis0.name: v0}) for i, v0 in enumerate(axis0.values())]
+    axis1 = cfg.axes[1]
+    values1 = axis1.values()
+    return [
+        (i, j, {axis0.name: v0, axis1.name: v1})
+        for i, v0 in enumerate(axis0.values())
+        for j, v1 in enumerate(values1)
+    ]
+
+
+def _evaluate_point(cfg: ScanConfig, starts: dict, i: int, j: int, axis_values: dict) -> list[ScanRow]:
     c = _couplings_at(cfg, axis_values)
     p = derive_params(c)
     para, comm2 = _phase_counts(p)
@@ -280,6 +312,13 @@ def _evaluate_point(task) -> list[ScanRow]:
     ]
 
 
+def _evaluate_share(task) -> list[list[ScanRow]]:
+    # worker k of n takes grid points k, k + n, k + 2n, ...: one task per
+    # worker, so the config and the starts cross to each worker once
+    cfg, starts, k, n = task
+    return [_evaluate_point(cfg, starts, *point) for point in _grid(cfg)[k::n]]
+
+
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -290,33 +329,22 @@ def _available_cpus() -> int:
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Evaluate the grid; rows are returned in deterministic grid order."""
     starts = _starts_for_seeds(cfg.seeds)
-    axis0 = cfg.axes[0]
-    values0 = axis0.values()
-    if len(cfg.axes) == 2:
-        axis1 = cfg.axes[1]
-        values1 = axis1.values()
-        tasks = [
-            (cfg, i, j, {axis0.name: v0, axis1.name: v1}, starts)
-            for i, v0 in enumerate(values0)
-            for j, v1 in enumerate(values1)
-        ]
-    else:
-        tasks = [
-            (cfg, i, 0, {axis0.name: v0}, starts)
-            for i, v0 in enumerate(values0)
-        ]
-
+    n_points = math.prod(axis.steps for axis in cfg.axes)
     # a forked pool starts all its workers at once: start no more than can
     # have work or a CPU
-    workers = min(cfg.workers, len(tasks), _available_cpus())
+    workers = min(cfg.workers, n_points, _available_cpus())
+    tasks = [(cfg, starts, k, workers) for k in range(workers)]
     if workers == 1:
-        chunks = [_evaluate_point(t) for t in tasks]
+        shares = [_evaluate_share(tasks[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_evaluate_point, tasks, chunksize=4))
-    return [row for chunk in chunks for row in chunk]
+            shares = list(pool.map(_evaluate_share, tasks))
+    points = [None] * n_points
+    for k, share in enumerate(shares):
+        points[k::workers] = share
+    return [row for rows in points for row in rows]
 
 
 def _fmt(value) -> str:
@@ -328,7 +356,7 @@ def _fmt(value) -> str:
 def format_csv(rows: list[ScanRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS))
+        lines.append(",".join(map(_fmt, r)))
     return "\n".join(lines) + "\n"
 
 
@@ -347,7 +375,7 @@ def format_json(rows: list[ScanRow], cfg: ScanConfig) -> str:
     payload = {
         "metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()},
         "results": [
-            {col: _json_safe(getattr(r, col)) for col in CSV_COLUMNS} for r in rows
+            dict(zip(CSV_COLUMNS, map(_json_safe, r))) for r in rows
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     BoltzmannParams,
@@ -80,23 +79,20 @@ _SCAN_POINTS_PER_DECADE = 4096
 _LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
-@dataclass(frozen=True)
-class FixedPointRoot:
+class FixedPointRoot(NamedTuple):
     x: float
     derivative: float
     stability: str
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     """Positive fixed points of the ratio map, ascending, with stability tags."""
 
     roots: tuple[FixedPointRoot, ...]
     regime: str  # "unique" | "two" | "three"
 
 
-@dataclass(frozen=True)
-class CycleThresholds:
+class CycleThresholds(NamedTuple):
     """Existence thresholds for period-two ratios, as functions of b.
 
     ``star_minus/star_plus`` bound the interval of ``a**2`` where the
@@ -112,8 +108,7 @@ class CycleThresholds:
     outer_plus: Optional[float]
 
 
-@dataclass(frozen=True)
-class TwoCycleReport:
+class TwoCycleReport(NamedTuple):
     """Period-two ratios distinct from fixed points.
 
     ``b_coeff`` and ``discriminant`` are the linear coefficient and the
@@ -128,24 +123,21 @@ class TwoCycleReport:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class CriticalCurveSample:
+class CriticalCurveSample(NamedTuple):
     j2: float
     beta: float
     j1_plus: Optional[float]
     j1_minus: Optional[float]
 
 
-@dataclass(frozen=True)
-class PeriodFinding:
+class PeriodFinding(NamedTuple):
     period: int
     roots: tuple[float, ...]
     matched: tuple[bool, ...]
     max_mismatch: float
 
 
-@dataclass(frozen=True)
-class PeriodExclusionReport:
+class PeriodExclusionReport(NamedTuple):
     max_period: int
     reference_fixed: tuple[float, ...]
     reference_cycle: tuple[float, ...]

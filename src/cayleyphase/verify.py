@@ -15,7 +15,7 @@ seconds-scale smoke test; the full acceptance suite lives in the test tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Couplings,
@@ -40,8 +40,7 @@ from .symmetric import (
 __all__ = ["VerifyResult", "run_verify"]
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     name: str
     passed: bool
     detail: str

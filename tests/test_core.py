@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,7 +333,7 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(list(argv))
 
-seen = {"import": [m for m in ("scipy", "numpy", "concurrent.futures.process") if loaded(m)]}
+seen = {"import": [m for m in ("scipy", "numpy", "concurrent.futures.process", "dataclasses", "inspect") if loaded(m)]}
 point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
 codes = [
     run("--version"),
@@ -351,7 +353,8 @@ print(json.dumps({"codes": codes, **seen}))
 def test_imports_stay_lazy():
     # numpy loads only where an array is computed, the process pool only for
     # a scan with more than one worker, and numpy.random never: the scan's
-    # start vectors come from a pure-Python generator
+    # start vectors come from a pure-Python generator; the records are named
+    # tuples, so the CLI loads neither dataclasses nor inspect
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS_PROBE], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout)
@@ -361,3 +364,36 @@ def test_imports_stay_lazy():
     assert seen["pool after one-worker scan"] is False
     if seen["numpy major"] >= 2:  # numpy 1.x imports numpy.random with numpy itself
         assert seen["numpy.random after scan and diagnose"] is False
+
+
+def test_build_ships_bytecode(tmp_path):
+    # the build byte-compiles every module even where the import system may
+    # not write .pyc files, and the built CLI then compiles none of them
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    lib = tmp_path / "lib"
+    build = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_py", "--build-lib", str(lib)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert build.returncode == 0, build.stderr
+    package = lib / "cayleyphase"
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    assert modules == sorted(path.stem for path in (root / "src" / "cayleyphase").glob("*.py"))
+    cache = package / "__pycache__"
+    assert sorted(path.name.split(".")[0] for path in cache.glob("*.pyc")) == modules
+    run = subprocess.run(
+        [sys.executable, "-v", "-m", "cayleyphase", "--version"],
+        cwd=lib, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "cayleyphase 0.1.0\n"
+    # build_py builds no extension, so the kernel is the pure-Python twin:
+    # every module of the package is imported
+    loaded = sorted(
+        Path(line.split("'")[1]).name.split(".")[0]
+        for line in run.stderr.splitlines()
+        if line.startswith("# code object from ") and str(cache) in line
+    )
+    assert loaded == modules
