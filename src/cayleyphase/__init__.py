@@ -47,12 +47,10 @@ from .symmetric import (
     CycleThresholds,
     FixedPointReport,
     FixedPointRoot,
-    PeriodExclusionReport,
     TwoCycleReport,
     critical_curve,
     critical_temperature,
     cycle_thresholds,
-    exclude_higher_periods,
     lift_fixed_point,
     lift_two_cycle,
     multi_root_window,

@@ -9,13 +9,16 @@ Two eliminations are exact: equation 4 substituted into equation 2 gives
 ``v2 = q(v4)``, and equation 1 substituted into equation 3 gives
 ``v3 = q(v1)``, with ``q(t) = (b^2/alpha^2) t + ((1/b - b^3)/alpha) t^2``.
 In the scaled variables ``z = alpha b v1`` and ``w = alpha b v4``, both in
-(0, 1), and with ``rho = b/a``, ``beta = b^-4``, ``mu = beta - 1`` and
-``psi(t) = t + mu t^2`` (so that ``q(t) = (b/alpha^3) psi(alpha b t)``),
-equation 1 becomes the curve
+(0, 1), and with ``rho = b/a``, ``beta = b^-4`` and
+``psi(t) = t (1 - t) + beta t^2`` (so that ``q(t) = (b/alpha^3) psi(alpha b
+t)``), equation 1 becomes the curve
 
     z (1 - z) = R,    R = rho^2 psi(w)^2.
 
-Equation 1 minus equation 4, divided by ``v1 - v4``, leaves
+``psi`` is computed as ``t ((1 - t) + beta t)``, which keeps ``beta`` apart
+from ``1 - t``: where ``b^-4 - 1`` rounds to -1, ``t + (beta - 1) t^2`` gives
+0 at t = 1, and this form still gives ``beta``.  Equation 1 minus
+equation 4, divided by ``v1 - v4``, leaves, with ``mu = beta - 1``,
 
     D = 1 - (z + w) + rho^2 (psi(z) + psi(w)) (1 + mu (z + w)),
 
@@ -33,11 +36,17 @@ overflows on its own.  A fixed point off the symmetric slice therefore has
     H(w) = z (1 - z) - R,
 
 wherever A is not 0: a one-dimensional search with no branches to follow.
+At low temperature z lies within rounding of 1, so ``1 - z`` is formed as
+``(A + B)/A``, with ``s + rho = q`` taken exactly:
+
+    A + B = (q + e) (q + s w) - w - q s R.
+
 Dividing out ``v1 - v4`` removes the symmetric fixed points from the roots,
-so fixed points close to the slice are not masked by them.  Every root is
-polished with Newton steps on the full four-equation system, and a state is
-accepted only when the recurrence fixes each of its four components to 1e-9
-relative to that component.
+so fixed points close to the slice are not masked by them.  Each root gives
+the state ``v = (z, lift psi(w), lift psi(z), w)`` (the outer two divided by
+``alpha b``, ``lift = b/alpha^3``) with no further iteration.  A state is
+accepted only when its four components are positive and the recurrence fixes
+each of them to 1e-9 relative to that component.
 
 Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1),
 which swap z and w.  Each pair is solved once, on its ``u1 > u4`` member; the
@@ -49,6 +58,7 @@ bit for bit.  Candidates that collapse onto the symmetric slice are dropped
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .core import (
@@ -67,10 +77,12 @@ __all__ = ["FerroCandidate", "solve_ferro_fixed_points"]
 
 FULL_RESIDUAL_TOL = 1e-9
 _NEAR_SYMMETRIC_TOL = 1e-3
-_W_POINTS = 512
-_W_FLOOR = 1e-14
-_NEAR_MISS = 1e-2
-_NEWTON_STEPS = 50
+# the grid in w: 36.5 points a decade (512 points over 1e-14 .. 1), from a
+# floor at most 1e-14, below q^2, near which the cold roots sit, and no lower
+# than the smallest normal double
+_W_PER_DECADE = 36.5
+_W_FLOOR_CAP = 1e-14
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 class FerroCandidate(NamedTuple):
@@ -83,62 +95,47 @@ class FerroCandidate(NamedTuple):
     full_residual: float
 
 
-def _stationarity(p: BoltzmannParams, v) -> list[float]:
-    v1, v2, v3, v4 = v
-    a = p.alpha
-    b = p.b
-    return [
-        v1 - a * (b * v1 * v1 + v2 * v2 / b),
-        v2 - (b * v3 * v3 + v4 * v4 / b) / a,
-        v3 - (v1 * v1 / b + b * v2 * v2) / a,
-        v4 - a * (v3 * v3 / b + b * v4 * v4),
-    ]
-
-
-def _stationarity_jac(p: BoltzmannParams, v) -> list[list[float]]:
-    v1, v2, v3, v4 = v
-    a = p.alpha
-    b = p.b
-    return [
-        [1.0 - 2.0 * a * b * v1, -2.0 * a * v2 / b, 0.0, 0.0],
-        [0.0, 1.0, -2.0 * b * v3 / a, -2.0 * v4 / (a * b)],
-        [-2.0 * v1 / (a * b), -2.0 * b * v2 / a, 1.0, 0.0],
-        [0.0, 0.0, -2.0 * a * v3 / b, 1.0 - 2.0 * a * b * v4],
-    ]
-
-
-def _polish(p: BoltzmannParams, v_seed) -> FerroCandidate | None:
-    """Newton steps on the full four-equation system from ``v_seed``; the
-    residual checks below, not the iteration, decide acceptance."""
-    import numpy as np
-
-    v = np.asarray(v_seed, dtype=float)
-    for _ in range(_NEWTON_STEPS):
-        try:
-            step = np.linalg.solve(_stationarity_jac(p, v), _stationarity(p, v))
-        except np.linalg.LinAlgError:
-            return None
-        v = v - step
-        if not np.all(np.isfinite(v)):
-            return None
-        if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(v)):
-            break
-    if np.any(v <= 0.0):
+def _accept(p: BoltzmannParams, v: tuple[float, float, float, float]) -> FerroCandidate | None:
+    """The candidate at square-root state ``v``, if one generation fixes each
+    weight to ``FULL_RESIDUAL_TOL`` of itself, off the slice and on the ferro
+    surface; else None."""
+    if not all(0.0 < x < math.inf for x in v):
         return None
     try:
-        u = StateVector(*(float(x) * float(x) for x in v))
+        u = StateVector(*(x * x for x in v))
         fu = recurrence_step(p, u)
     except (DomainError, ParameterRangeError):
         return None
-    # componentwise, so that a small component must converge too
+    # componentwise, so that a small component must be fixed too
     if any(abs(f - x) > FULL_RESIDUAL_TOL * x for f, x in zip(fu, u)):
         return None
     if symmetric_residual(u) <= _NEAR_SYMMETRIC_TOL:
         return None
     if ferro_residual(p, u) > FULL_RESIDUAL_TOL:
         return None
-    res = recurrence_residual(p, u)
-    return FerroCandidate(C=float(v[1] + v[2]), v=tuple(float(x) for x in v), u=u, full_residual=res)
+    return FerroCandidate(C=v[1] + v[2], v=v, u=u, full_residual=recurrence_residual(p, u))
+
+
+def _below_zero(f, lo: float, hi: float) -> float | None:
+    """A point of (lo, hi) where ``f < 0``, met on a golden-section search
+    for the minimum of f, or None where the search closes above 0."""
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while True:
+        if f1 < 0.0:
+            return x1
+        if f2 < 0.0:
+            return x2
+        if not hi - lo > 1e-15 * hi:
+            return None
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
 
 
 def _mirror(c: FerroCandidate) -> FerroCandidate:
@@ -158,63 +155,77 @@ def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:
 def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     """All symmetry-broken fixed points at these parameters (possibly none).
 
-    H is evaluated over a geometric grid in w on (1e-14, 1).  Every sign
-    change of H across a grid interval where A keeps its sign is refined by
-    bisection in w (where A changes sign, the sign change is a pole of z, not
-    a root), and every local minimum of |H| below 1e-2 is kept as a seed as
-    well; a seed needs ``0 < z < 1``.  Each seed is polished on the full
-    four-equation system, and each distinct flip pair is returned as its
-    ``u1 > u4`` member followed by the mirror.  An empty list is a legitimate
-    outcome (no ferromagnetic order at these parameters).  Deterministic for
-    fixed inputs.
+    H is evaluated over a geometric grid in w from a floor to 1, 36.5 points
+    a decade, where the floor is ``min(1e-14, q^2/16)``: at low temperature
+    the roots sit near ``w = q^2/(1 - q rho)``, far below any fixed floor.
+    Every sign change of H across a grid interval where A keeps its sign is
+    bisected in w (where A changes sign, the sign change is a pole of z, not
+    a root).  A flip pair close to the slice can put two roots into one
+    interval, which the sign test cannot see: so at each local minimum of
+    |H| where H and A keep their signs, a golden-section search for the
+    extremum of H between the neighbouring grid points looks for a point
+    where H changes sign, and each side of it is bisected.  Each root is
+    rebuilt as a state and accepted by the one-generation check; each
+    distinct flip pair is returned as its ``u1 > u4`` member followed by
+    the mirror.  An empty list is a legitimate outcome (no ferromagnetic
+    order at these parameters).  Deterministic for fixed inputs.
     """
     # Python floats, so that far from unit weights the products below
     # overflow to inf or NaN quietly (numpy scalars would warn) and those
     # grid points drop out
-    rho = float(p.b) / float(p.a)
+    b = float(p.b)
+    rho = b / float(p.a)
     beta = 1.0 / float(p.b_tilde)
     mu = beta - 1.0
     q = rho * beta
     s = rho * mu
+    qs = q * s
 
-    def curve(w: float) -> tuple[float, float, float]:
-        """``(A, z, H)`` at w."""
-        r = rho * (w + mu * w * w)
+    def psi(t: float, one_minus_t: float) -> float:
+        return t * (one_minus_t + beta * t)
+
+    def curve(w: float) -> tuple[float, float, float, float]:
+        """``(A, H, z, 1 - z)`` at w."""
+        sw = s * w
+        r = rho * psi(w, 1.0 - w)
         R = r * r
         e = r - s * R
-        A = -1.0 + q * (q + s * w) + s * e
-        B = 1.0 - w + e * (rho + s * w) - q * s * R
-        z = -B / A if A else math.nan
-        return A, z, z * (1.0 - z) - R
+        qsR = qs * R
+        A = -1.0 + q * (q + sw) + s * e
+        if not A:
+            return A, math.nan, math.nan, math.nan
+        z = -(1.0 - w + e * (rho + sw) - qsR) / A
+        y = ((q + e) * (q + sw) - w - qsR) / A  # (A + B)/A
+        return A, z * y - R, z, y
 
     def h(w: float) -> float:
-        return curve(w)[2]
+        return curve(w)[1]
 
-    grid = [_W_FLOOR ** (1.0 - i / (_W_POINTS - 1)) for i in range(_W_POINTS)]
-    walk = [(w, *curve(w)) for w in grid]
-    seeds: list[tuple[float, float]] = []  # (z, w)
-    for (w0, a0, _, h0), (w1, a1, _, h1) in zip(walk, walk[1:]):
-        if a0 * a1 > 0.0 and h0 * h1 < 0.0:
-            try:
-                w = bracketed_root(h, w0, w1)
-            except ValueError:
-                continue
-            seeds.append((curve(w)[1], w))
-    # local minima of |H| catch the near-double roots the sign test cannot
-    # see: a flip pair close to the slice puts two roots into one interval
-    ah = [math.inf, *(abs(x[3]) for x in walk), math.inf]
-    for (w, _, z, _), left, mid, right in zip(walk, ah, ah[1:], ah[2:]):
-        if mid < _NEAR_MISS and not left < mid and not right < mid:
-            seeds.append((z, w))
+    floor = max(min(_W_FLOOR_CAP, q * q / 16.0), sys.float_info.min)
+    n = math.ceil(_W_PER_DECADE * -math.log10(floor)) + 1
+    walk = [(w, *curve(w)[:2]) for w in (floor ** (1.0 - i / (n - 1)) for i in range(n))]
+    brackets = [
+        (w0, w1) for (w0, a0, h0), (w1, a1, h1) in zip(walk, walk[1:]) if a0 * a1 > 0.0 and h0 * h1 < 0.0
+    ]
+    for (w0, a0, h0), (_, a1, h1), (w2, a2, h2) in zip(walk, walk[1:], walk[2:]):
+        if abs(h1) <= min(abs(h0), abs(h2)) and (
+            a0 * a1 > 0.0 and a1 * a2 > 0.0 and h0 * h1 > 0.0 and h1 * h2 > 0.0
+        ):
+            sign = 1.0 if h1 > 0.0 else -1.0
+            wx = _below_zero(lambda w: sign * h(w), w0, w2)
+            if wx is not None:
+                brackets += [(w0, wx), (wx, w2)]
 
-    scale = p.alpha * p.b  # z = scale v1, w = scale v4
-    lift = p.b / p.alpha**3  # v2 = lift psi(w), v3 = lift psi(z)
+    scale = p.alpha * b  # z = scale v1, w = scale v4
+    lift = b / p.alpha**3  # v2 = lift psi(w), v3 = lift psi(z)
     candidates: list[FerroCandidate] = []
-    for z, w in seeds:
-        v = (z / scale, lift * (w + mu * w * w), lift * (z + mu * z * z), w / scale)
-        if not (z < 1.0 and all(0.0 < x < math.inf for x in v)):
+    for lo, hi in brackets:
+        try:
+            w = bracketed_root(h, lo, hi)
+        except ValueError:
             continue
-        cand = _polish(p, v)
+        _, _, z, y = curve(w)
+        cand = _accept(p, (z / scale, lift * psi(w, 1.0 - w), lift * psi(z, y), w / scale))
         if cand is not None:
             candidates.append(cand if cand.u.u1 > cand.u.u4 else _mirror(cand))
     return [m for c in _dedup(candidates) for m in (c, _mirror(c))]

@@ -4,9 +4,17 @@ On the slice ``u1 == u4, u2 == u3`` the four-component recurrence closes over
 the scalar ratio map ``x -> a^2 ((1 + b^2 x)/(b^2 + x))^2``.  This module
 locates that map's fixed points and period-two orbits, classifies their
 stability, lifts them back to four-component states (at the scale degree-2
-homogeneity fixes, :func:`core.periodic_state`), derives the critical
-temperature and critical curves where the counts change, and verifies that no
-periods beyond two occur on the slice.
+homogeneity fixes, :func:`core.periodic_state`), and derives the critical
+temperature and critical curves where the counts change.
+
+No orbit of period three or more exists on the slice, so none is searched
+for.  The slope ``2 g(x) (b^4 - 1)/((b^2 + x)(1 + b^2 x))`` of the ratio map
+g (:func:`core.ratio_map_deriv`) has the sign of ``b^4 - 1`` at every
+x > 0: g is increasing for b > 1, decreasing for b < 1 and constant at
+b = 1.  An increasing map moves every point that it does not fix
+monotonically (``x < g(x)`` gives ``g(x) < g(g(x))``), so its periodic
+points are fixed; a decreasing map has an increasing square, so its periods
+are 1 and 2.
 
 The fixed-point count is analysed in the substituted coordinate ``y = b^2 x``
 with ``b4 = b**4``: the condition becomes ``level(y) = 1/(a^2 b^6)`` with
@@ -47,13 +55,10 @@ __all__ = [
     "CycleThresholds",
     "FixedPointReport",
     "FixedPointRoot",
-    "PeriodExclusionReport",
-    "PeriodFinding",
     "TwoCycleReport",
     "critical_curve",
     "critical_temperature",
     "cycle_thresholds",
-    "exclude_higher_periods",
     "lift_fixed_point",
     "lift_two_cycle",
     "multi_root_window",
@@ -67,15 +72,13 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 SADDLE_BOUNDARY = "saddle-boundary"
 
-# Window-edge detection and root deduplication share the sqrt(eps) scale at
-# which a double root splits under last-ulp coefficient noise.
+# Window-edge detection shares the sqrt(eps) scale at which a double root
+# splits under last-ulp coefficient noise.
 _BOUNDARY_RTOL = 1e-8
-_ROOT_DEDUP_RTOL = 1e-8
 _LIFT_INPUT_RTOL = 1e-8
 # Two-cycle discriminant below this fraction of B^2 is treated as the
 # degenerate (merged-pair) boundary.
 _DEGENERATE_WINDOW = 1e-14
-_SCAN_POINTS_PER_DECADE = 4096
 _LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
@@ -128,21 +131,6 @@ class CriticalCurveSample(NamedTuple):
     beta: float
     j1_plus: Optional[float]
     j1_minus: Optional[float]
-
-
-class PeriodFinding(NamedTuple):
-    period: int
-    roots: tuple[float, ...]
-    matched: tuple[bool, ...]
-    max_mismatch: float
-
-
-class PeriodExclusionReport(NamedTuple):
-    max_period: int
-    reference_fixed: tuple[float, ...]
-    reference_cycle: tuple[float, ...]
-    findings: tuple[PeriodFinding, ...]
-    all_accounted: bool
 
 
 def _window_critical_points(b_tilde: float) -> Optional[tuple[float, float]]:
@@ -439,72 +427,3 @@ def _phase_counts(p: BoltzmannParams) -> tuple[int, int]:
     para += sum(s == 0 for _, s in knots)
     return para, _two_cycle_quadratic(p)[4]
 
-
-def exclude_higher_periods(p: BoltzmannParams, max_period: int) -> PeriodExclusionReport:
-    """Verify that period-p ratio orbits, 3 <= p <= max_period, do not exist.
-
-    Scans a dense log grid for sign changes of the p-fold composed ratio map
-    minus identity, refines each bracket, and checks that every root found
-    coincides with a known fixed point or two-cycle ratio.  The scan interval
-    is the map's range with a factor-10 margin at each end: every periodic
-    point is an image, so none can sit outside it.
-    """
-    if not 3 <= max_period <= 8:
-        raise DomainError("max_period must be between 3 and 8")
-    import numpy as np
-
-    fixed = tuple(r.x for r in solve_fixed_points(p).roots)
-    cycle = solve_two_cycles(p).roots
-    reference = fixed + cycle
-
-    spread = 10.0 * max(p.b_tilde, 1.0 / p.b_tilde)
-    lo, hi = p.a * p.a / spread, p.a * p.a * spread
-    n = int(math.ceil(_SCAN_POINTS_PER_DECADE * math.log10(hi / lo))) + 1
-    xs = np.geomspace(lo, hi, n)
-
-    findings = []
-    all_ok = True
-    for period in range(3, max_period + 1):
-        ys = xs.copy()
-        for _ in range(period):
-            ys = ratio_map(p, ys)
-        d = ys - xs
-
-        def resid(x: float, _period=period) -> float:
-            y = x
-            for _ in range(_period):
-                y = ratio_map(p, y)
-            return y - x
-
-        roots: list[float] = []
-        sign_change = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-        for i in sign_change:
-            roots.append(bracketed_root(resid, xs[i], xs[i + 1]))
-        for i in np.nonzero(d == 0.0)[0]:
-            roots.append(float(xs[i]))
-        roots.sort()
-        dedup: list[float] = []
-        for r in roots:
-            if dedup and r - dedup[-1] <= _ROOT_DEDUP_RTOL * r:
-                continue
-            dedup.append(r)
-
-        matched = []
-        worst = 0.0
-        for r in dedup:
-            dist = min((abs(r - ref) for ref in reference), default=math.inf)
-            ok = dist <= _ROOT_DEDUP_RTOL * r
-            matched.append(ok)
-            if not ok:
-                worst = max(worst, dist)
-                all_ok = False
-        findings.append(
-            PeriodFinding(period=period, roots=tuple(dedup), matched=tuple(matched), max_mismatch=worst)
-        )
-    return PeriodExclusionReport(
-        max_period=max_period,
-        reference_fixed=fixed,
-        reference_cycle=cycle,
-        findings=tuple(findings),
-        all_accounted=all_ok,
-    )

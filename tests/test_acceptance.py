@@ -18,7 +18,6 @@ from cayleyphase import (
     critical_temperature,
     derive_params,
     enumerate_partition,
-    exclude_higher_periods,
     iterate,
     lift_fixed_point,
     lift_two_cycle,
@@ -35,10 +34,11 @@ from cayleyphase import (
     solve_two_cycles,
     symmetric_residual,
 )
+from cayleyphase.core import bracketed_root
 from cayleyphase.scan import AxisSpec, ScanConfig, format_csv, run_scan
 from cayleyphase.symmetric import cycle_thresholds
 
-from conftest import maxdiff, normalized
+from conftest import TINY_RATIOS, maxdiff, normalized
 
 
 def report(number, text):
@@ -199,6 +199,46 @@ def test_criterion_06_scalar_convergence():
     report(6, "ratio iterations are eventually monotone and land on known attractors")
 
 
+def higher_period_roots(p, max_period):
+    """``{n: [(x, matched), ...]}`` for n = 3..max_period: every root x of
+    ``g^n(x) = x`` that a scan finds, and whether it is a fixed or two-cycle
+    ratio of the slice within 1e-8 relative.
+
+    The scan looks for sign changes of ``g^n(x) - x`` on 4096 log-spaced
+    points a decade, bisects each, and merges roots within 1e-8 relative.
+    Its interval is the map's range with a factor-10 margin at each end:
+    every periodic point is an image, so none can sit outside it.  The ratio
+    map is monotone, so the theorem in :mod:`cayleyphase.symmetric` says
+    that every root is matched; this is its numerical check.
+    """
+    reference = [r.x for r in solve_fixed_points(p).roots] + list(solve_two_cycles(p).roots)
+    spread = 10.0 * max(p.b_tilde, 1.0 / p.b_tilde)
+    lo, hi = p.a * p.a / spread, p.a * p.a * spread
+    xs = np.geomspace(lo, hi, int(math.ceil(4096 * math.log10(hi / lo))) + 1)
+    found = {}
+    for period in range(3, max_period + 1):
+
+        def resid(x, _period=period):
+            y = x
+            for _ in range(_period):
+                y = ratio_map(p, y)
+            return y - x
+
+        d = resid(xs)
+        crossings = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
+        roots = [bracketed_root(resid, xs[i], xs[i + 1]) for i in crossings] + xs[d == 0.0].tolist()
+        merged = []
+        for r in sorted(roots):
+            if not (merged and r - merged[-1] <= 1e-8 * r):
+                merged.append(r)
+        found[period] = [(r, any(abs(r - x) <= 1e-8 * r for x in reference)) for r in merged]
+    return found
+
+
+def all_matched(found):
+    return all(matched for roots in found.values() for _, matched in roots)
+
+
 def test_criterion_07_higher_period_exclusion():
     rng = np.random.default_rng(7)
     pairs = []
@@ -207,8 +247,8 @@ def test_criterion_07_higher_period_exclusion():
     for _ in range(10):
         pairs.append((float(10.0 ** rng.uniform(-0.5, 0.5)), float(rng.uniform(0.2, 0.95))))
     for a, b in pairs:
-        rep = exclude_higher_periods(BoltzmannParams.from_weights(a, b), 8)
-        assert rep.all_accounted, (a, b, rep)
+        found = higher_period_roots(BoltzmannParams.from_weights(a, b), 8)
+        assert all_matched(found), (a, b, found)
 
     trials = 0
     for a, b in pairs:
@@ -222,6 +262,39 @@ def test_criterion_07_higher_period_exclusion():
             trials += 1
     assert trials == 500
     report(7, "no period 3..8 orbits found by scan or by 500 slice trajectories")
+
+
+class TestExcludeHigherPeriods:
+    def test_positive_j2_roots_are_fixed_points(self):
+        p = BoltzmannParams.from_weights(0.8, 1.4)
+        found = higher_period_roots(p, 4)
+        assert sorted(found) == [3, 4]
+        assert all_matched(found)
+
+    def test_negative_j2_roots_include_two_cycle(self, params_symmetric_cycle):
+        found = higher_period_roots(params_symmetric_cycle, 4)
+        assert all_matched(found)
+        # even composition sees the two-cycle ratios again
+        assert len(found[4]) >= 3
+
+    def test_constant_map_single_root(self):
+        p = BoltzmannParams.from_weights(1.7, 1.0)
+        found = higher_period_roots(p, 5)
+        assert all_matched(found)
+        for roots in found.values():
+            assert len(roots) == 1
+            assert roots[0][0] == pytest.approx(p.a * p.a, rel=1e-10)
+
+    def test_tiny_fixed_ratios_are_matched(self):
+        p = derive_params(TINY_RATIOS)
+        fixed = [r.x for r in solve_fixed_points(p).roots]
+        assert len(fixed) == 3
+        found = higher_period_roots(p, 4)
+        assert all_matched(found)
+        for roots in found.values():
+            assert len(roots) == 3
+            for (r, _), x in zip(roots, fixed):
+                assert r == pytest.approx(x, rel=1e-8)
 
 
 def test_criterion_08_lift_residuals():

@@ -341,6 +341,9 @@ codes = [
     run("curves", "--axis", "j2:-2:-0.1:5", "--temperature", "1"),
 ]
 seen["numpy after closed forms"] = loaded("numpy")
+ferro_points = [cayleyphase.Couplings(1.0, 0.15, 0.6), cayleyphase.Couplings(1.0, 1.5, 0.09)]
+seen["ferro counts"] = [len(cayleyphase.solve_ferro_fixed_points(cayleyphase.derive_params(c))) for c in ferro_points]
+seen["numpy after ferro"] = loaded("numpy")
 codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "1"))
 seen["pool after one-worker scan"] = loaded("concurrent.futures.process")
 codes.append(run("diagnose", *point))
@@ -353,14 +356,17 @@ print(json.dumps({"codes": codes, **seen}))
 def test_imports_stay_lazy():
     # numpy loads only where an array is computed, the process pool only for
     # a scan with more than one worker, and numpy.random never: the scan's
-    # start vectors come from a pure-Python generator; the records are named
-    # tuples, so the CLI loads neither dataclasses nor inspect
+    # start vectors come from a pure-Python generator; the ferro solver runs
+    # in plain floats; the records are named tuples, so the CLI loads neither
+    # dataclasses nor inspect
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS_PROBE], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout)
     assert seen["codes"] == [0, 0, 0, 0, 0]
     assert seen["import"] == []
     assert seen["numpy after closed forms"] is False
+    assert seen["ferro counts"] == [2, 2]
+    assert seen["numpy after ferro"] is False
     assert seen["pool after one-worker scan"] is False
     if seen["numpy major"] >= 2:  # numpy 1.x imports numpy.random with numpy itself
         assert seen["numpy.random after scan and diagnose"] is False

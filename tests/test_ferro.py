@@ -85,10 +85,11 @@ class TestSolveFerroFixedPoints:
 
     # two flip pairs each, one of them close to the symmetric slice; the
     # trajectories need not end ferromagnetic here, so these are not
-    # FERRO_POINTS
+    # FERRO_POINTS.  At T = 3.82525 the near pair puts both its roots into
+    # one grid interval of H, so the sign walk alone finds only the far pair
     @pytest.mark.parametrize(
         "c",
-        [Couplings(0.36, 2.8, 3.76), Couplings(1.08, 2.97, 2.75)],
+        [Couplings(0.36, 2.8, 3.76), Couplings(1.08, 2.97, 2.75), Couplings(0.36, 2.8, 3.82525)],
         ids=lambda c: f"j1={c.j1},j2={c.j2},T={c.temperature}",
     )
     def test_two_flip_pairs(self, c):
@@ -131,6 +132,20 @@ class TestSolveFerroFixedPoints:
         assert_genuine(p, cands)
         assert min(min(normalized(f.u)) for f in cands) < 1e-12
         assert unmatched_ferro_limits(Couplings(1.0, 0.0, 0.2)) == []
+
+    # cold points, b^4 from 2e17 to 9e28, whose roots in w lie below 1e-14,
+    # near q^2 = 1/(a b^3)^2
+    @pytest.mark.parametrize(
+        "c",
+        [Couplings(1.0, 0.5, 0.03), Couplings(1.0, 0.8, 0.05), Couplings(0.3, 0.3, 0.03)],
+        ids=lambda c: f"j1={c.j1},j2={c.j2},T={c.temperature}",
+    )
+    def test_cold_flip_pair_matches_every_limit(self, c):
+        p = derive_params(c)
+        cands = solve_ferro_fixed_points(p)
+        assert len(cands) == 2
+        assert_genuine(p, cands)
+        assert unmatched_ferro_limits(c) == []
 
     def test_every_ferromagnetic_limit_is_a_candidate(self):
         grid = [

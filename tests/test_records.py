@@ -24,7 +24,6 @@ def one_of_each():
     u = StateVector(1.0, 0.37, 0.11, 0.92)
     outcome = cp.iterate(p, u, max_iter=2000)
     fixed = cp.solve_fixed_points(p)
-    periods = cp.exclude_higher_periods(slice_p, 3)
     axis = AxisSpec("temperature", 0.5, 1.0, 2)
     cfg = ScanConfig(axes=[axis], j1=1.0, j2=0.15, seeds=[0], max_iter=2000)
     return [
@@ -39,8 +38,6 @@ def one_of_each():
         cp.cycle_thresholds(0.5),
         cp.solve_two_cycles(slice_p),
         cp.critical_curve(-1.0, 1.0),
-        periods.findings[0],
-        periods,
         cp.solve_ferro_fixed_points(p)[0],
         axis,
         cfg,
@@ -53,7 +50,7 @@ RECORDS = one_of_each()
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in RECORDS}) == 18
+    assert len({type(r) for r in RECORDS}) == 16
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -66,7 +63,7 @@ def test_fields_are_read_only(record):
         record.extra = 1
 
 
-@pytest.mark.parametrize("index", [2, 15, 16])  # StateVector, ScanConfig, ScanRow
+@pytest.mark.parametrize("index", [2, 13, 14])  # StateVector, ScanConfig, ScanRow
 def test_pickle_round_trip(index):
     record = RECORDS[index]
     again = pickle.loads(pickle.dumps(record))
@@ -104,12 +101,12 @@ def test_invalid_inputs_still_raise():
 
 
 def test_rows_iterate_in_column_order():
-    row = RECORDS[16]
+    row = RECORDS[14]
     assert row._fields == CSV_COLUMNS
     assert dict(zip(CSV_COLUMNS, row)) == row._asdict()
 
 
 def test_config_dict_nests_axes_as_objects():
-    config = json.loads(json.dumps(RECORDS[15].to_dict()))
+    config = json.loads(json.dumps(RECORDS[13].to_dict()))
     assert config["axes"] == [{"name": "temperature", "min": 0.5, "max": 1.0, "steps": 2}]
     assert "workers" not in config

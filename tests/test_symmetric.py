@@ -15,7 +15,6 @@ from cayleyphase import (
     critical_temperature,
     cycle_thresholds,
     derive_params,
-    exclude_higher_periods,
     lift_fixed_point,
     lift_two_cycle,
     multi_root_window,
@@ -518,43 +517,3 @@ class TestPhaseCounts:
             counts = (len(solve_fixed_points(p).roots), len(solve_two_cycles(p).roots))
             assert phase_counts(c) == counts, (j1, j2, t)
 
-
-class TestExcludeHigherPeriods:
-    def test_positive_j2_roots_are_fixed_points(self):
-        p = BoltzmannParams.from_weights(0.8, 1.4)
-        rep = exclude_higher_periods(p, 4)
-        assert rep.all_accounted
-        fixed = set(rep.reference_fixed)
-        for finding in rep.findings:
-            assert all(finding.matched)
-
-    def test_negative_j2_roots_include_two_cycle(self, params_symmetric_cycle):
-        rep = exclude_higher_periods(params_symmetric_cycle, 4)
-        assert rep.all_accounted
-        by_period = {f.period: f for f in rep.findings}
-        # even composition sees the two-cycle ratios again
-        assert len(by_period[4].roots) >= 3
-
-    def test_constant_map_single_root(self):
-        p = BoltzmannParams.from_weights(1.7, 1.0)
-        rep = exclude_higher_periods(p, 5)
-        assert rep.all_accounted
-        for finding in rep.findings:
-            assert len(finding.roots) == 1
-            assert finding.roots[0] == pytest.approx(p.a * p.a, rel=1e-10)
-
-    def test_tiny_fixed_ratios_are_matched(self):
-        rep = exclude_higher_periods(derive_params(TINY_RATIOS), 4)
-        assert len(rep.reference_fixed) == 3
-        assert rep.all_accounted
-        for finding in rep.findings:
-            assert len(finding.roots) == 3
-            assert all(finding.matched)
-            for r, x in zip(finding.roots, rep.reference_fixed):
-                assert r == pytest.approx(x, rel=1e-8)
-
-    def test_rejects_bad_period(self, params_symmetric_cycle):
-        with pytest.raises(DomainError):
-            exclude_higher_periods(params_symmetric_cycle, 2)
-        with pytest.raises(DomainError):
-            exclude_higher_periods(params_symmetric_cycle, 9)
