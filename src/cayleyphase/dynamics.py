@@ -43,7 +43,6 @@ from .core import (
     DomainError,
     ParameterRangeError,
     StateVector,
-    _is_finite,
     ferro_residual,
     normalize,
     periodic_state,
@@ -134,13 +133,16 @@ def iterate(
     ``tol`` in max-norm: q = 1, tested every step, is a fixed direction
     (period 1); 2 <= q <= ``P_MAX`` (64), tested from step ``BURN_IN`` (200)
     on, a cycle of period q.  With no return in ``max_iter`` steps the run is
-    aperiodic (period 0) -- a valid outcome, not an error.  Raises
-    ``ParameterRangeError`` when a component of the run underflows to zero.
+    aperiodic (period 0) -- a valid outcome, not an error.  ``tol`` must
+    lie in (0, 1).  Raises ``ParameterRangeError`` when a component of the
+    run underflows to zero.
     """
     if not 100 <= max_iter <= sys.maxsize:  # the compiled kernel counts in a C ssize_t
         raise DomainError(f"max_iter must be between 100 and {sys.maxsize}")
-    if not (tol > 0.0 and _is_finite(tol)):
-        raise DomainError("tol must be positive")
+    # two unit-max-norm states are never more than 1 apart, so a tol of 1 or
+    # more would end every run at its first step
+    if not 0.0 < tol < 1.0:
+        raise DomainError("tol must lie in the open interval (0, 1)")
     start = normalize(u0)
     kind_code, period, iters, residual, states = _traj.run_trajectory(
         p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, tol, BURN_IN, P_MAX

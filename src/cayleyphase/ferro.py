@@ -144,12 +144,13 @@ def _mirror(c: FerroCandidate) -> FerroCandidate:
 
 
 def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:
-    kept: list[tuple[FerroCandidate, list[float]]] = []
+    # componentwise, relative to the larger value, as in _accept: two pairs
+    # can share their large components and differ by decades in a small one
+    kept: list[FerroCandidate] = []
     for c in sorted(cands, key=lambda c: c.C):
-        unit = [x / c.u.max_norm() for x in c.u.components]
-        if all(max(abs(a - b) for a, b in zip(unit, k)) > 1e-6 for _, k in kept):
-            kept.append((c, unit))
-    return [c for c, _ in kept]
+        if all(any(abs(a - b) > 1e-6 * max(a, b) for a, b in zip(c.u, k.u)) for k in kept):
+            kept.append(c)
+    return kept
 
 
 def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:

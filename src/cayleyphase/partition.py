@@ -18,6 +18,8 @@ enumeration here certifies that convention end to end.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 
 from .core import (
@@ -132,34 +134,55 @@ def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVe
     return log_z, u, log_scale
 
 
+@functools.lru_cache(maxsize=None)
+def _bond_sum_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """``((S_nn, S_nnn), count)`` for each pair of bond sums at depth n."""
+    size = tree_vertex_count(n)
+    parent = {j: i for i, j in tree_edges(n)}
+    grandparent = {j: i for i, j in tree_grandparent_pairs(n)}
+    spins = [0] * size
+    counts: collections.Counter[tuple[int, int]] = collections.Counter()
+
+    def walk(v: int, s_nn: int, s_nnn: int) -> None:
+        # spins[:v] are set, and s_nn, s_nnn sum their bonds
+        if v == size:
+            counts[s_nn, s_nnn] += 1
+            return
+        i, g = parent.get(v), grandparent.get(v)
+        for s in (1, -1):
+            spins[v] = s
+            nn = 0 if i is None else s * spins[i]
+            nnn = 0 if g is None else s * spins[g]
+            walk(v + 1, s_nn + nn, s_nnn + nnn)
+
+    walk(0, 0, 0)
+    return tuple(counts.items())
+
+
 def enumerate_partition(c: Couplings, n: int) -> float:
     """Exact partition function by summation over all spin configurations.
 
-    Ground truth for depths 1..3 (at most 2^15 configurations).  Bond sums are
-    accumulated as exact integers per configuration; the Boltzmann factors are
-    then combined with compensated (error-free) summation.
+    Ground truth for depths 1..3 (at most 2^15 configurations).  A
+    configuration's Boltzmann weight depends only on its two integer bond
+    sums, S_nn over the parent-child bonds and S_nnn over the grandparent
+    pairs.  So all configurations are walked once per depth and process,
+    setting the spins one vertex at a time in heap order (each new vertex
+    adds its bond to its parent and, from the second generation on, to its
+    grandparent), and counted in exact integers per pair of sums: 111 pairs
+    at depth 3.  Z is then the compensated (error-free) sum of ``count *
+    exp(beta (j1 S_nn + j2 S_nnn))`` over the pairs; a term that overflows
+    makes Z infinite.
     """
     if not 1 <= n <= _MAX_ENUM_DEPTH:
         raise DomainError(f"enumeration supports 1 <= n <= {_MAX_ENUM_DEPTH}")
-    import numpy as np
-
-    size = tree_vertex_count(n)
-    count = 1 << size
-    idx = np.arange(count, dtype=np.uint32)
-    spins = np.empty((count, size), dtype=np.int8)
-    for v in range(size):
-        spins[:, v] = (((idx >> v) & 1) << 1).astype(np.int8) - 1
-
-    s_nn = np.zeros(count, dtype=np.int32)
-    for i, j in tree_edges(n):
-        s_nn += spins[:, i].astype(np.int32) * spins[:, j]
-    s_nnn = np.zeros(count, dtype=np.int32)
-    for i, j in tree_grandparent_pairs(n):
-        s_nnn += spins[:, i].astype(np.int32) * spins[:, j]
-
     beta = c.beta
-    exponents = beta * (c.j1 * s_nn + c.j2 * s_nnn)
-    return math.fsum(np.exp(exponents).tolist())
+    try:
+        return math.fsum(
+            count * math.exp(beta * (c.j1 * s_nn + c.j2 * s_nnn))
+            for (s_nn, s_nnn), count in _bond_sum_counts(n)
+        )
+    except OverflowError:
+        return math.inf
 
 
 def periodic_partition(p: BoltzmannParams, y: float, n: int) -> float:

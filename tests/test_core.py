@@ -344,6 +344,9 @@ seen["numpy after closed forms"] = loaded("numpy")
 ferro_points = [cayleyphase.Couplings(1.0, 0.15, 0.6), cayleyphase.Couplings(1.0, 1.5, 0.09)]
 seen["ferro counts"] = [len(cayleyphase.solve_ferro_fixed_points(cayleyphase.derive_params(c))) for c in ferro_points]
 seen["numpy after ferro"] = loaded("numpy")
+seen["verify passed"] = all(r.passed for r in cayleyphase.run_verify())
+seen["enumerated"] = [cayleyphase.enumerate_partition(cayleyphase.Couplings(0.8, -0.3, 1.1), n) > 0 for n in (1, 2, 3)]
+seen["numpy after verify and enumeration"] = loaded("numpy")
 codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "1"))
 seen["pool after one-worker scan"] = loaded("concurrent.futures.process")
 codes.append(run("diagnose", *point))
@@ -357,7 +360,8 @@ def test_imports_stay_lazy():
     # numpy loads only where an array is computed, the process pool only for
     # a scan with more than one worker, and numpy.random never: the scan's
     # start vectors come from a pure-Python generator; the ferro solver runs
-    # in plain floats; the records are named tuples, so the CLI loads neither
+    # in plain floats, and the enumeration oracle and verify in exact integer
+    # counts; the records are named tuples, so the CLI loads neither
     # dataclasses nor inspect
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS_PROBE], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
@@ -367,6 +371,9 @@ def test_imports_stay_lazy():
     assert seen["numpy after closed forms"] is False
     assert seen["ferro counts"] == [2, 2]
     assert seen["numpy after ferro"] is False
+    assert seen["verify passed"] is True
+    assert seen["enumerated"] == [True, True, True]
+    assert seen["numpy after verify and enumeration"] is False
     assert seen["pool after one-worker scan"] is False
     if seen["numpy major"] >= 2:  # numpy 1.x imports numpy.random with numpy itself
         assert seen["numpy.random after scan and diagnose"] is False

@@ -122,6 +122,8 @@ class TestIterate:
             iterate(p, u, max_iter=sys.maxsize + 1)  # past the kernel's C integer
         with pytest.raises(DomainError, match="tol"):
             iterate(p, u, tol=10**400)  # past a double
+        with pytest.raises(DomainError, match=r"tol.*\(0, 1\)"):
+            iterate(p, u, tol=1.0)  # unit-max-norm states are at most 1 apart
 
     def test_period_of_each_kind(self):
         cases = [

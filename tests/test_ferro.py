@@ -10,6 +10,7 @@ from cayleyphase import (
     ferro_residual,
     iterate,
     recurrence_residual,
+    recurrence_step,
     solve_ferro_fixed_points,
     symmetric_residual,
 )
@@ -36,6 +37,8 @@ FERRO_POINTS = [
 
 def assert_genuine(p, cands):
     for f in cands:
+        # componentwise, so that a small component must be fixed too
+        assert all(abs(a - x) <= 1e-9 * x for a, x in zip(recurrence_step(p, f.u), f.u))
         assert f.full_residual <= 1e-9
         assert recurrence_residual(p, f.u) <= 1e-9
         assert symmetric_residual(f.u) > 1e-3
@@ -83,13 +86,21 @@ class TestSolveFerroFixedPoints:
         assert len(cands) % 2 == 0
         assert_flip_closed(cands)
 
-    # two flip pairs each, one of them close to the symmetric slice; the
-    # trajectories need not end ferromagnetic here, so these are not
-    # FERRO_POINTS.  At T = 3.82525 the near pair puts both its roots into
-    # one grid interval of H, so the sign walk alone finds only the far pair
+    # two flip pairs each; the trajectories need not end ferromagnetic here,
+    # so these are not FERRO_POINTS.  In the first three, one pair is close
+    # to the symmetric slice; at T = 3.82525 the near pair puts both its
+    # roots into one grid interval of H, so the sign walk alone finds only
+    # the far pair.  In the last, the two pairs share u1 and differ by
+    # decades in their small components, which a dedup by absolute
+    # difference at unit max-norm merged
     @pytest.mark.parametrize(
         "c",
-        [Couplings(0.36, 2.8, 3.76), Couplings(1.08, 2.97, 2.75), Couplings(0.36, 2.8, 3.82525)],
+        [
+            Couplings(0.36, 2.8, 3.76),
+            Couplings(1.08, 2.97, 2.75),
+            Couplings(0.36, 2.8, 3.82525),
+            Couplings(-1.0, 2.0, 0.12525956809681205),
+        ],
         ids=lambda c: f"j1={c.j1},j2={c.j2},T={c.temperature}",
     )
     def test_two_flip_pairs(self, c):

@@ -24,7 +24,7 @@ from cayleyphase import (
     solve_fixed_points,
     solve_two_cycles,
 )
-from cayleyphase.partition import tree_edges, tree_grandparent_pairs, tree_vertex_count
+from cayleyphase.partition import _bond_sum_counts, tree_edges, tree_grandparent_pairs, tree_vertex_count
 
 from conftest import TINY_RATIOS
 
@@ -77,9 +77,26 @@ class TestEnumeration:
         for j2 in (-2.0, -0.3, 0.6, 1.9):
             assert enumerate_partition(Couplings(0.8, j2, 1.1), 1) == pytest.approx(base, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_counts_and_bond_forests(self, n):
+        # every configuration is counted once; with one coupling switched off
+        # the other's bonds form a forest, whose Z is a product over bonds:
+        # the n.n. bonds one tree on |V_n| vertices, the n.n.n. bonds P_n
+        # bonds on |V_n| - P_n trees
+        size = tree_vertex_count(n)
+        assert sum(count for _, count in _bond_sum_counts(n)) == 2**size
+        c = Couplings(0.7, 0.0, 0.9)
+        tree = 2.0 * (2.0 * math.cosh(c.beta * c.j1)) ** (size - 1)
+        assert enumerate_partition(c, n) == pytest.approx(tree, rel=1e-14)
+        pairs = len(tree_grandparent_pairs(n))
+        c = Couplings(0.0, -1.3, 0.8)
+        forest = 2.0 ** (size - pairs) * (2.0 * math.cosh(c.beta * c.j2)) ** pairs
+        assert enumerate_partition(c, n) == pytest.approx(forest, rel=1e-14)
+
     def test_flip_symmetry_half_sum(self):
         # summing only configurations with the root spin up and doubling
-        # reproduces the full sum (global flip invariance)
+        # reproduces the full sum (global flip invariance); the sum here is
+        # a vectorised enumeration of its own, an independent route
         c = Couplings(0.9, -0.6, 0.8)
         n = 2
         size = tree_vertex_count(n)

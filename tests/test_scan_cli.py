@@ -393,6 +393,10 @@ class TestCli:
             ("diagnose", *point, "--seeds", ""),
             ("diagnose", *point, "--seeds=-1"),
             ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "1", "--seeds=-1"),
+            # unit-max-norm states are never more than 1 apart, so a tol of 1
+            # would end every run at its first step
+            ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "0.3", "--tol", "1"),
+            ("diagnose", "--j1", "1", "--j2", "-0.6", "--temperature", "0.3", "--seeds", "1,2", "--tol", "1"),
         ]
         configs = [
             '[1,2]',
