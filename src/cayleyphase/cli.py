@@ -168,24 +168,15 @@ def _cmd_diagnose(args) -> int:
     consensus = max(dict.fromkeys(phases), key=phases.count)
 
     report = {
-        "couplings": {"j1": c.j1, "j2": c.j2, "temperature": c.temperature},
-        "weights": {"a": p.a, "b": p.b, "alpha": p.alpha, "a_tilde": p.a_tilde, "b_tilde": p.b_tilde},
+        "couplings": c._asdict(),
+        "weights": p._asdict(),
         "critical_temperature": t_c,
         "below_critical": (t_c is not None and c.temperature < t_c),
         "phase_counts": {"paramagnetic": para, "two_commensurate": comm2},
-        "fixed_points": [
-            {"x": r.x, "derivative": r.derivative, "stability": r.stability} for r in fixed.roots
-        ],
+        "fixed_points": [r._asdict() for r in fixed.roots],
         "fixed_point_regime": fixed.regime,
-        "two_cycles": {
-            "b_coeff": cycles.b_coeff,
-            "discriminant": cycles.discriminant,
-            "roots": list(cycles.roots),
-            "degenerate": cycles.degenerate,
-        },
-        "ferro_fixed_points": [
-            {"C": f.C, "u": list(f.u.components), "residual": f.full_residual} for f in ferro
-        ],
+        "two_cycles": cycles._asdict(),
+        "ferro_fixed_points": [{"C": f.C, "u": f.u, "residual": f.full_residual} for f in ferro],
         "trajectories": [
             {
                 "seed": seed,
@@ -212,7 +203,7 @@ def _cmd_diagnose(args) -> int:
         f"weights: a={_fmt(p.a)} b={_fmt(p.b)} b^4={_fmt(p.b_tilde)}",
         f"critical temperature: {'n/a (j2=0)' if t_c is None else _fmt(t_c)}"
         + ("" if t_c is None else f"  ({'below' if c.temperature < t_c else 'at/above'} it)"),
-        f"phase counts: paramagnetic={para} two-commensurate={comm2}",
+        f"phase counts on the flip-symmetric slice: paramagnetic={para} two-commensurate={comm2}",
         f"fixed points ({fixed.regime}):",
     ]
     for r in fixed.roots:
@@ -225,7 +216,7 @@ def _cmd_diagnose(args) -> int:
     if ferro:
         lines.append("ferro fixed points:")
         for f in ferro:
-            lines.append(f"  u=({', '.join(_fmt(x) for x in f.u.components)})  residual={f.full_residual:.2e}")
+            lines.append(f"  u=({', '.join(_fmt(x) for x in f.u)})  residual={f.full_residual:.2e}")
     else:
         lines.append("ferro fixed points: none")
     lines.append("trajectories:")

@@ -142,8 +142,7 @@ class StateVector(_StateVectorFields):
     """Strictly positive branch-weight vector.
 
     Component ``u_i`` corresponds to the top-spin pair ``(+,+), (+,-), (-,+),
-    (-,-)`` in order.  The square-root variables used by the ferro analysis
-    are exposed through :attr:`sqrts` rather than stored.
+    (-,-)`` in order.
     """
 
     __slots__ = ()
@@ -153,14 +152,6 @@ class StateVector(_StateVectorFields):
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"state component {name}={v!r} must be finite and > 0")
         return super().__new__(cls, u1, u2, u3, u4)
-
-    @property
-    def components(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
-    @property
-    def sqrts(self) -> tuple[float, float, float, float]:
-        return tuple(math.sqrt(v) for v in self)
 
     def max_norm(self) -> float:
         return max(self)
@@ -292,7 +283,7 @@ def ferro_residual(p: BoltzmannParams, u: StateVector) -> float:
     at this state (at or past the ``b < 1`` pole), i.e. the surface is empty
     in that direction.
     """
-    v1, v2, v3, v4 = u.sqrts
+    v1, v2, v3, v4 = map(math.sqrt, u)
     s23 = v2 + v3
     den = p.alpha * p.b + (p.b * p.b - 1.0 / (p.b * p.b)) * s23
     if den <= 0.0:

@@ -140,7 +140,7 @@ def _below_zero(f, lo: float, hi: float) -> float | None:
 
 def _mirror(c: FerroCandidate) -> FerroCandidate:
     # v2 + v3 == v3 + v2 and F(flip u) == flip F(u) hold bit for bit
-    return FerroCandidate(c.C, c.v[::-1], StateVector(*c.u.components[::-1]), c.full_residual)
+    return FerroCandidate(c.C, c.v[::-1], StateVector(*c.u[::-1]), c.full_residual)
 
 
 def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:

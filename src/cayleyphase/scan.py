@@ -11,6 +11,7 @@ exact output byte stream.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ class AxisSpec(_AxisSpecFields):
             raise DomainError(f"unknown axis {name!r}; expected one of {AXIS_NAMES}")
         _check_number("axis min", min)
         _check_number("axis max", max)
-        if not isinstance(steps, int):
+        if type(steps) is not int:  # not a bool either
             raise DomainError(f"axis steps must be an integer, not {steps!r}")
         if steps < 1:
             raise DomainError("axis steps must be >= 1")
@@ -74,8 +75,9 @@ class AxisSpec(_AxisSpecFields):
 
 
 def _check_number(name: str, value) -> None:
-    # a JSON integer is an int of any size; it must also convert to a double
-    if not isinstance(value, (int, float)):
+    # a JSON integer is an int of any size; it must also convert to a double.
+    # A JSON true or false is a bool, which Python counts as an int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name} must be a number, not {value!r}")
     try:
         float(value)
@@ -119,7 +121,7 @@ class ScanConfig(_ScanConfigFields):
             raise DomainError("a scan needs one or two axes")
         _check_seeds(seeds)
         for name, value in (("max_iter", max_iter), ("workers", workers)):
-            if not isinstance(value, int):
+            if type(value) is not int:  # not a bool either
                 raise DomainError(f"{name} must be an integer, not {value!r}")
         _check_number("tol", tol)
         fixed = {"j1": j1, "j2": j2, "temperature": temperature}
@@ -286,7 +288,8 @@ def _grid(cfg: ScanConfig) -> list[tuple[int, int, dict[str, float]]]:
     ]
 
 
-def _evaluate_point(cfg: ScanConfig, starts: dict, i: int, j: int, axis_values: dict) -> list[ScanRow]:
+def _evaluate_point(cfg: ScanConfig, starts: dict, point: tuple) -> list[ScanRow]:
+    i, j, axis_values = point
     c = _couplings_at(cfg, axis_values)
     p = derive_params(c)
     para, comm2 = _phase_counts(p)
@@ -312,13 +315,6 @@ def _evaluate_point(cfg: ScanConfig, starts: dict, i: int, j: int, axis_values: 
     ]
 
 
-def _evaluate_share(task) -> list[list[ScanRow]]:
-    # worker k of n takes grid points k, k + n, k + 2n, ...: one task per
-    # worker, so the config and the starts cross to each worker once
-    cfg, starts, k, n = task
-    return [_evaluate_point(cfg, starts, *point) for point in _grid(cfg)[k::n]]
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -328,22 +324,21 @@ def _available_cpus() -> int:
 
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Evaluate the grid; rows are returned in deterministic grid order."""
-    starts = _starts_for_seeds(cfg.seeds)
-    n_points = math.prod(axis.steps for axis in cfg.axes)
+    evaluate = functools.partial(_evaluate_point, cfg, _starts_for_seeds(cfg.seeds))
+    grid = _grid(cfg)
     # a forked pool starts all its workers at once: start no more than can
     # have work or a CPU
-    workers = min(cfg.workers, n_points, _available_cpus())
-    tasks = [(cfg, starts, k, workers) for k in range(workers)]
+    workers = min(cfg.workers, len(grid), _available_cpus())
     if workers == 1:
-        shares = [_evaluate_share(tasks[0])]
+        points = map(evaluate, grid)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        # about four chunks per worker, each to the next free worker, so a
+        # slow stretch of the grid does not hold up the rest; map returns the
+        # results in grid order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(_evaluate_share, tasks))
-    points = [None] * n_points
-    for k, share in enumerate(shares):
-        points[k::workers] = share
+            points = list(pool.map(evaluate, grid, chunksize=math.ceil(len(grid) / (4 * workers))))
     return [row for rows in points for row in rows]
 
 

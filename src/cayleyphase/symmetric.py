@@ -409,7 +409,14 @@ def tabulate_critical_curves(j2_values, temperature: float) -> list[CriticalCurv
 
 
 def phase_counts(c: Couplings) -> tuple[int, int]:
-    """(number of symmetric fixed-point phases, number of period-two phases).
+    """(number of fixed points, number of period-two states) of the map on
+    the flip-symmetric slice.
+
+    These are the paper's counts of Gibbs measures on the slice.  A slice
+    period-two state need not attract trajectories of the full map: on scans
+    over j1, j2 and T, no trajectory ended on one, every lifted slice
+    two-cycle that was checked was unstable in the full map, and the
+    period-2 runs ended off the slice.
 
     Neither count finds a root.  The first reads the sign structure that
     :func:`solve_fixed_points` brackets: one per sign change of the level

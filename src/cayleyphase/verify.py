@@ -18,6 +18,7 @@ import math
 from typing import NamedTuple
 
 from .core import (
+    BoltzmannParams,
     Couplings,
     StateVector,
     derive_params,
@@ -70,14 +71,26 @@ def _check_recurrence_vs_enumeration() -> VerifyResult:
 
 
 def _check_cycle_thresholds() -> VerifyResult:
+    # the star thresholds against the two-cycle quadratic itself: its
+    # discriminant vanishes at each, and two roots appear one part in 1e6
+    # inside the window and none as far outside
+    def two_cycles(a2: float):
+        return solve_two_cycles(BoltzmannParams.from_weights(math.sqrt(a2), 0.5))
+
     th = cycle_thresholds(0.5)
-    product = th.star_minus * th.star_plus
+    worst = 0.0
+    counts = []
+    for a2, inward in ((th.star_minus, 1.0 + 1e-6), (th.star_plus, 1.0 - 1e-6)):
+        rep = two_cycles(a2)
+        worst = max(worst, abs(rep.discriminant) / rep.b_coeff**2)
+        counts += [len(two_cycles(a2 * inward).roots), len(two_cycles(a2 / inward).roots)]
     ordered = th.outer_minus <= th.star_minus and th.star_plus <= th.outer_plus
-    ok = abs(product - 1.0) <= 1e-12 and ordered
     return VerifyResult(
         "two-cycle thresholds at b=0.5",
-        ok,
-        f"star product-1 = {product - 1.0:.3e}, ordering {'ok' if ordered else 'violated'}",
+        worst <= 1e-12 and counts == [2, 0, 2, 0] and ordered,
+        f"|discriminant|/B^2 at the star thresholds {worst:.3e} (tolerance 1e-12),"
+        f" roots just inside/outside each {counts} (must be [2, 0, 2, 0]),"
+        f" ordering {'ok' if ordered else 'violated'}",
     )
 
 
@@ -106,8 +119,7 @@ def _check_ferro_fixed_points() -> VerifyResult:
     nearest = min((symmetric_residual(u) for u in states), default=0.0)
     # the global spin flip reverses the components, exactly in floating point,
     # and maps the set onto itself
-    comps = {u.components for u in states}
-    closed = {c[::-1] for c in comps} == comps
+    closed = {u[::-1] for u in states} == set(states)
     ok = bool(states) and closed and worst <= 1e-9 and nearest > 1e-3
     return VerifyResult(
         "ferro fixed points against the full map",

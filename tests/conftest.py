@@ -30,7 +30,7 @@ def maxdiff(u, v) -> float:
 
 def normalized(u: StateVector):
     m = u.max_norm()
-    return tuple(c / m for c in u.components)
+    return tuple(c / m for c in u)
 
 
 @pytest.fixture

@@ -80,17 +80,17 @@ class TestRecurrenceStep:
     def test_all_weights_one(self):
         p = BoltzmannParams.from_weights(1.0, 1.0)
         w = recurrence_step(p, StateVector(1, 1, 1, 1))
-        assert w.components == (4.0, 4.0, 4.0, 4.0)
+        assert w == (4.0, 4.0, 4.0, 4.0)
 
     def test_direct_substitution(self):
         p = BoltzmannParams.from_weights(2.0, 1.0)
         w = recurrence_step(p, StateVector(1, 1, 1, 1))
-        assert w.components == (8.0, 2.0, 2.0, 8.0)
+        assert w == (8.0, 2.0, 2.0, 8.0)
 
     def test_hand_checked_b2(self):
         p = BoltzmannParams.from_weights(1.0, 2.0)
         w = recurrence_step(p, StateVector(1, 1, 1, 1))
-        assert w.components == (6.25, 6.25, 6.25, 6.25)
+        assert w == (6.25, 6.25, 6.25, 6.25)
 
     def test_overflow_names_component(self):
         p = BoltzmannParams.from_weights(1e100, 1.0)
@@ -207,10 +207,10 @@ class TestResiduals:
     @given(r1=components, r2=components, lam=scales)
     def test_symmetric_scale_invariance(self, r1, r2, lam):
         u = StateVector(r1, r2, r2, r1)
-        us = StateVector(*(lam * c for c in u.components))
+        us = StateVector(*(lam * c for c in u))
         assert symmetric_residual(us) <= 1e-12
         v = StateVector(r1, r2, 2.0 * r2, r1)
-        vs = StateVector(*(lam * c for c in v.components))
+        vs = StateVector(*(lam * c for c in v))
         assert symmetric_residual(vs) == pytest.approx(symmetric_residual(v), rel=1e-12)
 
     def test_ferro_residual_example(self):
@@ -241,10 +241,8 @@ class TestStateVector:
         with pytest.raises(DomainError):
             StateVector(1.0, -2.0, 1.0, 1.0)
 
-    def test_sqrts_view(self):
-        u = StateVector(4.0, 9.0, 1.0, 0.25)
-        assert u.sqrts == (2.0, 3.0, 1.0, 0.5)
-        assert u.max_norm() == 9.0
+    def test_max_norm(self):
+        assert StateVector(4.0, 9.0, 1.0, 0.25).max_norm() == 9.0
 
 
 class TestPeriodicState:
@@ -258,8 +256,8 @@ class TestPeriodicState:
         for _ in range(4):
             w = recurrence_step(p, w)
         assert maxdiff(w, u) <= 1e-12 * u.max_norm()
-        far = StateVector(*(1e-30 * c for c in s.components))
-        assert periodic_state(p, far, 4).components == pytest.approx(u.components, rel=1e-12)
+        far = StateVector(*(1e-30 * c for c in s))
+        assert periodic_state(p, far, 4) == pytest.approx(u, rel=1e-12)
 
     def test_rejects_period_below_one(self):
         with pytest.raises(DomainError):

@@ -42,16 +42,16 @@ ROOT = Path(__file__).resolve().parents[1]
 class TestNormalize:
     def test_example(self):
         u = normalize(StateVector(2, 4, 8, 4))
-        assert u.components == (0.25, 0.5, 1.0, 0.5)
+        assert u == (0.25, 0.5, 1.0, 0.5)
 
     def test_idempotent(self):
         u = normalize(StateVector(0.3, 1.0, 0.2, 0.9))
-        assert normalize(u).components == u.components
+        assert normalize(u) == u
 
     def test_scale_free(self):
         u = StateVector(0.7, 0.1, 0.4, 1.3)
-        v = StateVector(*(8.0 * c for c in u.components))  # power of two: exact
-        assert normalize(v).components == normalize(u).components
+        v = StateVector(*(8.0 * c for c in u))  # power of two: exact
+        assert normalize(v) == normalize(u)
 
     def test_underflow_is_a_range_error(self):
         with pytest.raises(ParameterRangeError, match="u1"):
@@ -63,7 +63,7 @@ class TestIterate:
         p = BoltzmannParams.from_weights(1.0, 1.0)
         out = iterate(p, StateVector(0.3, 1.7, 0.9, 0.2))
         assert out.kind == "fixed-direction"
-        assert out.attractor[0].components == (1.0, 1.0, 1.0, 1.0)
+        assert out.attractor[0] == (1.0, 1.0, 1.0, 1.0)
 
     def test_slice_start_converges_for_b_above_one(self):
         p = BoltzmannParams.from_weights(0.8, 1.5)
@@ -276,7 +276,7 @@ class TestClassifyPhase:
                     continue
                 s = out.attractor[-1]
                 lam = recurrence_step(p, s).max_norm() / s.max_norm()
-                assert periodic_state(p, s).components == tuple(c / lam for c in s.components)
+                assert periodic_state(p, s) == tuple(c / lam for c in s)
                 fixed += 1
         assert fixed == 16
 

@@ -63,9 +63,9 @@ def unmatched_ferro_limits(c: Couplings) -> list[int]:
 
 def assert_flip_closed(cands):
     # the flip is an exact symmetry of the map: each partner is the exact mirror
-    states = {(f.v, f.u.components, f.C, f.full_residual) for f in cands}
+    states = {(f.v, f.u, f.C, f.full_residual) for f in cands}
     for f in cands:
-        assert (f.v[::-1], f.u.components[::-1], f.C, f.full_residual) in states
+        assert (f.v[::-1], f.u[::-1], f.C, f.full_residual) in states
 
 
 class TestSolveFerroFixedPoints:

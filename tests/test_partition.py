@@ -47,11 +47,11 @@ class TestTreeLayout:
 class TestInitialWeights:
     def test_unit(self):
         p = BoltzmannParams.from_weights(1.0, 1.0)
-        assert initial_branch_weights(p).components == (1.0, 1.0, 1.0, 1.0)
+        assert initial_branch_weights(p) == (1.0, 1.0, 1.0, 1.0)
 
     def test_substitution(self):
         p = BoltzmannParams.from_weights(2.0, 1.0)
-        assert initial_branch_weights(p).components == (2.0, 0.5, 0.5, 2.0)
+        assert initial_branch_weights(p) == (2.0, 0.5, 0.5, 2.0)
 
     def test_depth_one_closed_form(self):
         # Z_1 = 2 (a + 1/a)^2 independent of b, certified against enumeration

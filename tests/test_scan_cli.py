@@ -11,6 +11,7 @@ import pytest
 
 import cayleyphase.partition
 import cayleyphase.scan
+import cayleyphase.symmetric
 from cayleyphase import (
     KERNEL_BACKEND,
     AxisSpec,
@@ -60,6 +61,13 @@ class TestScanConfig:
             ("j2", -(10**400)),
             ("temperature", 10**400),
             ("tol", 10**400),
+            # JSON true and false load as bools, which Python counts as ints
+            ("j1", True),
+            ("j2", False),
+            ("temperature", True),
+            ("tol", True),
+            ("max_iter", True),
+            ("workers", True),
         ):
             with pytest.raises(DomainError, match=field):
                 make_config(**{field: value})
@@ -69,6 +77,9 @@ class TestScanConfig:
             ("steps", (-1.0, 0.0, 2.0)),
             ("min", (-(10**400), 0.0, 2)),
             ("max", (-1.0, 10**400, 2)),
+            ("min", (True, 2.0, 2)),
+            ("max", (-1.0, True, 2)),
+            ("steps", (1.0, 2.0, True)),
         ):
             with pytest.raises(DomainError, match=field):
                 AxisSpec("j2", *args)
@@ -143,9 +154,9 @@ class TestScanDeterminism:
         assert format_json(rows1, cfg1) == format_json(rows4, cfg4)
 
     def test_pool_is_bounded(self, monkeypatch):
-        # a fake executor records the pool size and runs the tasks in-process;
-        # no real process starts
-        sizes = []
+        # a fake executor records the pool size, the number of tasks and the
+        # chunk size, and runs the tasks in-process; no real process starts
+        sizes, maps = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -157,26 +168,45 @@ class TestScanDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize=1):
+                tasks = list(zip(*iterables))
+                maps.append((len(tasks), chunksize))
+                return [fn(*task) for task in tasks]
 
         import concurrent.futures
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        one_point = {"axes": [AxisSpec("temperature", 1.0, 1.0, 1)], "j1": 0.5}
-        two_points = {"axes": [AxisSpec("temperature", 1.0, 2.0, 2)], "j1": 0.5}
-        for workers, grid, cpus, expected in (
-            (6, one_point, 8, []),  # in-process
-            (6, {}, 1, []),  # in-process
-            (6, {}, 4, [4]),
-            (3, {}, 8, [3]),
-            (6, two_points, 8, [2]),
-        ):
+        # grids by their number of points
+        grids = {
+            1: {"axes": [AxisSpec("temperature", 1.0, 1.0, 1)], "j1": 0.5},
+            2: {"axes": [AxisSpec("temperature", 1.0, 2.0, 2)], "j1": 0.5},
+            7: {"axes": [AxisSpec("temperature", 1.0, 2.0, 7)], "j1": 0.5},
+            9: {},
+            400: {"axes": [AxisSpec("temperature", 0.8, 2.4, 20), AxisSpec("j1", 0.1, 0.9, 20)], "seeds": [1]},
+        }
+        cases = [
+            (6, 1, 8, []),  # in-process
+            (6, 9, 1, []),  # in-process
+            (6, 9, 4, [4]),
+            (3, 9, 8, [3]),
+            (6, 2, 8, [2]),
+        ]
+        cases += [(workers, n, 8, [min(workers, n)] if n > 1 else []) for n in (1, 7, 9, 400) for workers in (2, 4)]
+        serial = {n: format_csv(run_scan(make_config(**grid))) for n, grid in grids.items()}
+        for workers, n, cpus, expected in cases:
             sizes.clear()
+            maps.clear()
             monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: cpus)
-            rows = run_scan(make_config(workers=workers, **grid))
-            assert sizes == expected, (workers, grid, cpus)
-            assert format_csv(rows) == format_csv(run_scan(make_config(**grid)))
+            rows = run_scan(make_config(workers=workers, **grids[n]))
+            assert sizes == expected, (workers, n, cpus)
+            assert format_csv(rows) == serial[n], (workers, n, cpus)
+            if expected:
+                # one task per grid point, in chunks enough for every worker
+                # where the grid has room for four a worker
+                [(tasks, chunksize)], [pool_size] = maps, expected
+                assert tasks == n, (workers, n, cpus)
+                if n >= 4 * pool_size:
+                    assert math.ceil(n / chunksize) >= pool_size, (workers, n, cpus)
 
     def test_repeat_runs_identical(self):
         cfg = make_config()
@@ -385,6 +415,17 @@ class TestCli:
         assert r.returncode == 0, r.stdout + r.stderr
         assert "FAIL" not in r.stdout
 
+    def test_verify_catches_a_shifted_star_threshold(self, monkeypatch, capsys):
+        # the thresholds' own identity (star_minus * star_plus == 1) survives
+        # the shift; the two-cycle quadratic does not
+        star_numerator = cayleyphase.symmetric._star_numerator
+        monkeypatch.setattr(
+            cayleyphase.symmetric, "_star_numerator", lambda b: star_numerator(b) * (1.0 + 1e-6)
+        )
+        assert main(["verify"]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "two-cycle thresholds" in failed[0], failed
+
     def test_usage_error_exit_code(self, tmp_path):
         point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
         cases = [
@@ -425,6 +466,12 @@ class TestCli:
             path.write_text(text)
             cases.append(("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--config", str(path)))
         cases.append(("diagnose", *point, "--max-iter", "1" + "0" * 30))
+        # JSON booleans where numbers belong; everything else is complete
+        path = tmp_path / "bools.json"
+        path.write_text(
+            '{"j1": true, "workers": true, "axes": [{"name": "temperature", "min": 1, "max": 2, "steps": true}]}'
+        )
+        cases.append(("scan", "--j2", "0", "--config", str(path)))
         for args in cases:
             r = run_cli(*args)
             assert r.returncode == 1, args

@@ -298,8 +298,8 @@ class TestLifts:
     def test_unit_fixed_point(self):
         p = BoltzmannParams.from_weights(1.0, 1.0)
         u = lift_fixed_point(p, 1.0)
-        assert u.components == (0.25, 0.25, 0.25, 0.25)
-        assert recurrence_step(p, u).components == u.components
+        assert u == (0.25, 0.25, 0.25, 0.25)
+        assert recurrence_step(p, u) == u
 
     def test_lift_is_on_slice_and_fixed(self, params_three_roots):
         for r in solve_fixed_points(params_three_roots).roots:
@@ -343,7 +343,7 @@ class TestLifts:
         with pytest.raises(OverflowError):
             closed_form_fixed_lift(p, root.x)
         u = lift_fixed_point(p, root.x)
-        assert u.components == pytest.approx((1e-300, 1e-100, 1e-100, 1e-300), rel=1e-13)
+        assert u == pytest.approx((1e-300, 1e-100, 1e-100, 1e-300), rel=1e-13)
         assert recurrence_residual(p, u) <= 1e-15
 
     def test_lift_past_the_double_range_raises(self):
