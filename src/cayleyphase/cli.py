@@ -25,8 +25,9 @@ from .scan import (
     AxisSpec,
     ScanConfig,
     _check_seeds,
+    _csv,
     _fmt,
-    _json_safe,
+    _json,
     _starts_for_seeds,
     _trajectories,
     format_csv,
@@ -86,6 +87,12 @@ def _write_output(text: str, path: str | None) -> None:
         raise SystemExit(USAGE_ERROR) from exc
 
 
+def _emit(args, payload, lines: list[str]) -> int:
+    # a report is the payload as JSON, or else its text lines
+    _write_output(_json(payload) if args.format == "json" else "\n".join(lines) + "\n", args.output)
+    return 0
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cayleyphase", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cayleyphase {__version__}")
@@ -106,7 +113,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("scan", help="evaluate a 1- or 2-axis parameter grid")
     add_point_args(sp)
-    sp.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:STEPS")
+    sp.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:STEPS", dest="axes")
     sp.add_argument("--seeds", type=str, default="0")
     sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -180,24 +187,15 @@ def _cmd_diagnose(args) -> int:
         "trajectories": [
             {
                 "seed": seed,
-                "phase": label.phase,
-                "period": label.period,
+                **label._asdict(),
                 "iterations": outcome.iterations_used,
                 "residual": outcome.residual,
-                "m1_residual": label.m1_residual,
-                "m2_residual": label.m2_residual,
             }
             for seed, outcome, label in runs
         ],
         "consensus_phase": consensus,
         "kernel_backend": KERNEL_BACKEND,
     }
-    if args.format == "json":
-        _write_output(
-            json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False) + "\n",
-            args.output,
-        )
-        return 0
     lines = [
         f"point: j1={_fmt(c.j1)} j2={_fmt(c.j2)} T={_fmt(c.temperature)}",
         f"weights: a={_fmt(p.a)} b={_fmt(p.b)} b^4={_fmt(p.b_tilde)}",
@@ -227,22 +225,13 @@ def _cmd_diagnose(args) -> int:
             f" (m1={label.m1_residual:.2e}, m2={label.m2_residual:.2e})"
         )
     lines.append(f"consensus: {consensus}")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
+    return _emit(args, report, lines)
 
 
 def _cmd_scan(args) -> int:
-    cfg_kwargs = {
-        "axes": [_parse_axis(a) for a in args.axis],
-        "j1": args.j1,
-        "j2": args.j2,
-        "temperature": args.temperature,
-        "seeds": _parse_seeds(args.seeds),
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "format": args.format,
-        "workers": args.workers,
-    }
+    cfg_kwargs = {name: getattr(args, name) for name in ScanConfig._fields}
+    cfg_kwargs["axes"] = [_parse_axis(a) for a in args.axes]
+    cfg_kwargs["seeds"] = _parse_seeds(args.seeds)
     overrides = {}
     if args.config:
         try:
@@ -267,20 +256,10 @@ def _cmd_curves(args) -> int:
     axes = [_parse_axis(a) for a in args.axis]
     if len(axes) != 1 or axes[0].name != "j2":
         raise DomainError("curves needs exactly one axis, over j2")
+    columns = ("j2", "j1_plus", "j1_minus")
     samples = tabulate_critical_curves(axes[0].values(), args.temperature)
-    if args.format == "json":
-        payload = [
-            {"j2": s.j2, "j1_plus": s.j1_plus, "j1_minus": s.j1_minus} for s in samples
-        ]
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    lines = ["j2,j1_plus,j1_minus"]
-    for s in samples:
-        plus = "" if s.j1_plus is None else _fmt(s.j1_plus)
-        minus = "" if s.j1_minus is None else _fmt(s.j1_minus)
-        lines.append(f"{_fmt(s.j2)},{plus},{minus}")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
+    rows = [(s.j2, s.j1_plus, s.j1_minus) for s in samples]
+    return _emit(args, [dict(zip(columns, r)) for r in rows], _csv(columns, rows))
 
 
 def _cmd_partition(args) -> int:
@@ -295,17 +274,13 @@ def _cmd_partition(args) -> int:
     else:
         z, _ = partition_recurrence(p, args.depth)
         result["Z"] = z
-    if args.format == "json":
-        _write_output(json.dumps(result, indent=2, sort_keys=True) + "\n", args.output)
-        return 0
     lines = [f"depth: {args.depth}"]
     if "Z" in result:
         lines.append(f"Z = {_fmt(result['Z'])}")
     else:
         lines.append(f"log Z = {_fmt(result['log_Z'])}")
     lines.append(f"free energy density = {_fmt(result['free_energy_density'])}")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
+    return _emit(args, result, lines)
 
 
 def _cmd_verify(_args) -> int:

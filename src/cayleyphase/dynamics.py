@@ -25,16 +25,14 @@ ratios, because the ratio map (for b < 1 its double step) is monotone.
 The inner loop is the plain-C extension ``_trajectory`` (``_trajectory.c``,
 built by ``setup.py``), with a bit-identical pure-Python twin
 (``_trajectory_py``) used where the extension was not built;
-``KERNEL_BACKEND`` records which one was selected (set
-CAYLEYPHASE_PURE_PYTHON=1 to force the twin).  ``scan`` and ``diagnose`` say
-on stderr when they run on the twin, which is about 60x slower.
+``KERNEL_BACKEND`` records which one was imported.  ``scan`` and ``diagnose``
+say on stderr when they run on the twin, which is about 60x slower.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import os
 import sys
 from typing import NamedTuple, Optional
 
@@ -50,13 +48,10 @@ from .core import (
 )
 from .symmetric import solve_fixed_points, solve_two_cycles
 
-if os.environ.get("CAYLEYPHASE_PURE_PYTHON"):
+try:
+    from . import _trajectory as _traj  # type: ignore[attr-defined]
+except ImportError:
     from . import _trajectory_py as _traj
-else:
-    try:
-        from . import _trajectory as _traj  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _trajectory_py as _traj
 
 KERNEL_BACKEND = _traj.BACKEND
 

@@ -50,6 +50,9 @@ class AxisSpec(_AxisSpecFields):
             raise DomainError(f"unknown axis {name!r}; expected one of {AXIS_NAMES}")
         _check_number("axis min", min)
         _check_number("axis max", max)
+        # an infinite bound or span puts NaN or inf on the grid
+        if not math.isfinite(float(max) - float(min)):
+            raise DomainError("axis bounds and max - min must be finite")
         if type(steps) is not int:  # not a bool either
             raise DomainError(f"axis steps must be an integer, not {steps!r}")
         if steps < 1:
@@ -345,32 +348,39 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    return "" if value is None else str(value)
+
+
+def _csv(header, rows) -> list[str]:
+    """The one CSV form, as lines: the header, then the rows' ``_fmt`` cells."""
+    return [",".join(header), *(",".join(map(_fmt, r)) for r in rows)]
 
 
 def format_csv(rows: list[ScanRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(map(_fmt, r)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_csv(CSV_COLUMNS, rows)) + "\n"
 
 
 def _json_safe(obj):
-    # strict JSON has no Infinity/NaN literals
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
+    # strict JSON has no Infinity/NaN literals; floats first, as most values
+    # are. A dict is edited in place, so a scan's rows are not held twice
+    # while they are dumped: every payload is built for its one dump
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+        for k, v in obj.items():
+            obj[k] = _json_safe(v)
+        return obj
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     return obj
 
 
+def _json(payload) -> str:
+    """The one JSON form: indented, keys sorted, non-finite values as null
+    (the payload's dicts are edited in place)."""
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def format_json(rows: list[ScanRow], cfg: ScanConfig) -> str:
-    payload = {
-        "metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()},
-        "results": [
-            dict(zip(CSV_COLUMNS, map(_json_safe, r))) for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    metadata = {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}
+    return _json({"metadata": metadata, "results": [r._asdict() for r in rows]})

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import random
 import struct
 import subprocess
@@ -80,6 +79,13 @@ class TestScanConfig:
             ("min", (True, 2.0, 2)),
             ("max", (-1.0, True, 2)),
             ("steps", (1.0, 2.0, True)),
+            # an infinite bound or span would put NaN or inf on the grid
+            ("finite", (-math.inf, -0.1, 3)),
+            ("finite", (1.0, math.inf, 1)),
+            ("finite", (math.nan, 1.0, 1)),
+            ("finite", (-1e308, 1.5e308, 5)),
+            ("finite", (-1.7e308, 1.7e308, 2)),
+            ("finite", (-(10**308), 10**308, 2)),
         ):
             with pytest.raises(DomainError, match=field):
                 AxisSpec("j2", *args)
@@ -94,17 +100,16 @@ class TestScanConfig:
         rng = random.Random(20261018)
         axes = [(0.8, 2.4, 3), (-1.0, -1.0, 1), (1e300, 1e300, 1)]
         axes += [(0.0, 4e-323, 101), (-5e-324, 5e-324, 40)]  # subnormal step: divide first
-        axes += [(-1e308, 1.5e308, 5), (-1.7e308, 1.7e308, 2)]  # max - min overflows
+        axes += [(-1e308, 7e307, 5), (-8e307, 8e307, 2)]  # max - min just below overflow
         for _ in range(2000):
             lo, hi = sorted(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0) for _ in range(2))
-            if lo < hi:
+            if lo < hi and math.isfinite(hi - lo):
                 axes.append((lo, hi, rng.choice((1, 2, 3, 5, 10, 80, 101, 1000))))
             lo, hi = sorted(rng.uniform(-3.0, 3.0) for _ in range(2))
             axes.append((lo, hi, rng.randint(1, 400)))
         for lo, hi, steps in axes:
             got = AxisSpec("j2", lo, hi, steps).values()
-            with np.errstate(all="ignore"):  # 0 * inf where max - min overflows
-                want = np.linspace(lo, hi, steps).tolist()
+            want = np.linspace(lo, hi, steps).tolist()
             assert all(type(x) is float for x in got)
             assert [struct.pack("d", x) for x in got] == [struct.pack("d", x) for x in want], (lo, hi, steps)
 
@@ -286,17 +291,38 @@ class TestScanPhysics:
                 assert row.comm2_count == 0, row.j1
 
 
-def run_cli(*args, env=None):
+# the CLI of a build without the compiled kernel: its import fails, as in a
+# compiler-less install
+PURE_PYTHON_MAIN = (
+    "import sys; sys.modules['cayleyphase._trajectory'] = None;"
+    " from cayleyphase.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_cli(*args, pure_python=False):
     return subprocess.run(
-        [sys.executable, "-m", "cayleyphase", *args],
+        [sys.executable, *(("-c", PURE_PYTHON_MAIN) if pure_python else ("-m", "cayleyphase")), *args],
         capture_output=True,
         text=True,
         timeout=600,
-        env=env,
     )
 
 
 SLOW_KERNEL_WARNING = "about 60x slower"
+
+# at (0, -ln 2, 1) the ferro surface is empty where the runs end, so
+# m2_residual is infinite; at T = 1 the j2 = -0.1 curve branches are absent
+LN_HALF = repr(-math.log(2.0))
+JSON_CALLS = {
+    "diagnose": ("diagnose", "--j1", "0", "--j2", LN_HALF, "--temperature", "1", "--seeds", "1,2"),
+    "scan": ("scan", "--axis", "temperature:1:1:1", "--j1", "0", "--j2", LN_HALF, "--seeds", "1,2"),
+    "curves": ("curves", "--axis", "j2:-2:-0.1:5", "--temperature", "1"),
+    "partition": ("partition", "--j1", "0.5", "--j2", "-0.3", "--temperature", "1", "--depth", "12", "--log"),
+}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
 
 
 class TestCli:
@@ -305,6 +331,22 @@ class TestCli:
         assert r.returncode == 0
         assert "critical temperature" in r.stdout
         assert "below" in r.stdout  # T = 1 < 1.8/ln3
+
+    @pytest.mark.parametrize("command", sorted(JSON_CALLS))
+    def test_one_json_form(self, command, capsys):
+        assert main([*JSON_CALLS[command], "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        data = json.loads(text, parse_constant=_reject_constant)
+        assert json.dumps(data, indent=2, sort_keys=True) + "\n" == text
+        if command == "curves":
+            assert main(list(JSON_CALLS[command])) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            csv_rows = [[None if cell == "" else float(cell) for cell in line.split(",")] for line in lines]
+            assert csv_rows == [[row[name] for name in header.split(",")] for row in data]
+            assert csv_rows[-1][1:] == [None, None]
+        if command in ("scan", "diagnose"):
+            runs = data["results" if command == "scan" else "trajectories"]
+            assert len(runs) == 2 and all(run["m2_residual"] is None for run in runs)
 
     def test_diagnose_json(self):
         r = run_cli(
@@ -430,6 +472,10 @@ class TestCli:
         point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
         cases = [
             ("scan", "--axis", "bogus"),
+            # an infinite bound or an overflowing span would put NaN or inf on the grid
+            ("curves", "--axis", "j2:-inf:-0.1:3", "--temperature", "1"),
+            ("curves", "--axis", "j2:-1e308:1e308:3", "--temperature", "1"),
+            ("scan", "--axis", "temperature:1:inf:1", *point[:4]),
             ("diagnose", "--j1", "1"),  # missing j2/temperature
             ("diagnose", *point, "--seeds", ""),
             ("diagnose", *point, "--seeds=-1"),
@@ -565,17 +611,17 @@ class TestCli:
                 )
             )
         )
-        pure = {**os.environ, "CAYLEYPHASE_PURE_PYTHON": "1"}
-        for env, backend in ((pure, "python"), (None, KERNEL_BACKEND)):
-            r = run_cli(*scan, env=env)
+        for pure_python, backend in ((True, "python"), (False, KERNEL_BACKEND)):
+            r = run_cli(*scan, pure_python=pure_python)
             assert r.returncode == 0, r.stderr
             assert r.stdout == expected
             assert r.stderr.count(SLOW_KERNEL_WARNING) == (backend == "python")
             assert r.stderr.count("\n") == (backend == "python")
-        r = run_cli("diagnose", "--j1", "0", "--j2", "0", "--temperature", "1", env=pure)
+        r = run_cli("diagnose", "--j1", "0", "--j2", "0", "--temperature", "1", "--format", "json", pure_python=True)
         assert r.returncode == 0
         assert r.stderr.count(SLOW_KERNEL_WARNING) == 1
+        assert json.loads(r.stdout)["kernel_backend"] == "python"
         # the start vector must not reach the message as a numpy scalar
-        r = run_cli("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1", env=pure)
+        r = run_cli("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1", pure_python=True)
         assert r.returncode == 2
         assert "range" in r.stderr and "np.float64" not in r.stderr
