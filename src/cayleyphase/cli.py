@@ -9,8 +9,6 @@ Exit codes: 0 success, 1 usage error, 2 numeric-range error, 3 verification
 failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -45,15 +43,6 @@ from .verify import run_verify
 USAGE_ERROR = 1
 RANGE_ERROR = 2
 VERIFY_ERROR = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; this tool reserves 2 for numeric
-    # range problems, so remap
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -91,52 +80,6 @@ def _emit(args, payload, lines: list[str]) -> int:
     # a report is the payload as JSON, or else its text lines
     _write_output(_json(payload) if args.format == "json" else "\n".join(lines) + "\n", args.output)
     return 0
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cayleyphase", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"cayleyphase {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_point_args(sp):
-        sp.add_argument("--j1", type=float, default=None)
-        sp.add_argument("--j2", type=float, default=None)
-        sp.add_argument("--temperature", type=float, default=None)
-
-    sp = sub.add_parser("diagnose", help="full report for one parameter point")
-    add_point_args(sp)
-    sp.add_argument("--seeds", type=str, default="0")
-    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--output", type=str, default=None)
-
-    sp = sub.add_parser("scan", help="evaluate a 1- or 2-axis parameter grid")
-    add_point_args(sp)
-    sp.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:STEPS", dest="axes")
-    sp.add_argument("--seeds", type=str, default="0")
-    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--output", type=str, default=None)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--config", type=str, default=None, help="JSON file overriding flags")
-
-    sp = sub.add_parser("curves", help="critical-curve table over a j2 range")
-    sp.add_argument("--axis", action="append", default=[], metavar="j2:MIN:MAX:STEPS")
-    sp.add_argument("--temperature", type=float, required=True)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--output", type=str, default=None)
-
-    sp = sub.add_parser("partition", help="partition function and free energy")
-    add_point_args(sp)
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--log", action="store_true", help="log-scaled mode (any depth)")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--output", type=str, default=None)
-
-    sub.add_parser("verify", help="run the built-in cross-checks")
-    return parser
 
 
 def _warn_if_pure_python() -> None:
@@ -293,18 +236,48 @@ def _cmd_verify(_args) -> int:
     return VERIFY_ERROR if failed else 0
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cayleyphase", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"cayleyphase {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def flags(*table, required=False):
+        # a parent parser: flags that several subcommands share
+        group = argparse.ArgumentParser(add_help=False)
+        for name, kind, default in table:
+            group.add_argument(name, type=kind, default=default, required=required)
+        return group
+
+    j1, j2, temperature = [(name, float, None) for name in ("--j1", "--j2", "--temperature")]
+    point = flags(j1, j2, temperature)
+    run = flags(("--seeds", str, "0"), ("--max-iter", int, DEFAULT_MAX_ITER), ("--tol", float, DEFAULT_TOL))
+
+    def add(name, handler, parents, formats, help):
+        sp = sub.add_parser(name, parents=parents, help=help)
+        sp.add_argument("--format", choices=formats, default=formats[0])
+        sp.add_argument("--output")
+        sp.set_defaults(handler=handler)
+        return sp
+
+    add("diagnose", _cmd_diagnose, [point, run], ("text", "json"), "full report for one parameter point")
+    sp = add("scan", _cmd_scan, [point, run], ("csv", "json"), "evaluate a 1- or 2-axis parameter grid")
+    sp.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:STEPS", dest="axes")
+    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--config", help="JSON file overriding flags")
+    sp = add("curves", _cmd_curves, [flags(temperature, required=True)], ("csv", "json"),
+             "critical-curve table over a j2 range")
+    sp.add_argument("--axis", action="append", default=[], metavar="j2:MIN:MAX:STEPS")
+    sp = add("partition", _cmd_partition, [point], ("text", "json"), "partition function and free energy")
+    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--log", action="store_true", help="log-scaled mode (any depth)")
+    sub.add_parser("verify", help="run the built-in cross-checks").set_defaults(handler=_cmd_verify)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler = {
-            "diagnose": _cmd_diagnose,
-            "scan": _cmd_scan,
-            "curves": _cmd_curves,
-            "partition": _cmd_partition,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except ParameterRangeError as exc:
         print(f"numeric range error: {exc}", file=sys.stderr)
         return RANGE_ERROR
@@ -312,7 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        # argparse exits with 2 on usage errors; this tool reserves 2 for
+        # numeric range problems, so remap
+        return USAGE_ERROR if exc.code == 2 else exc.code
 
 
 if __name__ == "__main__":

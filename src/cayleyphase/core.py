@@ -19,8 +19,6 @@ Two invariant sets organise the fixed points:
   :func:`ferro_constraint`; fixed points there break the flip symmetry.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -30,7 +28,6 @@ __all__ = [
     "DomainError",
     "ParameterRangeError",
     "StateVector",
-    "bracketed_root",
     "derive_params",
     "ferro_constraint",
     "ferro_residual",

@@ -29,8 +29,6 @@ built by ``setup.py``), with a bit-identical pure-Python twin
 say on stderr when they run on the twin, which is about 60x slower.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 import sys

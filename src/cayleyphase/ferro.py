@@ -55,8 +55,6 @@ bit for bit.  Candidates that collapse onto the symmetric slice are dropped
 -- they belong to the fixed-point analysis there, not here.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple

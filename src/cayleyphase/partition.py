@@ -16,8 +16,6 @@ extra generation is exactly one application of ``recurrence_step``.  The exact
 enumeration here certifies that convention end to end.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import math
@@ -42,9 +40,6 @@ __all__ = [
     "partition_recurrence",
     "partition_recurrence_log",
     "periodic_partition",
-    "tree_edges",
-    "tree_grandparent_pairs",
-    "tree_vertex_count",
 ]
 
 _MAX_ENUM_DEPTH = 3  # 2^15 spins = 32768 configurations
@@ -104,11 +99,11 @@ def partition_recurrence(p: BoltzmannParams, n: int) -> tuple[float, StateVector
             u = recurrence_step(p, u)
     except ParameterRangeError as exc:
         raise ParameterRangeError(
-            f"{exc}; use partition_recurrence_log for this depth"
+            f"{exc}; use partition_recurrence_log (--log on the command line) for this depth"
         ) from exc
     z = _close(u)
     if not math.isfinite(z):
-        raise ParameterRangeError("Z overflowed; use partition_recurrence_log")
+        raise ParameterRangeError("Z overflowed; use partition_recurrence_log (--log on the command line)")
     return z, u
 
 
@@ -205,9 +200,8 @@ def free_energy_density(c: Couplings, n: int) -> float:
 
 
 def _free_energy_and_log_z(c: Couplings, n: int) -> tuple[float, float]:
-    # one log recurrence for callers that report log Z_n as well
-    if n < 1:
-        raise DomainError("depth n must be >= 1")
+    # one log recurrence for callers that report log Z_n as well; the
+    # recurrence checks n >= 1
     if n > _MAX_SITE_DEPTH:
         raise ParameterRangeError(f"depth {n}: the site count 2^{n + 1} - 1 exceeds the float range")
     log_z, _, _ = partition_recurrence_log(derive_params(c), n)

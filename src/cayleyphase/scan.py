@@ -9,8 +9,6 @@ and all floats are formatted to 17 significant digits, so a config maps to one
 exact output byte stream.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import math

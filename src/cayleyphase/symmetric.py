@@ -30,8 +30,6 @@ y -> inf.  The solver brackets each sign change and the counter counts them,
 so the two cannot disagree on the number of fixed points.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple, Optional

@@ -12,8 +12,6 @@ the closed-form lifts serve as oracles in the test tree.  Intended as a
 seconds-scale smoke test; the full acceptance suite lives in the test tree.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -38,7 +36,7 @@ from .symmetric import (
     solve_two_cycles,
 )
 
-__all__ = ["VerifyResult", "run_verify"]
+__all__ = ["run_verify"]
 
 
 class VerifyResult(NamedTuple):

@@ -6,10 +6,13 @@ that check their inputs still reject bad ones."""
 import json
 import math
 import pickle
+import sys
+import typing
 
 import pytest
 
 import cayleyphase as cp
+import cayleyphase.cli
 from cayleyphase import AxisSpec, DomainError, ParameterRangeError, ScanConfig, StateVector
 from cayleyphase.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL
 from cayleyphase.scan import CSV_COLUMNS
@@ -51,6 +54,21 @@ RECORDS = one_of_each()
 
 def test_every_record_type_is_covered():
     assert len({type(r) for r in RECORDS}) == 16
+
+
+def test_field_annotations_are_types():
+    # a string annotation would make NamedTuple compile a ForwardRef for it
+    records = [
+        cls
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("cayleyphase.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and hasattr(cls, "_fields")
+    ]
+    assert {type(r) for r in RECORDS} <= set(records)
+    for cls in records:
+        for field, annotation in cls.__annotations__.items():
+            assert not isinstance(annotation, (str, typing.ForwardRef)), (cls.__qualname__, field)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

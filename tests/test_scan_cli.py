@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -321,6 +322,19 @@ JSON_CALLS = {
 }
 
 
+# every option string of each subcommand's --help
+POINT_OPTIONS = "--j1 --j2 --temperature"
+RUN_OPTIONS = "--seeds --max-iter --tol"
+HELP_OPTIONS = {
+    "": "-h --help --version",
+    "diagnose": f"-h --help {POINT_OPTIONS} {RUN_OPTIONS} --format --output",
+    "scan": f"-h --help {POINT_OPTIONS} --axis {RUN_OPTIONS} --format --output --workers --config",
+    "curves": "-h --help --axis --temperature --format --output",
+    "partition": f"-h --help {POINT_OPTIONS} --depth --log --format --output",
+    "verify": "-h --help",
+}
+
+
 def _reject_constant(name):
     raise AssertionError(f"{name} is not strict JSON")
 
@@ -484,6 +498,13 @@ class TestCli:
             # would end every run at its first step
             ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "0.3", "--tol", "1"),
             ("diagnose", "--j1", "1", "--j2", "-0.6", "--temperature", "0.3", "--seeds", "1,2", "--tol", "1"),
+            # argparse's own usage errors, which exit 2 unless remapped
+            ("scan", "--bogus"),
+            ("diagnose", "--max-iter", "abc"),
+            ("partition", "--format", "xml"),
+            (),
+            ("curves", "--axis", "j2:-1:0:2"),
+            ("bogus",),
         ]
         configs = [
             '[1,2]',
@@ -560,6 +581,18 @@ class TestCli:
             assert r.returncode == 2, args
             assert r.stderr.count("numeric range error:") == 1, (args, r.stderr)
             assert "Traceback" not in r.stderr, (args, r.stderr)
+
+    @pytest.mark.parametrize("command, options", HELP_OPTIONS.items(), ids=[c or "top" for c in HELP_OPTIONS])
+    def test_help_lists_every_option(self, command, options, capsys):
+        assert main([*command.split(), "--help"]) == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == set(options.split()), out
+
+    def test_partition_overflow_names_the_log_flag(self, capsys):
+        argv = ["partition", "--j1", "0.5", "--j2", "-0.3", "--temperature", "1", "--depth", "40"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric range error:") and "--log" in err, err
 
     def test_range_errors_found_at_accepted_couplings(self, capsys):
         # in-process, so that a traceback would fail the test as an exception
