@@ -93,15 +93,8 @@ def _warn_if_pure_python() -> None:
         )
 
 
-def _require_point(args) -> Couplings:
-    missing = [n for n in ("j1", "j2", "temperature") if getattr(args, n) is None]
-    if missing:
-        raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
-    return Couplings(j1=args.j1, j2=args.j2, temperature=args.temperature)
-
-
 def _cmd_diagnose(args) -> int:
-    c = _require_point(args)
+    c = Couplings(args.j1, args.j2, args.temperature)
     seeds = _parse_seeds(args.seeds)
     p = derive_params(c)
     t_c = critical_temperature(c.j2)
@@ -206,16 +199,15 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    c = _require_point(args)
-    p = derive_params(c)
     if args.depth < 1:
         raise DomainError("--depth must be >= 1")
+    c = Couplings(args.j1, args.j2, args.temperature)
     free_energy, log_z = _free_energy_and_log_z(c, args.depth)
     result = {"depth": args.depth, "free_energy_density": free_energy}
     if args.log:
         result["log_Z"] = log_z
     else:
-        z, _ = partition_recurrence(p, args.depth)
+        z, _ = partition_recurrence(derive_params(c), args.depth)
         result["Z"] = z
     lines = [f"depth: {args.depth}"]
     if "Z" in result:
@@ -249,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return group
 
     j1, j2, temperature = [(name, float, None) for name in ("--j1", "--j2", "--temperature")]
-    point = flags(j1, j2, temperature)
+    point = flags(j1, j2, temperature, required=True)
     run = flags(("--seeds", str, "0"), ("--max-iter", int, DEFAULT_MAX_ITER), ("--tol", float, DEFAULT_TOL))
 
     def add(name, handler, parents, formats, help):
@@ -260,7 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     add("diagnose", _cmd_diagnose, [point, run], ("text", "json"), "full report for one parameter point")
-    sp = add("scan", _cmd_scan, [point, run], ("csv", "json"), "evaluate a 1- or 2-axis parameter grid")
+    # an axis may supply the scan's point flags
+    sp = add("scan", _cmd_scan, [flags(j1, j2, temperature), run], ("csv", "json"),
+             "evaluate a 1- or 2-axis parameter grid")
     sp.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:STEPS", dest="axes")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--config", help="JSON file overriding flags")

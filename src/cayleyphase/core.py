@@ -45,7 +45,6 @@ __all__ = [
 # from a unit-normalised state can never overflow a double.
 _WEIGHT_FLOOR = 1e-150
 _WEIGHT_CEIL = 1e150
-_MAX_LOG_WEIGHT = math.log(_WEIGHT_CEIL)
 
 
 def _is_finite(x) -> bool:
@@ -90,24 +89,22 @@ class Couplings(_CouplingsFields):
         return 1.0 / self.temperature
 
 
-class BoltzmannParams(NamedTuple):
-    """Bond weights ``a = exp(j1*beta)``, ``b = exp(j2*beta)`` and the derived
-    combinations the analysis runs on.
+class _BoltzmannParamsFields(NamedTuple):
+    a: float
+    b: float
+
+
+class BoltzmannParams(_BoltzmannParamsFields):
+    """Bond weights ``a = exp(j1*beta)`` and ``b = exp(j2*beta)``.
 
     ``alpha = sqrt(a)`` is the natural weight in the square-root variables
     ``v_i = sqrt(u_i)``; ``b_tilde = b**4`` controls how many fixed points the
-    reduced map has, and ``a_tilde = 1/(a**2 b**6)`` is the level the reduced
-    fixed-point condition is solved at.
+    reduced map has.  Both are computed on each read.
     """
 
-    a: float
-    b: float
-    alpha: float
-    a_tilde: float
-    b_tilde: float
+    __slots__ = ()
 
-    @classmethod
-    def from_weights(cls, a: float, b: float) -> "BoltzmannParams":
+    def __new__(cls, a: float, b: float) -> "BoltzmannParams":
         for name, w in (("a", a), ("b", b)):
             if not (math.isfinite(w) and _WEIGHT_FLOOR <= w <= _WEIGHT_CEIL):
                 raise ParameterRangeError(
@@ -119,13 +116,15 @@ class BoltzmannParams(NamedTuple):
             b_tilde = math.inf
         if not (_WEIGHT_FLOOR <= b_tilde <= _WEIGHT_CEIL):
             raise ParameterRangeError("b**4 outside the supported range")
-        try:
-            a_tilde = math.exp(-2.0 * math.log(a) - 6.0 * math.log(b))
-        except OverflowError:
-            a_tilde = math.inf
-        if not (math.isfinite(a_tilde) and a_tilde > 0.0):
-            raise ParameterRangeError("1/(a^2 b^6) not representable")
-        return cls(a=a, b=b, alpha=math.sqrt(a), a_tilde=a_tilde, b_tilde=b_tilde)
+        return super().__new__(cls, a, b)
+
+    @property
+    def alpha(self) -> float:
+        return math.sqrt(self.a)
+
+    @property
+    def b_tilde(self) -> float:
+        return self.b**4
 
 
 class _StateVectorFields(NamedTuple):
@@ -155,14 +154,13 @@ class StateVector(_StateVectorFields):
 
 
 def derive_params(c: Couplings) -> BoltzmannParams:
-    """Bond weights for the given couplings; rejects exponents that overflow."""
+    """Bond weights for the given couplings; the record checks their range."""
     beta = c.beta
-    for name, j in (("j1", c.j1), ("j2", c.j2)):
-        if abs(j) * beta > _MAX_LOG_WEIGHT:
-            raise ParameterRangeError(
-                f"exp({name}*beta) outside [{_WEIGHT_FLOOR:g}, {_WEIGHT_CEIL:g}]"
-            )
-    return BoltzmannParams.from_weights(math.exp(c.j1 * beta), math.exp(c.j2 * beta))
+    try:
+        a, b = math.exp(c.j1 * beta), math.exp(c.j2 * beta)
+    except OverflowError as exc:
+        raise ParameterRangeError("a bond weight exp(j*beta) overflows a double") from exc
+    return BoltzmannParams(a, b)
 
 
 def recurrence_step(p: BoltzmannParams, u: StateVector) -> StateVector:

@@ -281,7 +281,8 @@ def cycle_thresholds(b: float) -> CycleThresholds:
 
 def _two_cycle_quadratic(p: BoltzmannParams):
     """``(B, disc, lead, const, count)`` of the quadratic of :func:`solve_two_cycles`;
-    ``count`` is 2 for B < 0 and disc above the degenerate window, 1 inside it."""
+    ``count`` is 2 for B < 0 and disc above the degenerate window, 1 inside it.
+    Raises ``ParameterRangeError`` where B < 0 but the window underflows to 0."""
     a2 = p.a * p.a
     b2 = p.b * p.b
     b4 = b2 * b2
@@ -295,6 +296,9 @@ def _two_cycle_quadratic(p: BoltzmannParams):
         raise ParameterRangeError("two-cycle quadratic overflows a double") from exc
     disc = -a2 * (b4 - 1.0) ** 2 * (4.0 * b6 * a2 * a2 + (3.0 * b8 + 6.0 * b4 - 1.0) * a2 + 4.0 * b6)
     window = _DEGENERATE_WINDOW * B * B
+    if B < 0.0 and window == 0.0:
+        # the window cannot tell a merged pair from a discriminant that underflowed
+        raise ParameterRangeError("two-cycle degenerate window underflows a double")
     count = 0 if B >= 0.0 or disc < -window else (2 if disc > window else 1)
     return B, disc, lead, const, count
 

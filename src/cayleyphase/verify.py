@@ -73,7 +73,7 @@ def _check_cycle_thresholds() -> VerifyResult:
     # discriminant vanishes at each, and two roots appear one part in 1e6
     # inside the window and none as far outside
     def two_cycles(a2: float):
-        return solve_two_cycles(BoltzmannParams.from_weights(math.sqrt(a2), 0.5))
+        return solve_two_cycles(BoltzmannParams(math.sqrt(a2), 0.5))
 
     th = cycle_thresholds(0.5)
     worst = 0.0

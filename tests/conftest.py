@@ -41,7 +41,7 @@ def rng():
 @pytest.fixture
 def params_symmetric_cycle():
     # a = 1, b = 0.5: two-cycle regime (a^2 = 1 sits inside the star window)
-    return BoltzmannParams.from_weights(1.0, 0.5)
+    return BoltzmannParams(1.0, 0.5)
 
 
 @pytest.fixture
@@ -54,4 +54,4 @@ def params_three_roots():
     lo, hi = multi_root_window(16.0)
     level = math.sqrt(lo * hi)
     a = (level * 2.0**6) ** -0.5
-    return BoltzmannParams.from_weights(a, 2.0)
+    return BoltzmannParams(a, 2.0)

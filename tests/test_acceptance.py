@@ -46,7 +46,7 @@ def report(number, text):
 
 
 def params_at_level(level, b):
-    return BoltzmannParams.from_weights((level * b**6) ** -0.5, b)
+    return BoltzmannParams((level * b**6) ** -0.5, b)
 
 
 def test_criterion_01_partition_oracle():
@@ -110,7 +110,7 @@ def test_criterion_02_fixed_point_regimes():
 
 
 def test_criterion_03_two_cycle_cases():
-    p = BoltzmannParams.from_weights(1.0, 0.5)
+    p = BoltzmannParams(1.0, 0.5)
     rep = solve_two_cycles(p)
     x_lo, x_hi = rep.roots
     for y in (x_lo, x_hi):
@@ -118,10 +118,10 @@ def test_criterion_03_two_cycle_cases():
     assert abs(ratio_map(p, x_hi) - x_lo) <= 1e-9 * max(1.0, x_lo)
     assert abs(ratio_map(p, x_lo) - x_hi) <= 1e-9 * max(1.0, x_hi)
 
-    rep_hot = solve_two_cycles(BoltzmannParams.from_weights(1.0, 0.9))
+    rep_hot = solve_two_cycles(BoltzmannParams(1.0, 0.9))
     assert rep_hot.roots == ()
 
-    rep_one = solve_two_cycles(BoltzmannParams.from_weights(1.7, 1.0))
+    rep_one = solve_two_cycles(BoltzmannParams(1.7, 1.0))
     assert rep_one.discriminant == 0.0
     report(3, "two-cycle pair at (a=1, b=0.5), none at b=0.9, exact zero discriminant at b=1")
 
@@ -176,7 +176,7 @@ def test_criterion_06_scalar_convergence():
     window16 = multi_root_window(16.0)
     window256 = multi_root_window(256.0)
     growing = [
-        BoltzmannParams.from_weights(0.7, 1.2),
+        BoltzmannParams(0.7, 1.2),
         params_at_level(math.sqrt(window16[0] * window16[1]), 2.0),
         params_at_level(math.sqrt(window256[0] * window256[1]), 4.0),
     ]
@@ -189,7 +189,7 @@ def test_criterion_06_scalar_convergence():
             assert min(abs(xs[-1] - r) for r in roots) <= 1e-6 * max(1.0, xs[-1])
 
     for b in (0.2, 0.5):
-        p = BoltzmannParams.from_weights(1.0, b)
+        p = BoltzmannParams(1.0, b)
         targets = [r.x for r in solve_fixed_points(p).roots] + list(solve_two_cycles(p).roots)
         for _ in range(100):
             x0 = float(10.0 ** rng.uniform(-4.0, 4.0))
@@ -247,12 +247,12 @@ def test_criterion_07_higher_period_exclusion():
     for _ in range(10):
         pairs.append((float(10.0 ** rng.uniform(-0.5, 0.5)), float(rng.uniform(0.2, 0.95))))
     for a, b in pairs:
-        found = higher_period_roots(BoltzmannParams.from_weights(a, b), 8)
+        found = higher_period_roots(BoltzmannParams(a, b), 8)
         assert all_matched(found), (a, b, found)
 
     trials = 0
     for a, b in pairs:
-        p = BoltzmannParams.from_weights(a, b)
+        p = BoltzmannParams(a, b)
         for _ in range(25):
             r1 = float(10.0 ** rng.uniform(-1.5, 1.5))
             r2 = float(10.0 ** rng.uniform(-1.5, 1.5))
@@ -266,7 +266,7 @@ def test_criterion_07_higher_period_exclusion():
 
 class TestExcludeHigherPeriods:
     def test_positive_j2_roots_are_fixed_points(self):
-        p = BoltzmannParams.from_weights(0.8, 1.4)
+        p = BoltzmannParams(0.8, 1.4)
         found = higher_period_roots(p, 4)
         assert sorted(found) == [3, 4]
         assert all_matched(found)
@@ -278,7 +278,7 @@ class TestExcludeHigherPeriods:
         assert len(found[4]) >= 3
 
     def test_constant_map_single_root(self):
-        p = BoltzmannParams.from_weights(1.7, 1.0)
+        p = BoltzmannParams(1.7, 1.0)
         found = higher_period_roots(p, 5)
         assert all_matched(found)
         for roots in found.values():
@@ -302,8 +302,8 @@ def test_criterion_08_lift_residuals():
     worst_cyc = 0.0
     window16 = multi_root_window(16.0)
     fixture_params = [
-        BoltzmannParams.from_weights(1.0, 1.0),
-        BoltzmannParams.from_weights(0.8, 1.3),
+        BoltzmannParams(1.0, 1.0),
+        BoltzmannParams(0.8, 1.3),
         params_at_level(math.sqrt(window16[0] * window16[1]), 2.0),
         params_at_level(window16[0], 2.0),  # boundary pair
     ]
@@ -318,7 +318,7 @@ def test_criterion_08_lift_residuals():
         b = float(rng.uniform(0.2, 0.55))
         th = cycle_thresholds(b)
         a2 = float(rng.uniform(0.0, 1.0)) * (th.star_plus - th.star_minus) * 0.9 + th.star_minus * 1.05
-        p = BoltzmannParams.from_weights(math.sqrt(a2), b)
+        p = BoltzmannParams(math.sqrt(a2), b)
         rep = solve_two_cycles(p)
         for y in rep.roots:
             u = lift_two_cycle(p, y)
@@ -337,7 +337,7 @@ def test_criterion_09_periodic_partition():
         th = cycle_thresholds(b)
         frac = float(rng.uniform(0.1, 0.9))
         a2 = th.star_minus * (th.star_plus / th.star_minus) ** frac
-        p = BoltzmannParams.from_weights(math.sqrt(a2), b)
+        p = BoltzmannParams(math.sqrt(a2), b)
         rep = solve_two_cycles(p)
         assert len(rep.roots) == 2
         y = rep.roots[1]

@@ -40,13 +40,12 @@ scales = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 class TestDeriveParams:
     def test_identity_case(self):
         p = derive_params(Couplings(0.0, 0.0, 1.0))
-        assert (p.a, p.b, p.alpha, p.a_tilde, p.b_tilde) == (1.0, 1.0, 1.0, 1.0, 1.0)
+        assert (p.a, p.b, p.alpha, p.b_tilde) == (1.0, 1.0, 1.0, 1.0)
 
     def test_direct_substitution(self):
         p = derive_params(Couplings(math.log(2.0), 0.0, 1.0))
         assert p.a == pytest.approx(2.0, rel=1e-15)
         assert p.b == 1.0
-        assert p.a_tilde == pytest.approx(0.25, rel=1e-14)
 
     def test_high_precision_exponential(self):
         p = derive_params(Couplings(1.0, 1.0, 0.5))
@@ -65,7 +64,7 @@ class TestDeriveParams:
         # b itself is accepted; b**4 overflows (or underflows) a double
         for b in (1e80, 1e-80):
             with pytest.raises(ParameterRangeError, match="b\\*\\*4"):
-                BoltzmannParams.from_weights(1.0, b)
+                BoltzmannParams(1.0, b)
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(ParameterRangeError):
@@ -78,35 +77,35 @@ class TestDeriveParams:
 
 class TestRecurrenceStep:
     def test_all_weights_one(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         w = recurrence_step(p, StateVector(1, 1, 1, 1))
         assert w == (4.0, 4.0, 4.0, 4.0)
 
     def test_direct_substitution(self):
-        p = BoltzmannParams.from_weights(2.0, 1.0)
+        p = BoltzmannParams(2.0, 1.0)
         w = recurrence_step(p, StateVector(1, 1, 1, 1))
         assert w == (8.0, 2.0, 2.0, 8.0)
 
     def test_hand_checked_b2(self):
-        p = BoltzmannParams.from_weights(1.0, 2.0)
+        p = BoltzmannParams(1.0, 2.0)
         w = recurrence_step(p, StateVector(1, 1, 1, 1))
         assert w == (6.25, 6.25, 6.25, 6.25)
 
     def test_overflow_names_component(self):
-        p = BoltzmannParams.from_weights(1e100, 1.0)
+        p = BoltzmannParams(1e100, 1.0)
         with pytest.raises(ParameterRangeError, match="u1"):
             recurrence_step(p, StateVector(1e120, 1.0, 1.0, 1.0))
 
     def test_underflow_names_component(self):
         # a zero weight is as far outside the double range as an infinite one
-        p = BoltzmannParams.from_weights(1e-150, 1.0)
+        p = BoltzmannParams(1e-150, 1.0)
         with pytest.raises(ParameterRangeError, match="u1"):
             recurrence_step(p, StateVector(1e-100, 1e-100, 1.0, 1.0))
 
     @settings(max_examples=60, deadline=None)
     @given(a=weights, b=weights, c=st.tuples(components, components, components, components), lam=scales)
     def test_degree2_homogeneity(self, a, b, c, lam):
-        p = BoltzmannParams.from_weights(a, b)
+        p = BoltzmannParams(a, b)
         w = recurrence_step(p, StateVector(*c))
         ws = recurrence_step(p, StateVector(*(lam * x for x in c)))
         for wi, wsi in zip(w, ws):
@@ -115,7 +114,7 @@ class TestRecurrenceStep:
     @settings(max_examples=60, deadline=None)
     @given(a=weights, b=weights, r1=components, r2=components)
     def test_symmetric_slice_invariant(self, a, b, r1, r2):
-        p = BoltzmannParams.from_weights(a, b)
+        p = BoltzmannParams(a, b)
         u = StateVector(r1, r2, r2, r1)
         w = recurrence_step(p, u)
         assert symmetric_residual(w) <= 1e-12
@@ -123,34 +122,34 @@ class TestRecurrenceStep:
     @settings(max_examples=60, deadline=None)
     @given(a=weights, b=weights, r1=components, r2=components)
     def test_slice_reduction_matches_ratio_map(self, a, b, r1, r2):
-        p = BoltzmannParams.from_weights(a, b)
+        p = BoltzmannParams(a, b)
         w = recurrence_step(p, StateVector(r1, r2, r2, r1))
         assert w.u1 / w.u2 == pytest.approx(ratio_map(p, r1 / r2), rel=1e-12)
 
 
 class TestRatioMap:
     def test_constant_when_b_is_one(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         assert ratio_map(p, 5.0) == 1.0
-        p2 = BoltzmannParams.from_weights(2.0, 1.0)
+        p2 = BoltzmannParams(2.0, 1.0)
         assert ratio_map(p2, 7.0) == 4.0
 
     def test_unit_fixed_point_by_symmetry(self):
-        p = BoltzmannParams.from_weights(1.0, math.sqrt(3.0))
+        p = BoltzmannParams(1.0, math.sqrt(3.0))
         assert ratio_map(p, 1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_two_step_composition(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         assert ratio_map2(p, 3.0) == 1.0
-        p2 = BoltzmannParams.from_weights(1.3, 0.7)
+        p2 = BoltzmannParams(1.3, 0.7)
         x = 0.8
         assert ratio_map2(p2, x) == ratio_map(p2, ratio_map(p2, x))
 
     def test_monotone_direction(self):
         xs = np.geomspace(1e-3, 1e3, 200)
-        p_up = BoltzmannParams.from_weights(0.8, 1.5)
+        p_up = BoltzmannParams(0.8, 1.5)
         assert np.all(np.diff(ratio_map(p_up, xs)) > 0)
-        p_down = BoltzmannParams.from_weights(0.8, 0.6)
+        p_down = BoltzmannParams(0.8, 0.6)
         assert np.all(np.diff(ratio_map(p_down, xs)) < 0)
         # the two-step map never decreases
         assert np.all(np.diff(ratio_map2(p_down, xs)) >= 0)
@@ -158,16 +157,16 @@ class TestRatioMap:
 
 class TestRatioMapDeriv:
     def test_zero_at_b_one(self):
-        p = BoltzmannParams.from_weights(3.0, 1.0)
+        p = BoltzmannParams(3.0, 1.0)
         assert ratio_map_deriv(p, 0.7) == 0.0
 
     def test_closed_form_value(self):
-        p = BoltzmannParams.from_weights(1.0, math.sqrt(2.0))
+        p = BoltzmannParams(1.0, math.sqrt(2.0))
         assert ratio_map_deriv(p, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     @pytest.mark.parametrize("a,b", [(0.7, 1.8), (1.4, 0.45), (2.2, 2.6), (1.0, 0.9)])
     def test_matches_finite_differences(self, a, b):
-        p = BoltzmannParams.from_weights(a, b)
+        p = BoltzmannParams(a, b)
         for x in np.geomspace(1e-3, 1e3, 61):
             h = 1e-6 * x
             fd = (ratio_map(p, x + h) - ratio_map(p, x - h)) / (2.0 * h)
@@ -176,23 +175,23 @@ class TestRatioMapDeriv:
     def test_finite_where_its_factors_overflow(self):
         # at b^2 = 1e50, x = 1e160, both (b^4 - 1)(1 + b^2 x) and (b^2 + x)^3
         # overflow; g' = 2 g (b^4 - 1)/((b^2 + x)(1 + b^2 x)) is about 2e-170
-        p = BoltzmannParams.from_weights(1.0, 1e25)
+        p = BoltzmannParams(1.0, 1e25)
         assert ratio_map_deriv(p, 1e160) == pytest.approx(2e-170, rel=1e-12)
 
 
 class TestFerroConstraint:
     def test_unit_weights(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         assert ferro_constraint(p, 0.0) == 1.0
         for x in (0.3, 1.0, 4.2):
             assert ferro_constraint(p, x) == pytest.approx(1.0 + x, rel=1e-15)
 
     def test_substituted_value(self):
-        p = BoltzmannParams.from_weights(2.0, 2.0)
+        p = BoltzmannParams(2.0, 2.0)
         assert ferro_constraint(p, 1.0) == pytest.approx(0.36698948192213054, rel=1e-14)
 
     def test_pole_raises(self):
-        p = BoltzmannParams.from_weights(1.0, 0.5)
+        p = BoltzmannParams(1.0, 0.5)
         pole = p.alpha * p.b / (1.0 / p.b**2 - p.b**2)
         with pytest.raises(DomainError):
             ferro_constraint(p, pole)
@@ -214,12 +213,12 @@ class TestResiduals:
         assert symmetric_residual(vs) == pytest.approx(symmetric_residual(v), rel=1e-12)
 
     def test_ferro_residual_example(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         u = StateVector(1.0, 0.25, 0.25, 0.25)
         assert ferro_residual(p, u) == pytest.approx(0.5, rel=1e-14)
 
     def test_ferro_residual_zero_on_surface(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         # construct s14 = constraint(s23) by hand: v = (v1, v2, v3, v4)
         v2, v3 = 0.4, 0.3
         target = ferro_constraint(p, v2 + v3)
@@ -229,7 +228,7 @@ class TestResiduals:
         assert ferro_residual(p, u) <= 1e-15
 
     def test_ferro_residual_inf_past_pole(self):
-        p = BoltzmannParams.from_weights(1.0, 0.4)
+        p = BoltzmannParams(1.0, 0.4)
         u = StateVector(1.0, 25.0, 25.0, 1.0)  # s23 far beyond the pole
         assert ferro_residual(p, u) == math.inf
 
@@ -261,7 +260,7 @@ class TestPeriodicState:
 
     def test_rejects_period_below_one(self):
         with pytest.raises(DomainError):
-            periodic_state(BoltzmannParams.from_weights(1.0, 1.0), StateVector(1.0, 1.0, 1.0, 1.0), 0)
+            periodic_state(BoltzmannParams(1.0, 1.0), StateVector(1.0, 1.0, 1.0, 1.0), 0)
 
 
 BRACKETS = pytest.mark.parametrize(

@@ -60,13 +60,13 @@ class TestNormalize:
 
 class TestIterate:
     def test_unit_weights_collapse(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         out = iterate(p, StateVector(0.3, 1.7, 0.9, 0.2))
         assert out.kind == "fixed-direction"
         assert out.attractor[0] == (1.0, 1.0, 1.0, 1.0)
 
     def test_slice_start_converges_for_b_above_one(self):
-        p = BoltzmannParams.from_weights(0.8, 1.5)
+        p = BoltzmannParams(0.8, 1.5)
         out = iterate(p, StateVector(2.0, 0.3, 0.3, 2.0))
         assert out.kind == "fixed-direction"
         (root,) = [r.x for r in solve_fixed_points(p).roots]
@@ -91,7 +91,7 @@ class TestIterate:
             assert maxdiff(g, l) <= 1e-8
 
     def test_slice_is_trapping(self):
-        p = BoltzmannParams.from_weights(1.3, 0.6)
+        p = BoltzmannParams(1.3, 0.6)
         u = normalize(StateVector(0.8, 0.25, 0.25, 0.8))
         for _ in range(50):
             u = normalize(recurrence_step(p, u))
@@ -114,7 +114,7 @@ class TestIterate:
         assert a == b
 
     def test_parameter_validation(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         u = StateVector(1, 1, 1, 1)
         with pytest.raises(DomainError):
             iterate(p, u, max_iter=10)
@@ -329,7 +329,7 @@ class TestSymmetricAttractorClass:
     def test_small_b_without_cycles_is_fixed(self):
         # b < 1 but above the cycle threshold: the double-step limit is the
         # unique fixed ratio, so the class is asymptotically fixed
-        p = BoltzmannParams.from_weights(1.0, 0.9)
+        p = BoltzmannParams(1.0, 0.9)
         cls = symmetric_attractor_class(p, StateVector(2.0, 1.0, 1.0, 2.0))
         assert cls.kind == "asymptotically-fixed"
 
@@ -380,7 +380,7 @@ class TestSymmetricAttractorClass:
         # at a window edge one fixed ratio is a double root of g(x) - x: the
         # sign of g(x) - x is the same on both sides of it
         level = multi_root_window(b**4)[edge]
-        p = BoltzmannParams.from_weights((level * b**6) ** -0.5, b)
+        p = BoltzmannParams((level * b**6) ** -0.5, b)
         rep = solve_fixed_points(p)
         assert rep.regime == "two"
         refs = [f.x for f in rep.roots]
@@ -397,7 +397,7 @@ class TestSymmetricAttractorClass:
         # is algebraic, so only the kind is compared
         b = 0.5
         a2 = getattr(cycle_thresholds(b), edge)
-        p = BoltzmannParams.from_weights(math.sqrt(a2), b)
+        p = BoltzmannParams(math.sqrt(a2), b)
         assert solve_two_cycles(p).degenerate
         (r,) = [f.x for f in solve_fixed_points(p).roots]
         for x0 in (0.5 * r, 0.9 * r, 1.1 * r, 2.0 * r):

@@ -116,7 +116,7 @@ class TestSolveFerroFixedPoints:
         accepted = 0
         for log_a, log_b in zip(rng.uniform(-150, 150, 80), rng.uniform(-37.5, 37.5, 80)):
             try:
-                p = BoltzmannParams.from_weights(10.0**log_a, 10.0**log_b)
+                p = BoltzmannParams(10.0**log_a, 10.0**log_b)
             except ParameterRangeError:
                 continue
             accepted += 1

@@ -46,11 +46,11 @@ class TestTreeLayout:
 
 class TestInitialWeights:
     def test_unit(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         assert initial_branch_weights(p) == (1.0, 1.0, 1.0, 1.0)
 
     def test_substitution(self):
-        p = BoltzmannParams.from_weights(2.0, 1.0)
+        p = BoltzmannParams(2.0, 1.0)
         assert initial_branch_weights(p) == (2.0, 0.5, 0.5, 2.0)
 
     def test_depth_one_closed_form(self):
@@ -198,7 +198,7 @@ class TestPeriodicPartition:
         from cayleyphase import cycle_thresholds
 
         th = cycle_thresholds(0.5)
-        p = BoltzmannParams.from_weights(math.sqrt(th.star_plus), 0.5)
+        p = BoltzmannParams(math.sqrt(th.star_plus), 0.5)
         rep = solve_two_cycles(p)
         assert rep.degenerate
         (x1,) = rep.roots
@@ -214,7 +214,7 @@ class TestPeriodicPartition:
         # the partner ratio of y is 3.9e155: squaring it overflows in the lift,
         # yet the lifted state is representable; the reference is a 50-digit
         # mpmath evaluation of the closed form
-        p = BoltzmannParams.from_weights(4.8787535436204675e42, 7.560174819073945e-31)
+        p = BoltzmannParams(4.8787535436204675e42, 7.560174819073945e-31)
         y = min(solve_two_cycles(p).roots)
         assert math.isfinite(periodic_partition(p, y, 0))
         assert math.isfinite(periodic_partition(p, y, 1))
@@ -223,7 +223,7 @@ class TestPeriodicPartition:
         assert u.u2 == u.u3 == pytest.approx(2.4624784229669904546e-202, rel=1e-12)
         # a period-two state past the double range still raises: the fixed
         # state here, which is periodic at every period, has u1 near 1e-360
-        p = BoltzmannParams.from_weights(1e-100, 1e10)
+        p = BoltzmannParams(1e-100, 1e10)
         (root,) = solve_fixed_points(p).roots
         with pytest.raises(ParameterRangeError):
             periodic_state(p, normalize(StateVector(root.x, 1.0, 1.0, root.x)), 2)

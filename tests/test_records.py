@@ -1,6 +1,6 @@
 """The package's records are immutable named tuples: fields are read-only,
 they pickle (the scan pool sends configs, starts and rows between
-processes), they build from positional or keyword arguments, and the four
+processes), they build from positional or keyword arguments, and the five
 that check their inputs still reject bad ones."""
 
 import json
@@ -23,7 +23,7 @@ def one_of_each():
     """One instance of every record type the package defines."""
     c = cp.Couplings(1.0, 0.15, 0.6)
     p = cp.derive_params(c)
-    slice_p = cp.BoltzmannParams.from_weights(1.0, 0.5)
+    slice_p = cp.BoltzmannParams(1.0, 0.5)
     u = StateVector(1.0, 0.37, 0.11, 0.92)
     outcome = cp.iterate(p, u, max_iter=2000)
     fixed = cp.solve_fixed_points(p)
@@ -81,7 +81,7 @@ def test_fields_are_read_only(record):
         record.extra = 1
 
 
-@pytest.mark.parametrize("index", [2, 13, 14])  # StateVector, ScanConfig, ScanRow
+@pytest.mark.parametrize("index", [1, 2, 13, 14])  # BoltzmannParams, StateVector, ScanConfig, ScanRow
 def test_pickle_round_trip(index):
     record = RECORDS[index]
     again = pickle.loads(pickle.dumps(record))
@@ -116,6 +116,15 @@ def test_invalid_inputs_still_raise():
         ScanConfig(axes=[AxisSpec("temperature", 1.0, 2.0, 2)], j1=1.0, j2=0.0, workers=0)
     with pytest.raises(ParameterRangeError):
         cp.Couplings(1.0, 0.0, 0.0)
+
+
+def test_boltzmann_params_are_the_two_checked_weights():
+    p = cp.BoltzmannParams(4.0, 0.5)
+    assert cp.BoltzmannParams._fields == ("a", "b")
+    assert p == cp.BoltzmannParams(a=4.0, b=0.5) and (p.alpha, p.b_tilde) == (2.0, 0.0625)
+    for weights in ((0.0, 1.0), (1.0, math.inf), (1e200, 1.0), (1.0, 1e40)):
+        with pytest.raises(ParameterRangeError):
+            cp.BoltzmannParams(*weights)
 
 
 def test_rows_iterate_in_column_order():

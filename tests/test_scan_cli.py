@@ -491,6 +491,7 @@ class TestCli:
             ("curves", "--axis", "j2:-1e308:1e308:3", "--temperature", "1"),
             ("scan", "--axis", "temperature:1:inf:1", *point[:4]),
             ("diagnose", "--j1", "1"),  # missing j2/temperature
+            ("partition", "--j2", "0", "--temperature", "1"),  # missing j1
             ("diagnose", *point, "--seeds", ""),
             ("diagnose", *point, "--seeds=-1"),
             ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "1", "--seeds=-1"),
@@ -561,8 +562,10 @@ class TestCli:
             ("diagnose", "--j1", "1000", "--j2", "0", "--temperature", "0.1"),
             # 2^1024 - 1 sites do not fit a double
             ("partition", *point, "--log", "--depth", "1023"),
-            # 1/(a^2 b^6) overflows
+            # trajectory components underflow to zero
             ("diagnose", "--j1", "-300", "--j2", "-80", "--temperature", "1"),
+            # the two-cycle quadratic's degenerate window underflows
+            ("diagnose", "--j1", "-188", "--j2", "-74.3", "--temperature", "1"),
             # the two-cycle quadratic overflows
             ("diagnose", "--j1", "200", "--j2", "-60", "--temperature", "1"),
             # trajectory components underflow to zero
@@ -581,6 +584,26 @@ class TestCli:
             assert r.returncode == 2, args
             assert r.stderr.count("numeric range error:") == 1, (args, r.stderr)
             assert "Traceback" not in r.stderr, (args, r.stderr)
+
+    def test_partition_checks_depth_before_the_couplings(self):
+        r = run_cli("partition", "--j1", "1000", "--j2", "0", "--temperature", "0.1", "--depth", "0")
+        assert r.returncode == 1
+        assert r.stderr.count("error:") == 1 and "--depth" in r.stderr, r.stderr
+
+    @pytest.mark.parametrize("j1, j2, log_z", [(-188, -74.3, 2020.2931471805598), (-300, -80, 3240.69314718056)])
+    def test_partition_log_where_1_over_a2_b6_overflows(self, j1, j2, log_z):
+        # log Z by log-sum-exp over the enumerated bond sums at depth 3
+        r = run_cli(
+            "partition", "--j1", str(j1), "--j2", str(j2), "--temperature", "1",
+            "--depth", "3", "--log", "--format", "json",
+        )
+        assert r.returncode == 0, r.stderr
+        counts = cayleyphase.partition._bond_sum_counts(3)
+        terms = [math.log(n) + j1 * s_nn + j2 * s_nnn for (s_nn, s_nnn), n in counts]
+        top = max(terms)
+        expected = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        assert expected == pytest.approx(log_z, rel=1e-12)
+        assert json.loads(r.stdout)["log_Z"] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("command, options", HELP_OPTIONS.items(), ids=[c or "top" for c in HELP_OPTIONS])
     def test_help_lists_every_option(self, command, options, capsys):

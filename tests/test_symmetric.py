@@ -49,7 +49,7 @@ def closed_form_two_cycle_lift(p: BoltzmannParams, y: float) -> tuple[float, flo
 
 def params_at_level(level: float, b: float) -> BoltzmannParams:
     # invert level = 1/(a^2 b^6)
-    return BoltzmannParams.from_weights((level * b**6) ** -0.5, b)
+    return BoltzmannParams((level * b**6) ** -0.5, b)
 
 
 class TestMultiRootWindow:
@@ -82,7 +82,7 @@ class TestMultiRootWindow:
 
 class TestSolveFixedPoints:
     def test_unit_weights_unique(self):
-        rep = solve_fixed_points(BoltzmannParams.from_weights(1.0, 1.0))
+        rep = solve_fixed_points(BoltzmannParams(1.0, 1.0))
         assert rep.regime == "unique"
         (root,) = rep.roots
         assert root.x == pytest.approx(1.0, rel=1e-14)
@@ -93,7 +93,7 @@ class TestSolveFixedPoints:
     @pytest.mark.parametrize("b", [0.4, 0.9, 1.0, 1.3, 1.7])
     def test_unique_when_b4_small(self, a, b):
         # b^4 <= 9 for every b here
-        p = BoltzmannParams.from_weights(a, b)
+        p = BoltzmannParams(a, b)
         rep = solve_fixed_points(p)
         assert rep.regime == "unique"
         (root,) = rep.roots
@@ -213,18 +213,18 @@ class TestTwoCycles:
         assert abs(d) < 1.0
 
     def test_no_roots_above_threshold(self):
-        p = BoltzmannParams.from_weights(1.0, 0.9)
+        p = BoltzmannParams(1.0, 0.9)
         assert solve_two_cycles(p).roots == ()
         assert cycle_thresholds(p.b).star_minus is None
 
     def test_b_one_discriminant_exactly_zero(self):
-        rep = solve_two_cycles(BoltzmannParams.from_weights(2.0, 1.0))
+        rep = solve_two_cycles(BoltzmannParams(2.0, 1.0))
         assert rep.discriminant == 0.0
         assert rep.roots == ()  # the merged root is negative there
 
     def test_boundary_gives_single_degenerate_root(self):
         th = cycle_thresholds(0.5)
-        p = BoltzmannParams.from_weights(math.sqrt(th.star_plus), 0.5)
+        p = BoltzmannParams(math.sqrt(th.star_plus), 0.5)
         rep = solve_two_cycles(p)
         assert rep.degenerate
         (x1,) = rep.roots
@@ -237,7 +237,7 @@ class TestTwoCycles:
         for _ in range(200):
             b = float(10.0 ** rng.uniform(-0.8, 0.5))
             a = float(10.0 ** rng.uniform(-0.8, 0.8))
-            p = BoltzmannParams.from_weights(a, b)
+            p = BoltzmannParams(a, b)
             rep = solve_two_cycles(p)
             th = cycle_thresholds(p.b)
             expect_positive = (
@@ -252,6 +252,26 @@ class TestTwoCycles:
             ):
                 assert rep.discriminant < 0.0
                 assert rep.roots == ()
+
+    def test_underflowing_degenerate_window_is_a_range_error(self):
+        # B < 0 but 1e-14 B^2 underflows to 0: the window would call an
+        # underflowed discriminant a merged pair, a root the lift rejects
+        with pytest.raises(ParameterRangeError, match="window"):
+            solve_two_cycles(BoltzmannParams(1.3244975993085942e-97, 2.812241467639329e-35))
+
+    def test_roots_over_the_extreme_box_are_period_two(self):
+        rng = random.Random(1)
+        roots = 0
+        for _ in range(20000):
+            p = derive_params(Couplings(rng.uniform(-345, 345), rng.uniform(-86, 86), 1.0))
+            try:
+                rep = solve_two_cycles(p)
+            except ParameterRangeError:
+                continue
+            for y in rep.roots:
+                assert abs(ratio_map2(p, y) - y) <= 1e-8 * y, (p, y)
+                roots += 1
+        assert roots > 1000
 
 
 class TestCycleThresholds:
@@ -296,7 +316,7 @@ class TestCycleThresholds:
 
 class TestLifts:
     def test_unit_fixed_point(self):
-        p = BoltzmannParams.from_weights(1.0, 1.0)
+        p = BoltzmannParams(1.0, 1.0)
         u = lift_fixed_point(p, 1.0)
         assert u == (0.25, 0.25, 0.25, 0.25)
         assert recurrence_step(p, u) == u
@@ -326,7 +346,7 @@ class TestLifts:
             assert maxdiff(w1, partner) / partner.max_norm() <= 1e-9
 
     def test_lifts_match_closed_forms(self, params_three_roots, params_symmetric_cycle):
-        cases = [params_three_roots, params_symmetric_cycle, BoltzmannParams.from_weights(1e-4, 0.01)]
+        cases = [params_three_roots, params_symmetric_cycle, BoltzmannParams(1e-4, 0.01)]
         cases += [derive_params(Couplings(j1, j2, t)) for j1, j2, t in DIAGNOSE_POINTS]
         for p in cases:
             for r in solve_fixed_points(p).roots:
@@ -338,7 +358,7 @@ class TestLifts:
 
     def test_fixed_lift_past_an_overflowing_closed_form(self):
         # (b + 1/(b x))**2 overflows in the closed form; the state does not
-        p = BoltzmannParams.from_weights(1e-60, 1e20)
+        p = BoltzmannParams(1e-60, 1e20)
         (root,) = solve_fixed_points(p).roots
         with pytest.raises(OverflowError):
             closed_form_fixed_lift(p, root.x)
@@ -347,7 +367,7 @@ class TestLifts:
         assert recurrence_residual(p, u) <= 1e-15
 
     def test_lift_past_the_double_range_raises(self):
-        p = BoltzmannParams.from_weights(1e-100, 1e10)  # u1 near 1e-360
+        p = BoltzmannParams(1e-100, 1e10)  # u1 near 1e-360
         (root,) = solve_fixed_points(p).roots
         with pytest.raises(ParameterRangeError):
             lift_fixed_point(p, root.x)
@@ -361,7 +381,7 @@ class TestLifts:
         for k in range(400):
             la, lb = (150.0, 37.5) if k % 2 else (5.0, 2.0)
             try:
-                p = BoltzmannParams.from_weights(10.0 ** rng.uniform(-la, la), 10.0 ** rng.uniform(-lb, lb))
+                p = BoltzmannParams(10.0 ** rng.uniform(-la, la), 10.0 ** rng.uniform(-lb, lb))
                 fixed = [r.x for r in solve_fixed_points(p).roots]
                 cycles = list(solve_two_cycles(p).roots)
             except ParameterRangeError:
@@ -389,7 +409,7 @@ class TestLifts:
         # ratio_map(1e-12) is 1.4e-10 here: 140 times off, yet within an absolute 1e-8
         with pytest.raises(DomainError):
             lift_fixed_point(derive_params(TINY_RATIOS), 1e-12)
-        p = BoltzmannParams.from_weights(1e-4, 0.01)
+        p = BoltzmannParams(1e-4, 0.01)
         y = solve_two_cycles(p).roots[0]
         assert y < 2e-8
         lift_two_cycle(p, y)
