@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import Couplings, DomainError, ParameterRangeError, derive_params
-from .dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, KERNEL_BACKEND
+from .dynamics import DEFAULT_MAX_ITER, KERNEL_BACKEND
 from .ferro import solve_ferro_fixed_points
 from .partition import _free_energy_and_log_z, partition_recurrence
 from .scan import (
@@ -105,7 +105,7 @@ def _cmd_diagnose(args) -> int:
 
     starts = _starts_for_seeds(seeds)
     _warn_if_pure_python()
-    runs = _trajectories(p, seeds, starts, args.max_iter, args.tol)
+    runs = _trajectories(p, seeds, starts, args.max_iter)
     phases = [label.phase for _, _, label in runs]
     # majority phase; ties resolved by first appearance, for determinism
     consensus = max(dict.fromkeys(phases), key=phases.count)
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     j1, j2, temperature = [(name, float, None) for name in ("--j1", "--j2", "--temperature")]
     point = flags(j1, j2, temperature, required=True)
-    run = flags(("--seeds", str, "0"), ("--max-iter", int, DEFAULT_MAX_ITER), ("--tol", float, DEFAULT_TOL))
+    run = flags(("--seeds", str, "0"), ("--max-iter", int, DEFAULT_MAX_ITER))
 
     def add(name, handler, parents, formats, help):
         sp = sub.add_parser(name, parents=parents, help=help)

@@ -106,7 +106,7 @@ class BoltzmannParams(_BoltzmannParamsFields):
 
     def __new__(cls, a: float, b: float) -> "BoltzmannParams":
         for name, w in (("a", a), ("b", b)):
-            if not (math.isfinite(w) and _WEIGHT_FLOOR <= w <= _WEIGHT_CEIL):
+            if not (_is_finite(w) and _WEIGHT_FLOOR <= w <= _WEIGHT_CEIL):
                 raise ParameterRangeError(
                     f"weight {name}={w!r} outside [{_WEIGHT_FLOOR:g}, {_WEIGHT_CEIL:g}]"
                 )
@@ -145,7 +145,7 @@ class StateVector(_StateVectorFields):
 
     def __new__(cls, u1: float, u2: float, u3: float, u4: float) -> "StateVector":
         for name, v in (("u1", u1), ("u2", u2), ("u3", u3), ("u4", u4)):
-            if not (math.isfinite(v) and v > 0.0):
+            if not (_is_finite(v) and v > 0.0):
                 raise DomainError(f"state component {name}={v!r} must be finite and > 0")
         return super().__new__(cls, u1, u2, u3, u4)
 

@@ -5,10 +5,10 @@ rescaling is harmless because the recurrence is homogeneous of degree two, and
 necessary because raw weights grow doubly exponentially.  A run ends when the
 direction returns to the state q steps back, smallest q first: q = 1, tested
 every step, is a fixed direction (period 1); 2 <= q <= ``P_MAX`` (64), tested
-from step ``BURN_IN`` (200) on, a cycle of period q.  A run with no return
-within its budget is aperiodic at the given tolerance (period 0).  Every run
-uses the same cap and burn-in; the kernels take both as arguments, and their
-ring of past states holds 256.
+from step ``BURN_IN`` (200) on, a cycle of period q.  "Returns" means within
+``TOL`` (1e-12) in max-norm.  A run with no return within its budget is
+aperiodic (period 0).  Every run uses the same tolerance, cap and burn-in; the
+kernels take all three as arguments, and their ring of past states holds 256.
 
 Phase dictionary: a fixed direction on the symmetric slice is paramagnetic;
 a fixed direction on the ferro surface is ferromagnetic (on a surface means
@@ -76,7 +76,7 @@ FIXED_DIRECTION_OTHER = "fixed-direction-other"
 _KIND_NAMES = {0: FIXED_DIRECTION, 1: CYCLE, 2: APERIODIC}
 
 DEFAULT_MAX_ITER = 20000
-DEFAULT_TOL = 1e-12
+TOL = 1e-12
 BURN_IN = 200
 P_MAX = 64
 CLASSIFY_TOL = 1e-6
@@ -114,31 +114,21 @@ class SymmetricClass(NamedTuple):
     target: float
 
 
-def iterate(
-    p: BoltzmannParams,
-    u0: StateVector,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> TrajectoryOutcome:
+def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITER) -> TrajectoryOutcome:
     """Run the projective trajectory from ``u0`` until it resolves.
 
     The run ends at the smallest q whose state q steps earlier is within
-    ``tol`` in max-norm: q = 1, tested every step, is a fixed direction
+    ``TOL`` (1e-12) in max-norm: q = 1, tested every step, is a fixed direction
     (period 1); 2 <= q <= ``P_MAX`` (64), tested from step ``BURN_IN`` (200)
     on, a cycle of period q.  With no return in ``max_iter`` steps the run is
-    aperiodic (period 0) -- a valid outcome, not an error.  ``tol`` must
-    lie in (0, 1).  Raises ``ParameterRangeError`` when a component of the
-    run underflows to zero.
+    aperiodic (period 0) -- a valid outcome, not an error.  Raises
+    ``ParameterRangeError`` when a component of the run underflows to zero.
     """
     if not 100 <= max_iter <= sys.maxsize:  # the compiled kernel counts in a C ssize_t
         raise DomainError(f"max_iter must be between 100 and {sys.maxsize}")
-    # two unit-max-norm states are never more than 1 apart, so a tol of 1 or
-    # more would end every run at its first step
-    if not 0.0 < tol < 1.0:
-        raise DomainError("tol must lie in the open interval (0, 1)")
     start = normalize(u0)
     kind_code, period, iters, residual, states = _traj.run_trajectory(
-        p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, tol, BURN_IN, P_MAX
+        p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, TOL, BURN_IN, P_MAX
     )
     try:
         attractor = tuple(StateVector(*s) for s in states)

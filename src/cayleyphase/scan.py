@@ -19,7 +19,6 @@ from . import __version__
 from .core import BoltzmannParams, Couplings, DomainError, StateVector, derive_params
 from .dynamics import (
     DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     PhaseLabel,
     TrajectoryOutcome,
     classify_phase,
@@ -98,7 +97,6 @@ class _ScanConfigFields(NamedTuple):
     temperature: Optional[float]
     seeds: list[int] | tuple[int, ...]
     max_iter: int
-    tol: float
     format: str
     workers: int
 
@@ -114,7 +112,6 @@ class ScanConfig(_ScanConfigFields):
         temperature: Optional[float] = None,
         seeds: list[int] | tuple[int, ...] = (0,),
         max_iter: int = DEFAULT_MAX_ITER,
-        tol: float = DEFAULT_TOL,
         format: str = "csv",
         workers: int = 1,
     ) -> "ScanConfig":
@@ -124,7 +121,6 @@ class ScanConfig(_ScanConfigFields):
         for name, value in (("max_iter", max_iter), ("workers", workers)):
             if type(value) is not int:  # not a bool either
                 raise DomainError(f"{name} must be an integer, not {value!r}")
-        _check_number("tol", tol)
         fixed = {"j1": j1, "j2": j2, "temperature": temperature}
         for name, value in fixed.items():
             if value is not None:
@@ -146,7 +142,7 @@ class ScanConfig(_ScanConfigFields):
                 raise DomainError(f"{name} must be fixed or an axis")
         if not covers_j2 and fixed["j2"] is None:
             raise DomainError("j2 must be fixed or an axis")
-        return super().__new__(cls, axes, j1, j2, temperature, seeds, max_iter, tol, format, workers)
+        return super().__new__(cls, axes, j1, j2, temperature, seeds, max_iter, format, workers)
 
     def to_dict(self) -> dict:
         # no worker count: it does not change the rows, and the output bytes
@@ -265,12 +261,12 @@ def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
 
 
 def _trajectories(
-    p: BoltzmannParams, seeds: list[int], starts: dict, max_iter: int, tol: float
+    p: BoltzmannParams, seeds: list[int], starts: dict, max_iter: int
 ) -> list[tuple[int, TrajectoryOutcome, PhaseLabel]]:
     """Each seed's classified run from its start, in seed order."""
     runs = []
     for seed in seeds:
-        outcome = iterate(p, StateVector(*starts[seed]), max_iter, tol)
+        outcome = iterate(p, StateVector(*starts[seed]), max_iter)
         runs.append((seed, outcome, classify_phase(p, outcome)))
     return runs
 
@@ -312,7 +308,7 @@ def _evaluate_point(cfg: ScanConfig, starts: dict, point: tuple) -> list[ScanRow
             iterations=outcome.iterations_used,
             seed=seed,
         )
-        for seed, outcome, label in _trajectories(p, cfg.seeds, starts, cfg.max_iter, cfg.tol)
+        for seed, outcome, label in _trajectories(p, cfg.seeds, starts, cfg.max_iter)
     ]
 
 

@@ -281,25 +281,29 @@ def cycle_thresholds(b: float) -> CycleThresholds:
 
 def _two_cycle_quadratic(p: BoltzmannParams):
     """``(B, disc, lead, const, count)`` of the quadratic of :func:`solve_two_cycles`;
-    ``count`` is 2 for B < 0 and disc above the degenerate window, 1 inside it.
-    Raises ``ParameterRangeError`` where B < 0 but the window underflows to 0."""
+    ``count`` is 2 for B < 0 and disc above the degenerate window, 1 inside it,
+    else 0, and ``lead`` and ``const`` are formed (not None) only for roots.
+    Raises ``ParameterRangeError`` where B < 0 but the window underflows to 0,
+    and where roots exist but ``lead`` or ``const`` overflows."""
     a2 = p.a * p.a
     b2 = p.b * p.b
     b4 = b2 * b2
     b6 = b4 * b2
     b8 = b4 * b4
     B = a2 * (b8 + 2.0 * (1.0 / a2 + a2) * b6 + 4.0 * b4 - 1.0)
-    try:
-        lead = b4 * (1.0 + a2 * b2) ** 2
-        const = b4 * (a2 + b2) ** 2
-    except OverflowError as exc:
-        raise ParameterRangeError("two-cycle quadratic overflows a double") from exc
     disc = -a2 * (b4 - 1.0) ** 2 * (4.0 * b6 * a2 * a2 + (3.0 * b8 + 6.0 * b4 - 1.0) * a2 + 4.0 * b6)
     window = _DEGENERATE_WINDOW * B * B
     if B < 0.0 and window == 0.0:
         # the window cannot tell a merged pair from a discriminant that underflowed
         raise ParameterRangeError("two-cycle degenerate window underflows a double")
     count = 0 if B >= 0.0 or disc < -window else (2 if disc > window else 1)
+    if count == 0:
+        return B, disc, None, None, 0
+    try:
+        lead = b4 * (1.0 + a2 * b2) ** 2
+        const = b4 * (a2 + b2) ** 2
+    except OverflowError as exc:
+        raise ParameterRangeError("two-cycle quadratic overflows a double") from exc
     return B, disc, lead, const, count
 
 

@@ -25,7 +25,7 @@ from .core import (
     recurrence_step,
     symmetric_residual,
 )
-from .dynamics import KERNEL_BACKEND
+from .dynamics import BURN_IN, KERNEL_BACKEND, P_MAX, TOL
 from .ferro import solve_ferro_fixed_points
 from .partition import enumerate_partition, partition_recurrence, periodic_partition
 from .symmetric import (
@@ -158,7 +158,7 @@ def _check_backends() -> VerifyResult:
             f"compiled kernel unavailable; running on the {KERNEL_BACKEND} backend",
         )
     p = derive_params(Couplings(0.6, -0.45, 0.45))
-    args = (p.a, p.b, 1.0, 0.37, 0.11, 0.92, 5000, 1e-12, 200, 64)
+    args = (p.a, p.b, 1.0, 0.37, 0.11, 0.92, 5000, TOL, BURN_IN, P_MAX)
     out_py = _trajectory_py.run_trajectory(*args)
     out_cy = _trajectory.run_trajectory(*args)
     ok = out_py == out_cy

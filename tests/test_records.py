@@ -14,7 +14,7 @@ import pytest
 import cayleyphase as cp
 import cayleyphase.cli
 from cayleyphase import AxisSpec, DomainError, ParameterRangeError, ScanConfig, StateVector
-from cayleyphase.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL
+from cayleyphase.dynamics import DEFAULT_MAX_ITER
 from cayleyphase.scan import CSV_COLUMNS
 from cayleyphase.verify import VerifyResult
 
@@ -95,17 +95,23 @@ def test_positional_and_keyword_construction():
     assert StateVector(1.0, 0.37, 0.11, 0.92) == StateVector(u1=1.0, u2=0.37, u3=0.11, u4=0.92)
     assert AxisSpec("j2_over_j1", 0.0, 0.8, 10) == AxisSpec(name="j2_over_j1", min=0.0, max=0.8, steps=10)
     cfg = ScanConfig(axes=[AxisSpec("temperature", 0.25, 4.0, 4)], j1=1.0, j2=0.0, format="json")
-    assert (cfg.temperature, cfg.seeds, cfg.max_iter, cfg.tol, cfg.workers) == (
-        None, (0,), DEFAULT_MAX_ITER, DEFAULT_TOL, 1,
-    )
+    assert (cfg.temperature, cfg.seeds, cfg.max_iter, cfg.workers) == (None, (0,), DEFAULT_MAX_ITER, 1)
     assert ScanConfig(*cfg) == cfg
-    with pytest.raises(TypeError, match=r"ScanConfig.*unexpected keyword argument 'class_tol'"):
-        ScanConfig(axes=cfg.axes, j1=1.0, j2=0.0, class_tol=1e-6)
+    # the tolerances are constants, not settings
+    assert "tol" not in ScanConfig._fields
+    for name, value in (("class_tol", 1e-6), ("tol", 1e-12)):
+        with pytest.raises(TypeError, match=rf"ScanConfig.*unexpected keyword argument '{name}'"):
+            ScanConfig(axes=cfg.axes, j1=1.0, j2=0.0, **{name: value})
 
 
 def test_invalid_inputs_still_raise():
     with pytest.raises(DomainError, match="u2"):
         StateVector(1.0, math.nan, 1.0, 1.0)
+    # ints too large for a double
+    with pytest.raises(DomainError, match="u1"):
+        StateVector(10**400, 1.0, 1.0, 1.0)
+    with pytest.raises(ParameterRangeError, match="weight a"):
+        cp.BoltzmannParams(10**400, 1.0)
     with pytest.raises(DomainError, match="unknown axis"):
         AxisSpec("volume", 1.0, 2.0, 5)
     with pytest.raises(DomainError, match="min < max"):

@@ -50,8 +50,6 @@ class TestScanConfig:
         for field, value in (
             ("max_iter", "abc"),
             ("max_iter", 2000.0),
-            ("tol", "x"),
-            ("tol", None),
             ("j1", "abc"),
             ("j2", [0.5]),
             ("temperature", "1"),
@@ -60,12 +58,10 @@ class TestScanConfig:
             ("j1", 10**400),
             ("j2", -(10**400)),
             ("temperature", 10**400),
-            ("tol", 10**400),
             # JSON true and false load as bools, which Python counts as ints
             ("j1", True),
             ("j2", False),
             ("temperature", True),
-            ("tol", True),
             ("max_iter", True),
             ("workers", True),
         ):
@@ -234,6 +230,7 @@ class TestScanDeterminism:
         payload = json.loads(format_json(run_scan(cfg), cfg))
         assert payload["metadata"]["tool"] == "cayleyphase"
         assert payload["metadata"]["config"]["j2"] == 0.5
+        assert "tol" not in payload["metadata"]["config"]
         assert len(payload["results"]) == 18
         assert set(payload["results"][0]) == set(CSV_COLUMNS)
 
@@ -324,7 +321,7 @@ JSON_CALLS = {
 
 # every option string of each subcommand's --help
 POINT_OPTIONS = "--j1 --j2 --temperature"
-RUN_OPTIONS = "--seeds --max-iter --tol"
+RUN_OPTIONS = "--seeds --max-iter"
 HELP_OPTIONS = {
     "": "-h --help --version",
     "diagnose": f"-h --help {POINT_OPTIONS} {RUN_OPTIONS} --format --output",
@@ -495,8 +492,7 @@ class TestCli:
             ("diagnose", *point, "--seeds", ""),
             ("diagnose", *point, "--seeds=-1"),
             ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "1", "--seeds=-1"),
-            # unit-max-norm states are never more than 1 apart, so a tol of 1
-            # would end every run at its first step
+            # the return tolerance is a constant, not an option
             ("scan", "--axis", "j2:-1:0:2", "--j1", "1", "--temperature", "0.3", "--tol", "1"),
             ("diagnose", "--j1", "1", "--j2", "-0.6", "--temperature", "0.3", "--seeds", "1,2", "--tol", "1"),
             # argparse's own usage errors, which exit 2 unless remapped
@@ -518,12 +514,13 @@ class TestCli:
             '{"workers": 2.5}',
             '{"axes":[{"name":"j2","min":"-1","max":"0","steps":2}]}',
             '{"axes":[{"name":"j2","min":-1,"max":0,"steps":2.0}]}',
-            # the label tolerance is a constant, not a setting
+            # the label and return tolerances are constants, not settings
             '{"class_tol": 1e-6}',
+            '{"tol": 1e-9}',
         ]
         # JSON integers too large for a double (and, for max_iter, for a C ssize_t)
         big = "1" + "0" * 400
-        configs += [f'{{"{name}": {big}}}' for name in ("j1", "j2", "temperature", "tol")]
+        configs += [f'{{"{name}": {big}}}' for name in ("j1", "j2", "temperature")]
         configs += [
             f'{{"axes":[{{"name":"j2","min":-{big},"max":0,"steps":2}}]}}',
             f'{{"axes":[{{"name":"j2","min":-1,"max":{big},"steps":2}}]}}',
@@ -566,8 +563,8 @@ class TestCli:
             ("diagnose", "--j1", "-300", "--j2", "-80", "--temperature", "1"),
             # the two-cycle quadratic's degenerate window underflows
             ("diagnose", "--j1", "-188", "--j2", "-74.3", "--temperature", "1"),
-            # the two-cycle quadratic overflows
-            ("diagnose", "--j1", "200", "--j2", "-60", "--temperature", "1"),
+            # the two-cycle quadratic has roots, and its coefficients overflow
+            ("diagnose", "--j1", "178.40676446088116", "--j2", "-59.809030290529215", "--temperature", "1"),
             # trajectory components underflow to zero
             ("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1"),
             ("diagnose", "--j1", "-71.7", "--j2", "-84.2", "--temperature", "1"),
@@ -584,6 +581,17 @@ class TestCli:
             assert r.returncode == 2, args
             assert r.stderr.count("numeric range error:") == 1, (args, r.stderr)
             assert "Traceback" not in r.stderr, (args, r.stderr)
+
+    def test_diagnose_where_b_coeff_is_positive_and_huge(self, capsys):
+        # B > 0: no two-cycle, so the quadratic's overflowing coefficients
+        # are never formed
+        args = ("--j1", "200", "--j2", "-60", "--temperature", "1", "--seeds", "0,1,2,3", "--format", "json")
+        assert main(["diagnose", *args]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["two_cycles"]["b_coeff"] > 0.0
+        assert report["phase_counts"] == {"paramagnetic": 1, "two_commensurate": 0}
+        assert len(report["ferro_fixed_points"]) == 2
+        assert {t["phase"] for t in report["trajectories"]} == {"ferromagnetic"}
 
     def test_partition_checks_depth_before_the_couplings(self):
         r = run_cli("partition", "--j1", "1000", "--j2", "0", "--temperature", "0.1", "--depth", "0")

@@ -263,10 +263,13 @@ class TestTwoCycles:
         rng = random.Random(1)
         roots = 0
         for _ in range(20000):
-            p = derive_params(Couplings(rng.uniform(-345, 345), rng.uniform(-86, 86), 1.0))
+            j1, j2 = rng.uniform(-345, 345), rng.uniform(-86, 86)
+            p = derive_params(Couplings(j1, j2, 1.0))
             try:
                 rep = solve_two_cycles(p)
             except ParameterRangeError:
+                # b > 1: the ratio map is increasing and has no two-cycle to overflow
+                assert j2 < 0.0, (j1, j2)
                 continue
             for y in rep.roots:
                 assert abs(ratio_map2(p, y) - y) <= 1e-8 * y, (p, y)
@@ -505,6 +508,12 @@ class TestPhaseCounts:
         # off the merged point there is none
         para, comm2 = phase_counts(Couplings(0.3, j2, tc))
         assert para == 1 and comm2 == 0
+
+    def test_cold_positive_j2_where_the_quadratic_overflows(self):
+        # b > 1 has no two-cycle; the quadratic's coefficients overflow here
+        c = Couplings(232.9288032071753, 9.71014349621855, 1)
+        assert phase_counts(c) == (1, 0)
+        assert solve_two_cycles(derive_params(c)).roots == ()
 
     def test_cycle_window(self):
         # b = 0.5 at T = 1, a = 1: inside the star window
