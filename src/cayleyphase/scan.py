@@ -319,23 +319,83 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _share(evaluate, points: list) -> tuple[list, Optional[Exception]]:
+    """The rows of each point in turn, up to the first point that raises,
+    and that point's exception (or None); so with ``k`` points done, the
+    failing point is ``points[k]``."""
+    done = []
+    try:
+        for point in points:
+            done.append(evaluate(point))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _fork_share(evaluate, points: list):
+    """Evaluate ``points`` in a forked child; return a function that waits
+    for the child and returns its ``_share`` result.
+
+    Forked, not spawned: a spawned worker imports the package and numpy
+    afresh, which costs more than a benchmark-sized grid takes. Forking is
+    safe only while the process runs one thread, as the CLI does."""
+    import pickle  # here, as it adds a fifth to the package's import time
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child inherits the scan and its starts, sends back only its
+        # result, and leaves without running the parent's exit handlers
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                pickle.dump(_share(evaluate, points), out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+
+    def wait() -> tuple[list, Optional[Exception]]:
+        try:
+            with open(read_fd, "rb") as result:
+                data = result.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:  # killed, or its result did not pickle: no row came back
+            return [], RuntimeError(f"scan worker exited with status {code}")
+        return pickle.loads(data)  # bytes from this program's own child
+
+    return wait
+
+
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     """Evaluate the grid; rows are returned in deterministic grid order."""
     evaluate = functools.partial(_evaluate_point, cfg, _starts_for_seeds(cfg.seeds))
     grid = _grid(cfg)
-    # a forked pool starts all its workers at once: start no more than can
-    # have work or a CPU
-    workers = min(cfg.workers, len(grid), _available_cpus())
-    if workers == 1:
-        points = map(evaluate, grid)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # about four chunks per worker, each to the next free worker, so a
-        # slow stretch of the grid does not hold up the rest; map returns the
-        # results in grid order
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(evaluate, grid, chunksize=math.ceil(len(grid) / (4 * workers))))
+    # start no more processes than can have work or a CPU; without fork the
+    # scan runs in-process
+    n = min(cfg.workers, len(grid), _available_cpus()) if hasattr(os, "fork") else 1
+    # child k takes every n-th point from k, so the slow modulated region is
+    # spread over all of them; the parent takes the points from 0
+    waits = []
+    try:
+        for k in range(1, n):
+            waits.append(_fork_share(evaluate, grid[k::n]))
+        own = _share(evaluate, grid[0::n])
+    finally:
+        # every child is reaped, also when the parent is interrupted
+        shares = [wait() for wait in waits]
+    shares.insert(0, own)
+    points = [None] * len(grid)
+    failures = []
+    for k, (done, exc) in enumerate(shares):
+        points[k : k + n * len(done) : n] = done
+        if exc is not None:
+            failures.append((k + n * len(done), exc))
+    if failures:
+        # the earliest failing grid point, as a serial scan would report
+        raise min(failures, key=lambda failure: failure[0])[1]
     return [row for rows in points for row in rows]
 
 
@@ -369,10 +429,53 @@ def _json_safe(obj):
     return obj
 
 
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    # no indent, so json encodes in C; the item separator carries the line
+    # break and the indent of a container's items at this depth
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), sort_keys=True, allow_nan=False)
+
+
+def _encode_flat(obj, depth: int) -> str:
+    # strict first: a non-finite value is rare, so only its container pays
+    # for the copy without it
+    try:
+        return _encoder(depth).encode(obj)
+    except ValueError:
+        return _encoder(depth).encode(_json_safe(obj))
+
+
+# the exact types json writes as scalars: a container holding only these goes
+# to the C encoder whole; anything else (a named tuple too) is walked, so a
+# container inside it is laid out as json.dumps lays it out
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _dump(obj, depth: int) -> str:
+    """``obj`` (whose dicts have string keys) as ``json.dumps(indent=2,
+    sort_keys=True)`` writes it at ``depth``, with non-finite values as null."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return _encode_flat(obj, depth)
+    if not obj:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    if _SCALARS.issuperset(map(type, values)):
+        body = _encode_flat(obj, depth + 1)[1:-1]  # without its brackets
+    elif brackets == "{}":
+        body = ("," + pad).join(f"{_encoder(0).encode(k)}: {_dump(v, depth + 1)}" for k, v in sorted(obj.items()))
+    else:
+        body = ("," + pad).join(_dump(v, depth + 1) for v in obj)
+    return brackets[0] + pad + body + "\n" + "  " * depth + brackets[1]
+
+
 def _json(payload) -> str:
     """The one JSON form: indented, keys sorted, non-finite values as null
     (the payload's dicts are edited in place)."""
-    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _dump(payload, 0) + "\n"
 
 
 def format_json(rows: list[ScanRow], cfg: ScanConfig) -> str:

@@ -330,7 +330,7 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(list(argv))
 
-seen = {"import": [m for m in ("scipy", "numpy", "concurrent.futures.process", "dataclasses", "inspect") if loaded(m)]}
+seen = {"import": [m for m in ("scipy", "numpy", "concurrent.futures.process", "dataclasses", "inspect", "pickle") if loaded(m)]}
 point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
 codes = [
     run("--version"),
@@ -346,6 +346,9 @@ seen["enumerated"] = [cayleyphase.enumerate_partition(cayleyphase.Couplings(0.8,
 seen["numpy after verify and enumeration"] = loaded("numpy")
 codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "1"))
 seen["pool after one-worker scan"] = loaded("concurrent.futures.process")
+cayleyphase.scan._available_cpus = lambda: 2  # so the scan forks on any machine
+codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "2", "--format", "json"))
+seen["pool after two-worker scan"] = [m for m in ("concurrent.futures", "multiprocessing") if loaded(m)]
 codes.append(run("diagnose", *point))
 seen["numpy.random after scan and diagnose"] = loaded("numpy.random")
 seen["numpy major"] = int(sys.modules["numpy"].__version__.split(".")[0])
@@ -354,8 +357,9 @@ print(json.dumps({"codes": codes, **seen}))
 
 
 def test_imports_stay_lazy():
-    # numpy loads only where an array is computed, the process pool only for
-    # a scan with more than one worker, and numpy.random never: the scan's
+    # numpy loads only where an array is computed, and numpy.random never; a
+    # scan forks its workers itself, so no process pool loads, and pickle
+    # loads only for a fork: the scan's
     # start vectors come from a pure-Python generator; the ferro solver runs
     # in plain floats, and the enumeration oracle and verify in exact integer
     # counts; the records are named tuples, so the CLI loads neither
@@ -363,7 +367,7 @@ def test_imports_stay_lazy():
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS_PROBE], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout)
-    assert seen["codes"] == [0, 0, 0, 0, 0]
+    assert seen["codes"] == [0, 0, 0, 0, 0, 0]
     assert seen["import"] == []
     assert seen["numpy after closed forms"] is False
     assert seen["ferro counts"] == [2, 2]
@@ -372,6 +376,7 @@ def test_imports_stay_lazy():
     assert seen["enumerated"] == [True, True, True]
     assert seen["numpy after verify and enumeration"] is False
     assert seen["pool after one-worker scan"] is False
+    assert seen["pool after two-worker scan"] == []
     if seen["numpy major"] >= 2:  # numpy 1.x imports numpy.random with numpy itself
         assert seen["numpy.random after scan and diagnose"] is False
 

@@ -1,6 +1,6 @@
 """The package's records are immutable named tuples: fields are read-only,
-they pickle (the scan pool sends configs, starts and rows between
-processes), they build from positional or keyword arguments, and the five
+they pickle (a scan's forked workers send their rows back pickled, and
+library callers may pickle any record), they build from positional or keyword arguments, and the five
 that check their inputs still reject bad ones."""
 
 import json

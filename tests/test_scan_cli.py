@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import os
 import random
 import re
 import struct
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cayleyphase.partition
 import cayleyphase.scan
@@ -23,10 +27,28 @@ from cayleyphase import (
     format_csv,
     format_json,
     run_scan,
+    __version__,
 )
 from cayleyphase.cli import main
-from cayleyphase.scan import CSV_COLUMNS, _starts_for_seeds, _uniforms
+from cayleyphase.scan import CSV_COLUMNS, _json, _json_safe, _starts_for_seeds, _uniforms
 from conftest import DIAGNOSE_POINTS
+
+
+def _json_reference(payload) -> str:
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# nested dicts, lists and tuples of every scalar json writes, with infinities,
+# NaN, empty containers and non-ASCII text among them
+_JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
 
 
 def make_config(**overrides):
@@ -156,28 +178,15 @@ class TestScanDeterminism:
         assert format_json(rows1, cfg1) == format_json(rows4, cfg4)
 
     def test_pool_is_bounded(self, monkeypatch):
-        # a fake executor records the pool size, the number of tasks and the
-        # chunk size, and runs the tasks in-process; no real process starts
-        sizes, maps = [], []
+        # a fake fork records each child's share of the grid and evaluates it
+        # in-process; no real process starts
+        forks = []
 
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def fake_fork_share(evaluate, points):
+            forks.append(points)
+            return lambda: cayleyphase.scan._share(evaluate, points)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                tasks = list(zip(*iterables))
-                maps.append((len(tasks), chunksize))
-                return [fn(*task) for task in tasks]
-
-        import concurrent.futures
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cayleyphase.scan, "_fork_share", fake_fork_share)
         # grids by their number of points
         grids = {
             1: {"axes": [AxisSpec("temperature", 1.0, 1.0, 1)], "j1": 0.5},
@@ -186,29 +195,92 @@ class TestScanDeterminism:
             9: {},
             400: {"axes": [AxisSpec("temperature", 0.8, 2.4, 20), AxisSpec("j1", 0.1, 0.9, 20)], "seeds": [1]},
         }
+        # (workers, points, cpus, processes): the parent is one of them
         cases = [
-            (6, 1, 8, []),  # in-process
-            (6, 9, 1, []),  # in-process
-            (6, 9, 4, [4]),
-            (3, 9, 8, [3]),
-            (6, 2, 8, [2]),
+            (6, 1, 8, 1),  # in-process
+            (6, 9, 1, 1),  # in-process
+            (6, 9, 4, 4),
+            (3, 9, 8, 3),
+            (6, 2, 8, 2),
         ]
-        cases += [(workers, n, 8, [min(workers, n)] if n > 1 else []) for n in (1, 7, 9, 400) for workers in (2, 4)]
+        cases += [(workers, n, 8, min(workers, n)) for n in (1, 7, 9, 400) for workers in (2, 4)]
         serial = {n: format_csv(run_scan(make_config(**grid))) for n, grid in grids.items()}
-        for workers, n, cpus, expected in cases:
-            sizes.clear()
-            maps.clear()
+        for workers, n, cpus, processes in cases:
+            forks.clear()
             monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: cpus)
-            rows = run_scan(make_config(workers=workers, **grids[n]))
-            assert sizes == expected, (workers, n, cpus)
+            cfg = make_config(workers=workers, **grids[n])
+            rows = run_scan(cfg)
+            # child k takes every processes-th point from k
+            grid = cayleyphase.scan._grid(cfg)
+            assert forks == [grid[k::processes] for k in range(1, processes)], (workers, n, cpus)
             assert format_csv(rows) == serial[n], (workers, n, cpus)
-            if expected:
-                # one task per grid point, in chunks enough for every worker
-                # where the grid has room for four a worker
-                [(tasks, chunksize)], [pool_size] = maps, expected
-                assert tasks == n, (workers, n, cpus)
-                if n >= 4 * pool_size:
-                    assert math.ceil(n / chunksize) >= pool_size, (workers, n, cpus)
+        # without fork the scan runs in-process
+        forks.clear()
+        monkeypatch.delattr(cayleyphase.scan.os, "fork")
+        assert format_csv(run_scan(make_config(workers=4, **grids[9]))) == serial[9]
+        assert forks == []
+
+    def test_pool_errors_match_serial(self, monkeypatch, capsys):
+        # real forks; two CPUs, so the pool path runs on any machine
+        monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: 2)
+        argv = "scan --j1 1 --j2 -2 --axis temperature:0.03:0.06:4 --seeds 0,1 --max-iter 5000 --workers".split()
+        outcomes = []
+        for workers in ("1", "2"):
+            code = main([*argv, workers])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, captured = outcomes[0]
+        assert code == 2 and captured.out == ""
+        # after the pure-Python kernel's warning, where that kernel runs
+        assert captured.err.splitlines()[-1].startswith("numeric range error: trajectory left the floating-point range")
+        # every child is reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "workers, failing, expected",
+        [
+            (2, {1, 2}, "point 1"),  # the child's failure comes first
+            (2, {2, 3}, "point 2"),  # the parent's own
+            (2, {3, 4}, "point 3"),
+            (3, {2, 3, 4}, "point 2"),
+            (3, {5}, "point 5"),
+        ],
+    )
+    def test_pool_raises_earliest_failure(self, monkeypatch, workers, failing, expected):
+        # several points fail: the earliest in grid order is raised, as a
+        # serial scan raises it, whichever process evaluated it
+        monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: workers)
+        evaluate = cayleyphase.scan._evaluate_point
+
+        def failing_point(cfg, starts, point):
+            if point[0] in failing:
+                raise ParameterRangeError(f"point {point[0]}")
+            return evaluate(cfg, starts, point)
+
+        monkeypatch.setattr(cayleyphase.scan, "_evaluate_point", failing_point)
+        cfg = make_config(axes=[AxisSpec("temperature", 1.0, 2.0, 6)], j1=0.5, workers=workers)
+        for w in (1, workers):
+            with pytest.raises(ParameterRangeError, match=f"^{expected}$"):
+                run_scan(cfg._replace(workers=w))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pool_reports_a_dead_child(self, monkeypatch):
+        monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def dying_point(cfg, starts, point):
+            if os.getpid() != parent:
+                os._exit(7)
+            return [point[0]]
+
+        monkeypatch.setattr(cayleyphase.scan, "_evaluate_point", dying_point)
+        cfg = make_config(axes=[AxisSpec("temperature", 1.0, 2.0, 4)], j1=0.5, workers=2)
+        with pytest.raises(RuntimeError, match="^scan worker exited with status 7$"):
+            run_scan(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_repeat_runs_identical(self):
         cfg = make_config()
@@ -233,6 +305,26 @@ class TestScanDeterminism:
         assert "tol" not in payload["metadata"]["config"]
         assert len(payload["results"]) == 18
         assert set(payload["results"][0]) == set(CSV_COLUMNS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_JSON_PAYLOADS)
+    def test_json_writer_matches_json_dumps(self, payload):
+        assert _json(copy.deepcopy(payload)) == _json_reference(copy.deepcopy(payload))
+
+    def test_json_writer_matches_json_dumps_on_a_scan(self):
+        # the coldest corner of the frustrated grid: its period-4 runs have an
+        # infinite m2 residual, written as null
+        cfg = make_config(
+            axes=[AxisSpec("j2_over_j1", -0.8, -0.6, 2), AxisSpec("temperature", 0.25, 0.5, 2)],
+            j1=1.0, j2=None, seeds=[6, 7], format="json",
+        )
+        rows = run_scan(cfg)
+        assert any(math.isinf(r.m2_residual) for r in rows)
+        text = format_json(rows, cfg)
+        assert '"m2_residual": null' in text
+        payload = {"metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}}
+        payload["results"] = [r._asdict() for r in rows]
+        assert text == _json_reference(payload)
 
 
 class TestScanPhysics:
