@@ -11,6 +11,7 @@ failure.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -284,5 +285,35 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code == 2 else exc.code
 
 
+def run() -> None:
+    """The ``cayleyphase`` command: ``main``, then an exit without finalization.
+
+    Once ``main`` has returned and stdout and stderr are flushed, the process
+    leaves with ``os._exit``.  That skips the interpreter's finalization:
+    module teardown, the last garbage collection, freeing numpy's objects,
+    and every ``atexit`` hook, among them those that other code registered,
+    such as coverage's subprocess hook.  The package registers none,
+    ``--output`` is closed once written, and a scan reaps its forked
+    children before ``main`` returns.  In-process callers use ``main``,
+    which returns the exit code and never ends the process.
+
+    The ordinary exit stays where its behaviour matters: an exception from
+    ``main`` reaches the interpreter as it is, and a failed flush or an exit
+    code that is not an int leaves by ``SystemExit``, so the interpreter
+    reports it as it would without this function.
+    """
+    code = main()
+    if isinstance(code, int):
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            # a full disk, a closed pipe, a closed or absent stream: the
+            # interpreter's own flush at exit fails again and reports it
+            raise SystemExit(code)
+        os._exit(code)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -781,3 +781,92 @@ class TestCli:
         r = run_cli("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1", pure_python=True)
         assert r.returncode == 2
         assert "range" in r.stderr and "np.float64" not in r.stderr
+
+
+# the CLI leaving by the interpreter's ordinary exit, with finalization
+ORDINARY_EXIT_MAIN = "import sys; from cayleyphase.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# the benchmark's scan-ordered grid at a smaller budget: over 64 KiB of JSON
+ORDERED_SCAN = (
+    "scan", "--axis", "j2_over_j1:0:0.8:40", "--axis", "temperature:0.25:4:10", "--j1", "1",
+    "--seeds", "2,3", "--max-iter", "2000", "--format", "json",
+)
+# each call, and the exit code both forms must give
+EXIT_PARITY_CALLS = {
+    "scan-workers-1": ((*ORDERED_SCAN, "--workers", "1"), 0),
+    "scan-workers-2": ((*ORDERED_SCAN, "--workers", "2"), 0),
+    "diagnose": ((*JSON_CALLS["diagnose"], "--format", "json"), 0),
+    "curves": (JSON_CALLS["curves"], 0),
+    "verify": (("verify",), 0),
+    "version": (("--version",), 0),
+    "help": (("--help",), 0),
+    "usage-error": (("scan", "--bogus"), 1),
+    # the cold corner: a trajectory underflows
+    "range-error": (
+        ("scan", "--j1", "1", "--j2", "-2", "--axis", "temperature:0.03:0.06:4", "--seeds", "0,1",
+         "--max-iter", "5000"),
+        2,
+    ),
+}
+
+
+EXIT_FORMS = (("-m", "cayleyphase"), ("-c", ORDINARY_EXIT_MAIN))
+
+
+def buffered_env():
+    # stdout block-buffered, as it is by default: the flush at exit then
+    # writes what is still buffered
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_both_exits(*args, stdout=subprocess.PIPE):
+    """The command run as ``python -m cayleyphase`` and in the ordinary-exit form."""
+    return [
+        subprocess.run(
+            [sys.executable, *form, *args], stdout=stdout, stderr=subprocess.PIPE, env=buffered_env(), timeout=600
+        )
+        for form in EXIT_FORMS
+    ]
+
+
+class TestExit:
+    @pytest.mark.parametrize("args, code", EXIT_PARITY_CALLS.values(), ids=EXIT_PARITY_CALLS)
+    def test_command_matches_the_ordinary_exit(self, args, code):
+        command, ordinary = run_both_exits(*args)
+        assert command.returncode == ordinary.returncode == code, ordinary.stderr
+        assert command.stdout == ordinary.stdout
+        assert command.stderr == ordinary.stderr
+        if args[0] == "scan" and code == 0:
+            assert len(command.stdout) > 64 * 1024
+
+    def test_output_file_matches_the_ordinary_exit(self, tmp_path):
+        paths = [tmp_path / "command.json", tmp_path / "ordinary.json"]
+        results = [
+            subprocess.run(
+                [sys.executable, *form, *ORDERED_SCAN, "--workers", "2", "--output", str(path)],
+                capture_output=True, env=buffered_env(), timeout=600,
+            )
+            for form, path in zip(EXIT_FORMS, paths)
+        ]
+        for r in results:
+            assert (r.returncode, r.stdout, r.stderr) == (0, b"", b""), r.stderr
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[0].read_bytes()) > 64 * 1024
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("args", [("--version",), JSON_CALLS["curves"]], ids=["version", "curves"])
+    def test_a_failed_flush_exits_as_before(self, args):
+        # the write into the buffer succeeds, and the flush at exit fails
+        with open("/dev/full", "wb") as full:
+            command, ordinary = run_both_exits(*args, stdout=full)
+        assert command.returncode == ordinary.returncode != 0
+        assert command.stderr == ordinary.stderr
+        assert b"No space left on device" in command.stderr
+
+    def test_the_command_skips_finalization(self):
+        r = subprocess.run(
+            [sys.executable, "-v", "-m", "cayleyphase", "--version"], capture_output=True, text=True, timeout=600
+        )
+        assert r.returncode == 0 and r.stdout == f"cayleyphase {cayleyphase.__version__}\n"
+        teardown = [line for line in r.stderr.splitlines() if line.startswith(("# cleanup", "# destroy"))]
+        assert teardown == []
