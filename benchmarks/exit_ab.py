@@ -150,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                     if results["command"] != results["ordinary"]:
                         mismatches.append(" ".join(call))
                     for form in order:
+                        stamp.unlink(missing_ok=True)  # a call that never stamps fails loudly
                         done = spawn([sys.executable, *tailed[form], *call], env, tmp)
                         tail[name, k, form].append((done["reaped_ns"] - int(stamp.read_text())) / 1e6)
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)

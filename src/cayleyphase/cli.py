@@ -309,7 +309,7 @@ def run() -> None:
             sys.stderr.flush()
         except Exception:
             # a full disk, a closed pipe, a closed or absent stream: the
-            # interpreter's own flush at exit fails again and reports it
+            # ordinary exit reports it as it always did
             raise SystemExit(code)
         os._exit(code)
     raise SystemExit(code)

@@ -783,8 +783,9 @@ class TestCli:
         assert "range" in r.stderr and "np.float64" not in r.stderr
 
 
-# the CLI leaving by the interpreter's ordinary exit, with finalization
+# the command, and the CLI leaving by the interpreter's ordinary exit, with finalization
 ORDINARY_EXIT_MAIN = "import sys; from cayleyphase.cli import main; sys.exit(main(sys.argv[1:]))"
+EXIT_FORMS = (("-m", "cayleyphase"), ("-c", ORDINARY_EXIT_MAIN))
 
 # the benchmark's scan-ordered grid at a smaller budget: over 64 KiB of JSON
 ORDERED_SCAN = (
@@ -808,9 +809,6 @@ EXIT_PARITY_CALLS = {
         2,
     ),
 }
-
-
-EXIT_FORMS = (("-m", "cayleyphase"), ("-c", ORDINARY_EXIT_MAIN))
 
 
 def buffered_env():
@@ -848,8 +846,10 @@ class TestExit:
             )
             for form, path in zip(EXIT_FORMS, paths)
         ]
-        for r in results:
-            assert (r.returncode, r.stdout, r.stderr) == (0, b"", b""), r.stderr
+        command, ordinary = results
+        assert command.returncode == ordinary.returncode == 0, ordinary.stderr
+        assert command.stdout == ordinary.stdout == b""
+        assert command.stderr == ordinary.stderr
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert len(paths[0].read_bytes()) > 64 * 1024
 
