@@ -5,15 +5,15 @@ plane with CSV/JSON output), ``curves`` (critical-curve table), ``partition``
 (partition function and free energy at a point), ``verify`` (built-in
 cross-checks).
 
-Exit codes: 0 success, 1 usage error, 2 numeric-range error, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error (or a reader of stdout that has gone),
+2 numeric-range error, 3 verification failure.
 """
 
 import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .core import Couplings, DomainError, ParameterRangeError, derive_params
@@ -71,7 +71,8 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from exc
@@ -172,7 +173,8 @@ def _cmd_scan(args) -> int:
     overrides = {}
     if args.config:
         try:
-            overrides = json.loads(Path(args.config).read_text())
+            with open(args.config) as f:
+                overrides = json.load(f)
         except (OSError, ValueError) as exc:  # ValueError: also an integer past the digit limit
             print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
             return USAGE_ERROR
@@ -285,6 +287,13 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code == 2 else exc.code
 
 
+def _reader_gone() -> NoReturn:
+    # the recipe of Python's signal docs: what output is left goes to
+    # os.devnull, so the interpreter's flush at exit cannot fail again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(USAGE_ERROR)
+
+
 def run() -> None:
     """The ``cayleyphase`` command: ``main``, then an exit without finalization.
 
@@ -297,19 +306,26 @@ def run() -> None:
     children before ``main`` returns.  In-process callers use ``main``,
     which returns the exit code and never ends the process.
 
-    The ordinary exit stays where its behaviour matters: an exception from
-    ``main`` reaches the interpreter as it is, and a failed flush or an exit
-    code that is not an int leaves by ``SystemExit``, so the interpreter
-    reports it as it would without this function.
+    A reader of stdout that has gone (a closed pipe) ends the command with
+    exit 1 and no traceback, whether ``main``'s write or the flush finds it.
+    Otherwise the ordinary exit stays where its behaviour matters: an
+    exception from ``main`` reaches the interpreter as it is, and a failed
+    flush or an exit code that is not an int leaves by ``SystemExit``, so
+    the interpreter reports it as it would without this function.
     """
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        _reader_gone()
     if isinstance(code, int):
         try:
             sys.stdout.flush()
             sys.stderr.flush()
+        except BrokenPipeError:
+            _reader_gone()
         except Exception:
-            # a full disk, a closed pipe, a closed or absent stream: the
-            # ordinary exit reports it as it always did
+            # a full disk, a closed or absent stream: the ordinary exit
+            # reports it as it always did
             raise SystemExit(code)
         os._exit(code)
     raise SystemExit(code)

@@ -34,7 +34,6 @@ __all__ = [
     "normalize",
     "periodic_state",
     "ratio_map",
-    "ratio_map2",
     "ratio_map_deriv",
     "recurrence_residual",
     "recurrence_step",
@@ -246,11 +245,6 @@ def ratio_map_deriv(p: BoltzmannParams, x):
     return 2.0 * ratio_map(p, x) * ((b2 * b2 - 1.0) / (b2 + x)) / (1.0 + b2 * x)
 
 
-def ratio_map2(p: BoltzmannParams, x):
-    """Two consecutive generations in the ratio coordinate (nondecreasing)."""
-    return ratio_map(p, ratio_map(p, x))
-
-
 def ferro_constraint(p: BoltzmannParams, x: float) -> float:
     """Fractional-linear link between the diagonal root-sums at any fixed
     point off the symmetric slice: ``s14 = ferro_constraint(s23)``.
@@ -279,11 +273,12 @@ def ferro_residual(p: BoltzmannParams, u: StateVector) -> float:
     in that direction.
     """
     v1, v2, v3, v4 = map(math.sqrt, u)
-    s23 = v2 + v3
-    den = p.alpha * p.b + (p.b * p.b - 1.0 / (p.b * p.b)) * s23
-    if den <= 0.0:
+    try:
+        target = ferro_constraint(p, v2 + v3)
+    except DomainError:  # at the pole
         return math.inf
-    target = (1.0 + (p.b / p.alpha) * s23) / den
+    if target < 0.0:  # past the pole: the numerator is at least 1
+        return math.inf
     return abs((v1 + v4) - target) / math.sqrt(u.max_norm())
 
 

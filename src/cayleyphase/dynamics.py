@@ -18,9 +18,10 @@ direction matching neither surface is labelled ``fixed-direction-other`` and
 counted -- it is not expected to occur, since a fixed direction rescales
 to a true fixed point, but the label keeps the classifier honest.
 
-On the symmetric slice the asymptotic class of a start needs no trajectory:
-:func:`symmetric_attractor_class` reads it off the sorted fixed and two-cycle
-ratios, because the ratio map (for b < 1 its double step) is monotone.
+The slice basins need no trajectory: the ratio map (for b < 1 its double
+step) is monotone, so a slice start's class reads off the sorted fixed and
+two-cycle ratios.  No command needs that class, so its classifier lives with
+the tests (``tests/oracles.py``), which check it against iteration.
 
 The inner loop is the plain-C extension ``_trajectory`` (``_trajectory.c``,
 built by ``setup.py``), with a bit-identical pure-Python twin
@@ -29,8 +30,6 @@ built by ``setup.py``), with a bit-identical pure-Python twin
 say on stderr when they run on the twin, which is about 60x slower.
 """
 
-import bisect
-import math
 import sys
 from typing import NamedTuple, Optional
 
@@ -44,7 +43,6 @@ from .core import (
     periodic_state,
     symmetric_residual,
 )
-from .symmetric import solve_fixed_points, solve_two_cycles
 
 try:
     from . import _trajectory as _traj  # type: ignore[attr-defined]
@@ -56,11 +54,9 @@ KERNEL_BACKEND = _traj.BACKEND
 __all__ = [
     "KERNEL_BACKEND",
     "PhaseLabel",
-    "SymmetricClass",
     "TrajectoryOutcome",
     "classify_phase",
     "iterate",
-    "symmetric_attractor_class",
 ]
 
 FIXED_DIRECTION = "fixed-direction"
@@ -104,14 +100,6 @@ class PhaseLabel(NamedTuple):
     period: Optional[int]
     m1_residual: float
     m2_residual: float
-
-
-class SymmetricClass(NamedTuple):
-    """Asymptotic class of a symmetric-slice trajectory: the attracting ratio
-    and whether the full sequence or only every second step converges."""
-
-    kind: str  # "asymptotically-fixed" | "asymptotically-periodic"
-    target: float
 
 
 def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITER) -> TrajectoryOutcome:
@@ -175,37 +163,3 @@ def classify_phase(p: BoltzmannParams, outcome: TrajectoryOutcome) -> PhaseLabel
     if m2 <= CLASSIFY_TOL:
         return PhaseLabel(FERROMAGNETIC, None, m1, m2)
     return PhaseLabel(FIXED_DIRECTION_OTHER, None, m1, m2)
-
-
-def symmetric_attractor_class(p: BoltzmannParams, u0: StateVector) -> SymmetricClass:
-    """Asymptotic class of a symmetric-slice start that is not itself periodic.
-
-    Read off the roots, without iterating.  For b >= 1 the ratio map g is
-    nondecreasing, and for b < 1 its double step is; under such a map every
-    start moves monotonically to the next root of ``g(x) - x`` (of the double
-    step's, for b < 1) in the direction of that function's sign.  The sign is
-    + below the smallest root and changes at every root except the double
-    root of the ``two`` regime.  The roots are the fixed ratios, plus the
-    two-cycle ratios when b < 1 and the pair has not merged.  The class is
-    asymptotically periodic exactly when the target is a two-cycle ratio; for
-    b < 1 the target is then the limit of every second step.
-    """
-    if symmetric_residual(u0) > 1e-10:
-        raise DomainError("start must lie on the symmetric slice")
-    x0 = u0.u1 / u0.u2
-    fixed = solve_fixed_points(p)
-    cycles = solve_two_cycles(p)
-    if any(abs(x0 - r) <= 1e-10 * r for r in (*(f.x for f in fixed.roots), *cycles.roots)):
-        raise DomainError("start is (numerically) a periodic point; class undefined")
-
-    # the double root of the "two" regime is the one where g' is nearest 1
-    double = (
-        min(fixed.roots, key=lambda f: abs(f.derivative - 1.0)).x if fixed.regime == "two" else None
-    )
-    cycle = () if cycles.degenerate else cycles.roots  # empty for b >= 1
-    refs = sorted([f.x for f in fixed.roots] + list(cycle))
-    k = bisect.bisect(refs, x0)
-    rising = sum(r != double for r in refs[:k]) % 2 == 0
-    target = refs[k] if rising else refs[k - 1]
-    kind = "asymptotically-periodic" if target in cycle else "asymptotically-fixed"
-    return SymmetricClass(kind, target)

@@ -51,28 +51,6 @@ def tree_vertex_count(n: int) -> int:
     return 2 ** (n + 1) - 1
 
 
-def tree_edges(n: int) -> list[tuple[int, int]]:
-    """Parent-child pairs in heap indexing (children of i are 2i+1, 2i+2)."""
-    size = tree_vertex_count(n)
-    out = []
-    for i in range(size):
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < size:
-                out.append((i, child))
-    return out
-
-
-def tree_grandparent_pairs(n: int) -> list[tuple[int, int]]:
-    """Same-branch vertex/grandchild pairs (two generations apart)."""
-    size = tree_vertex_count(n)
-    out = []
-    for i in range(size):
-        for g in (4 * i + 3, 4 * i + 4, 4 * i + 5, 4 * i + 6):
-            if g < size:
-                out.append((i, g))
-    return out
-
-
 def initial_branch_weights(p: BoltzmannParams) -> StateVector:
     """Depth-1 branch weights: the bare top bond, free boundary."""
     return StateVector(p.a, 1.0 / p.a, 1.0 / p.a, p.a)
@@ -133,8 +111,6 @@ def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVe
 def _bond_sum_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """``((S_nn, S_nnn), count)`` for each pair of bond sums at depth n."""
     size = tree_vertex_count(n)
-    parent = {j: i for i, j in tree_edges(n)}
-    grandparent = {j: i for i, j in tree_grandparent_pairs(n)}
     spins = [0] * size
     counts: collections.Counter[tuple[int, int]] = collections.Counter()
 
@@ -143,11 +119,11 @@ def _bond_sum_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
         if v == size:
             counts[s_nn, s_nnn] += 1
             return
-        i, g = parent.get(v), grandparent.get(v)
+        i, g = (v - 1) // 2, (v - 3) // 4  # heap order: parent, grandparent
         for s in (1, -1):
             spins[v] = s
-            nn = 0 if i is None else s * spins[i]
-            nnn = 0 if g is None else s * spins[g]
+            nn = s * spins[i] if v >= 1 else 0
+            nnn = s * spins[g] if v >= 3 else 0
             walk(v + 1, s_nn + nn, s_nnn + nnn)
 
     walk(0, 0, 0)

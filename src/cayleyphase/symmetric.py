@@ -59,7 +59,6 @@ __all__ = [
     "cycle_thresholds",
     "lift_fixed_point",
     "lift_two_cycle",
-    "multi_root_window",
     "phase_counts",
     "solve_fixed_points",
     "solve_two_cycles",
@@ -142,24 +141,8 @@ def _window_critical_points(b_tilde: float) -> Optional[tuple[float, float]]:
     return (y_lo, y_hi)
 
 
-def _level(y: float, b_tilde: float) -> float:
-    r = (1.0 + y) / (b_tilde + y)
-    return r * r / y
-
-
 def _log_level(y: float, b_tilde: float) -> float:
     return 2.0 * math.log1p(y) - 2.0 * math.log(b_tilde + y) - math.log(y)
-
-
-def multi_root_window(b_tilde: float) -> Optional[tuple[float, float]]:
-    """Window of levels ``1/(a^2 b^6)`` with three fixed points; None if b_tilde <= 9."""
-    crit = _window_critical_points(b_tilde)
-    if crit is None:
-        return None
-    lo, hi = (_level(crit[0], b_tilde), _level(crit[1], b_tilde))
-    if lo > hi:
-        lo, hi = hi, lo
-    return (lo, hi)
 
 
 def _target_log_level(p: BoltzmannParams) -> float:

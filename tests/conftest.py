@@ -47,9 +47,7 @@ def params_symmetric_cycle():
 @pytest.fixture
 def params_three_roots():
     # b = 2 (b^4 = 16) with the level at the geometric centre of the window
-    import math
-
-    from cayleyphase import multi_root_window
+    from oracles import multi_root_window
 
     lo, hi = multi_root_window(16.0)
     level = math.sqrt(lo * hi)

@@ -21,13 +21,11 @@ from cayleyphase import (
     iterate,
     lift_fixed_point,
     lift_two_cycle,
-    multi_root_window,
     normalize,
     partition_recurrence,
     periodic_partition,
     phase_counts,
     ratio_map,
-    ratio_map2,
     recurrence_step,
     solve_ferro_fixed_points,
     solve_fixed_points,
@@ -39,14 +37,11 @@ from cayleyphase.scan import AxisSpec, ScanConfig, format_csv, run_scan
 from cayleyphase.symmetric import cycle_thresholds
 
 from conftest import TINY_RATIOS, maxdiff, normalized
+from oracles import multi_root_window, params_at_level, ratio_map2
 
 
 def report(number, text):
     print(f"ACCEPTANCE {number:02d} PASS: {text}")
-
-
-def params_at_level(level, b):
-    return BoltzmannParams((level * b**6) ** -0.5, b)
 
 
 def test_criterion_01_partition_oracle():

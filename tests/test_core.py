@@ -22,7 +22,6 @@ from cayleyphase import (
     iterate,
     periodic_state,
     ratio_map,
-    ratio_map2,
     ratio_map_deriv,
     recurrence_step,
     symmetric_residual,
@@ -31,6 +30,7 @@ from cayleyphase import (
 from cayleyphase.core import bracketed_root
 
 from conftest import maxdiff
+from oracles import ratio_map2
 
 weights = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 components = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -231,6 +231,15 @@ class TestResiduals:
         p = BoltzmannParams(1.0, 0.4)
         u = StateVector(1.0, 25.0, 25.0, 1.0)  # s23 far beyond the pole
         assert ferro_residual(p, u) == math.inf
+
+    def test_ferro_residual_inf_at_pole(self):
+        # s23 exactly at the pole, where ferro_constraint raises
+        p = BoltzmannParams(1.0, 0.5)
+        half = 0.5 * p.alpha * p.b / (1.0 / p.b**2 - p.b**2)
+        assert math.sqrt(half * half) == half
+        with pytest.raises(DomainError):
+            ferro_constraint(p, 2.0 * half)
+        assert ferro_residual(p, StateVector(1.0, half * half, half * half, 1.0)) == math.inf
 
 
 class TestStateVector:

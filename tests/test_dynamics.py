@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayleyphase import (
     BoltzmannParams,
@@ -18,24 +20,25 @@ from cayleyphase import (
     DomainError,
     ParameterRangeError,
     StateVector,
-    SymmetricClass,
     classify_phase,
     cycle_thresholds,
     derive_params,
     iterate,
     lift_two_cycle,
-    multi_root_window,
     normalize,
     periodic_state,
     ratio_map,
     recurrence_step,
     solve_fixed_points,
     solve_two_cycles,
-    symmetric_attractor_class,
     symmetric_residual,
 )
 
+from cayleyphase.dynamics import BURN_IN, P_MAX, TOL
+from cayleyphase.scan import _starts_for_seeds
+
 from conftest import DIAGNOSE_POINTS, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff, normalized
+from oracles import SymmetricClass, multi_root_window, symmetric_attractor_class
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -225,6 +228,55 @@ class TestBackends:
             assert len(out[4]) == max(out[1], 1)
             if ((j1, j2, t), u0) == c1_max:
                 assert out[2] == 1758 and all(state[0] == 1.0 for state in out[4])
+        # hard cases from the scan's seeded starts, at the production
+        # constants: (point, seed, max_iter), expected (kind, period, steps)
+        seeded = [
+            # a 5-cycle that the period-1 test alone would miss
+            (((1.0, -0.8 + 1.2 * 6 / 19, 0.25 + 1.75 * 17 / 19), 1, 5000), (py.CYCLE, 5, 231)),
+            # cold and ordered: a fixed direction after 4 steps, with
+            # components far below TOL still moving
+            (((1.0, 1.2, 0.03), 0, 5000), (py.FIXED, 1, 4)),
+            (((1.0, 1.2, 0.03), 1, 5000), (py.FIXED, 1, 4)),
+            # the cold corner: a 4-cycle with a component underflowed to 0.0
+            (((1.0, -2.0, 0.03), 0, 5000), (py.CYCLE, 4, 200)),
+            # extreme weights: a = 1.4e101, b^4 = 7.4e16
+            (((232.9288032071753, 9.71014349621855, 1.0), 0, 5000), (py.FIXED, 1, 4)),
+        ]
+        for (point, seed, max_iter), expected in seeded:
+            p = derive_params(Couplings(*point))
+            args = (p.a, p.b, *_seeded_start(seed), max_iter, TOL, BURN_IN, P_MAX)
+            out = py.run_trajectory(*args)
+            assert out == compiled_kernel.run_trajectory(*args), args
+            assert out[:3] == expected, args
+            if point == (1.0, -2.0, 0.03):
+                assert 0.0 in out[4][-1]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        point=st.one_of(
+            # the benchmark's scan grids
+            st.tuples(st.just(1.0), st.floats(-0.8, 0.8), st.floats(0.25, 4.0)),
+            # wide couplings, up to the edge of the weight range
+            st.tuples(st.floats(-345.0, 345.0), st.floats(-86.0, 86.0), st.just(1.0)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        max_iter=st.integers(1, 500),
+    )
+    def test_backends_agree_on_drawn_couplings(self, compiled_kernel, point, seed, max_iter):
+        from cayleyphase import _trajectory_py as py
+
+        try:
+            p = derive_params(Couplings(*point))
+        except ParameterRangeError:
+            assume(False)
+        args = (p.a, p.b, *_seeded_start(seed), max_iter, TOL, BURN_IN, P_MAX)
+        outs = []
+        for kernel in (py, compiled_kernel):
+            try:
+                outs.append(repr(kernel.run_trajectory(*args)))
+            except Exception as exc:  # both must raise alike
+                outs.append(type(exc))
+        assert outs[0] == outs[1], args
 
     def test_kernel_compiles_without_warnings(self):
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -402,6 +454,11 @@ class TestSymmetricAttractorClass:
         for x0 in (0.5 * r, 0.9 * r, 1.1 * r, 2.0 * r):
             cls = symmetric_attractor_class(p, StateVector(x0, 1.0, 1.0, x0))
             assert cls == SymmetricClass("asymptotically-fixed", r)
+
+
+def _seeded_start(seed):
+    """The normalised start that a scan gives ``seed``."""
+    return normalize(StateVector(*_starts_for_seeds([seed])[seed]))
 
 
 def _iterated_limit(p, x, steps=400_000):

@@ -24,9 +24,10 @@ from cayleyphase import (
     solve_fixed_points,
     solve_two_cycles,
 )
-from cayleyphase.partition import _bond_sum_counts, tree_edges, tree_grandparent_pairs, tree_vertex_count
+from cayleyphase.partition import _bond_sum_counts, tree_vertex_count
 
 from conftest import TINY_RATIOS
+from oracles import tree_edges, tree_grandparent_pairs
 
 
 class TestTreeLayout:

@@ -331,7 +331,8 @@ class TestScanPhysics:
     def test_para_count_transition_at_tc(self):
         import math
 
-        from cayleyphase import critical_temperature, multi_root_window
+        from cayleyphase import critical_temperature
+        from oracles import multi_root_window
 
         j2 = 1.0
         tc = critical_temperature(j2)
@@ -811,6 +812,14 @@ EXIT_PARITY_CALLS = {
 }
 
 
+# the benchmark's scan-ordered grid, reduced: 10 KB of JSON, more than the
+# stdout buffer holds
+SMALL_ORDERED_SCAN = (
+    "scan", "--axis", "j2_over_j1:0:0.8:4", "--axis", "temperature:0.25:4:3", "--j1", "1",
+    "--seeds", "2,3", "--max-iter", "2000", "--format", "json",
+)
+
+
 def buffered_env():
     # stdout block-buffered, as it is by default: the flush at exit then
     # writes what is still buffered
@@ -862,6 +871,28 @@ class TestExit:
         assert command.returncode == ordinary.returncode != 0
         assert command.stderr == ordinary.stderr
         assert b"No space left on device" in command.stderr
+
+    @pytest.mark.parametrize("args", [SMALL_ORDERED_SCAN, JSON_CALLS["curves"]], ids=["scan", "curves"])
+    def test_a_closed_pipe_ends_quietly(self, args):
+        # the reader has gone before the command writes: the scan's write
+        # fails inside main, the buffered curves table in the flush after it
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "cayleyphase", *args],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=buffered_env(), timeout=600,
+            )
+        finally:
+            os.close(write)
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr, r.stderr
+
+    def test_the_command_imports_neither_pathlib_nor_bisect(self):
+        # -S: no .pth file of site-packages preloads modules
+        listed = "import sys, cayleyphase.cli; print(sorted({'bisect', 'numpy', 'pathlib'} & set(sys.modules)))"
+        r = subprocess.run([sys.executable, "-S", "-c", listed], capture_output=True, text=True, timeout=600)
+        assert r.returncode == 0 and r.stdout == "[]\n", r.stderr
 
     def test_the_command_skips_finalization(self):
         r = subprocess.run(

@@ -17,10 +17,8 @@ from cayleyphase import (
     derive_params,
     lift_fixed_point,
     lift_two_cycle,
-    multi_root_window,
     phase_counts,
     ratio_map,
-    ratio_map2,
     ratio_map_deriv,
     recurrence_residual,
     recurrence_step,
@@ -31,6 +29,7 @@ from cayleyphase import (
 )
 
 from conftest import DIAGNOSE_POINTS, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff
+from oracles import multi_root_window, params_at_level, ratio_map2
 
 
 # closed forms of the slice lifts: independent oracles for the homogeneity lift
@@ -45,11 +44,6 @@ def closed_form_two_cycle_lift(p: BoltzmannParams, y: float) -> tuple[float, flo
     e1 = a * b * (b + 1.0 / (b * y)) ** 2 + (b / y + 1.0 / b) ** 2 / (a * b)
     e2 = b * (b + y / b) ** 2 / a + a * (b * y + 1.0 / b) ** 2 / b
     return a ** (-1.0 / 3.0) * e1 ** (-2.0 / 3.0), a ** (1.0 / 3.0) * e2 ** (-2.0 / 3.0)
-
-
-def params_at_level(level: float, b: float) -> BoltzmannParams:
-    # invert level = 1/(a^2 b^6)
-    return BoltzmannParams((level * b**6) ** -0.5, b)
 
 
 class TestMultiRootWindow:
