@@ -5,15 +5,15 @@ plane with CSV/JSON output), ``curves`` (critical-curve table), ``partition``
 (partition function and free energy at a point), ``verify`` (built-in
 cross-checks).
 
-Exit codes: 0 success, 1 usage error (or a reader of stdout that has gone),
-2 numeric-range error, 3 verification failure.
+Exit codes: 0 success, 1 usage error or output that could not be written
+(a reader of stdout that has gone among them), 2 numeric-range error,
+3 verification failure.
 """
 
 import argparse
 import json
 import os
 import sys
-from typing import NoReturn
 
 from . import __version__
 from .core import Couplings, DomainError, ParameterRangeError, derive_params
@@ -66,16 +66,23 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _cannot_write(name: str, exc: Exception) -> int:
+    print(f"cannot write {name}: {exc}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+    """Write a result to ``path``, or to stdout when it is None."""
     try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from exc
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as f:
+                f.write(text)
+    except (OSError, AttributeError) as exc:  # AttributeError: no stdout, its descriptor was closed
+        if path is None and isinstance(exc, BrokenPipeError):
+            raise  # the reader of stdout has gone: run ends the command quietly
+        raise SystemExit(_cannot_write("<stdout>" if path is None else path, exc)) from exc
 
 
 def _emit(args, payload, lines: list[str]) -> int:
@@ -223,17 +230,22 @@ def _cmd_partition(args) -> int:
 
 def _cmd_verify(_args) -> int:
     results = run_verify()
-    failed = False
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name}: {r.detail}")
-        failed = failed or not r.passed
-    return VERIFY_ERROR if failed else 0
+    _write_output("".join(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}\n" for r in results), None)
+    return 0 if all(r.passed for r in results) else VERIFY_ERROR
+
+
+class _Version(argparse.Action):
+    # argparse's own version action would swallow a failed write
+    def __call__(self, parser, *_):
+        _write_output(f"cayleyphase {__version__}\n", None)
+        parser.exit()
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cayleyphase", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"cayleyphase {__version__}")
+    parser.add_argument(
+        "--version", action=_Version, nargs=0, default=argparse.SUPPRESS, help="show program's version number and exit"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def flags(*table, required=False):
@@ -287,11 +299,11 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code == 2 else exc.code
 
 
-def _reader_gone() -> NoReturn:
+def _reader_gone() -> int:
     # the recipe of Python's signal docs: what output is left goes to
-    # os.devnull, so the interpreter's flush at exit cannot fail again
+    # os.devnull, so no later flush can fail again
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    raise SystemExit(USAGE_ERROR)
+    return USAGE_ERROR
 
 
 def run() -> None:
@@ -306,29 +318,27 @@ def run() -> None:
     children before ``main`` returns.  In-process callers use ``main``,
     which returns the exit code and never ends the process.
 
-    A reader of stdout that has gone (a closed pipe) ends the command with
-    exit 1 and no traceback, whether ``main``'s write or the flush finds it.
-    Otherwise the ordinary exit stays where its behaviour matters: an
-    exception from ``main`` reaches the interpreter as it is, and a failed
-    flush or an exit code that is not an int leaves by ``SystemExit``, so
-    the interpreter reports it as it would without this function.
+    A failed write to stdout, whether ``main``'s write or the flush finds
+    it, ends the command with exit 1: a reader that has gone (a closed pipe)
+    quietly, any other failure (a full disk, say) with one ``cannot write
+    <stdout>`` line on stderr.  Any other exception from ``main`` reaches
+    the interpreter as it is.
     """
     try:
         code = main()
     except BrokenPipeError:
-        _reader_gone()
-    if isinstance(code, int):
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except BrokenPipeError:
-            _reader_gone()
-        except Exception:
-            # a full disk, a closed or absent stream: the ordinary exit
-            # reports it as it always did
-            raise SystemExit(code)
-        os._exit(code)
-    raise SystemExit(code)
+        code = _reader_gone()
+    if sys.stdout is None or sys.stderr is None:
+        # a descriptor closed before the start: the ordinary exit copes with it
+        raise SystemExit(code)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _reader_gone()
+    except OSError as exc:
+        code = _cannot_write("<stdout>", exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

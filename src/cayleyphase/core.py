@@ -20,7 +20,7 @@ Two invariant sets organise the fixed points:
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "BoltzmannParams",
@@ -62,15 +62,7 @@ class DomainError(ValueError):
     """An input lies outside an operation's mathematical domain."""
 
 
-# The records are named tuples.  A NamedTuple class may not define __new__,
-# so a record that checks its arguments keeps its fields in a base class.
-class _CouplingsFields(NamedTuple):
-    j1: float
-    j2: float
-    temperature: float
-
-
-class Couplings(_CouplingsFields):
+class Couplings(namedtuple("Couplings", "j1 j2 temperature")):
     """Physical couplings: bond strength ``j1``, same-branch second-generation
     strength ``j2``, and the temperature (all in the same energy units)."""
 
@@ -88,12 +80,7 @@ class Couplings(_CouplingsFields):
         return 1.0 / self.temperature
 
 
-class _BoltzmannParamsFields(NamedTuple):
-    a: float
-    b: float
-
-
-class BoltzmannParams(_BoltzmannParamsFields):
+class BoltzmannParams(namedtuple("BoltzmannParams", "a b")):
     """Bond weights ``a = exp(j1*beta)`` and ``b = exp(j2*beta)``.
 
     ``alpha = sqrt(a)`` is the natural weight in the square-root variables
@@ -126,14 +113,7 @@ class BoltzmannParams(_BoltzmannParamsFields):
         return self.b**4
 
 
-class _StateVectorFields(NamedTuple):
-    u1: float
-    u2: float
-    u3: float
-    u4: float
-
-
-class StateVector(_StateVectorFields):
+class StateVector(namedtuple("StateVector", "u1 u2 u3 u4")):
     """Strictly positive branch-weight vector.
 
     Component ``u_i`` corresponds to the top-spin pair ``(+,+), (+,-), (-,+),

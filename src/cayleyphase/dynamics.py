@@ -31,7 +31,7 @@ say on stderr when they run on the twin, which is about 60x slower.
 """
 
 import sys
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .core import (
     BoltzmannParams,
@@ -78,28 +78,21 @@ P_MAX = 64
 CLASSIFY_TOL = 1e-6
 
 
-class TrajectoryOutcome(NamedTuple):
+class TrajectoryOutcome(namedtuple("TrajectoryOutcome", "kind period attractor iterations_used residual")):
     """Result of one projective run.
 
     ``period`` is 1 (fixed direction), q (cycle) or 0 (aperiodic).
-    ``attractor`` holds unit-max-norm states: the limit (fixed direction or
-    aperiodic's last state) or the final full period, oldest first.
-    ``residual`` is the max-norm difference that triggered the verdict (the
-    last step difference for aperiodic runs).
+    ``attractor`` holds unit-max-norm states (a tuple of ``StateVector``):
+    the limit (fixed direction or aperiodic's last state) or the final full
+    period, oldest first.  ``residual`` is the max-norm difference that
+    triggered the verdict (the last step difference for aperiodic runs).
     """
 
-    kind: str
-    period: int
-    attractor: tuple[StateVector, ...]
-    iterations_used: int
-    residual: float
+    __slots__ = ()
 
 
-class PhaseLabel(NamedTuple):
-    phase: str
-    period: Optional[int]
-    m1_residual: float
-    m2_residual: float
+# period is the cycle's for a commensurate label, else None
+PhaseLabel = namedtuple("PhaseLabel", "phase period m1_residual m2_residual")
 
 
 def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITER) -> TrajectoryOutcome:

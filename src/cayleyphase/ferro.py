@@ -57,7 +57,7 @@ bit for bit.  Candidates that collapse onto the symmetric slice are dropped
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     BoltzmannParams,
@@ -83,14 +83,11 @@ _W_FLOOR_CAP = 1e-14
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-class FerroCandidate(NamedTuple):
+class FerroCandidate(namedtuple("FerroCandidate", "C v u full_residual")):
     """One symmetry-broken fixed point: its diagonal sum C = v2+v3, the
     square-root state, the weight state, and its residual."""
 
-    C: float
-    v: tuple[float, float, float, float]
-    u: StateVector
-    full_residual: float
+    __slots__ = ()
 
 
 def _accept(p: BoltzmannParams, v: tuple[float, float, float, float]) -> FerroCandidate | None:

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import os
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import __version__
 from .core import BoltzmannParams, Couplings, DomainError, StateVector, derive_params
@@ -31,15 +31,7 @@ __all__ = ["AxisSpec", "ScanConfig", "ScanRow", "format_csv", "format_json", "ru
 AXIS_NAMES = ("j1", "j2", "temperature", "j2_over_j1")
 
 
-# fields in a base class, so that __new__ can check them (see core.Couplings)
-class _AxisSpecFields(NamedTuple):
-    name: str
-    min: float
-    max: float
-    steps: int
-
-
-class AxisSpec(_AxisSpecFields):
+class AxisSpec(namedtuple("AxisSpec", "name min max steps")):
     __slots__ = ()
 
     def __new__(cls, name: str, min: float, max: float, steps: int) -> "AxisSpec":
@@ -90,26 +82,15 @@ def _check_seeds(seeds) -> None:
         raise DomainError(f"seeds must be a non-empty list of non-negative integers, not {seeds!r}")
 
 
-class _ScanConfigFields(NamedTuple):
-    axes: list[AxisSpec]
-    j1: Optional[float]
-    j2: Optional[float]
-    temperature: Optional[float]
-    seeds: list[int] | tuple[int, ...]
-    max_iter: int
-    format: str
-    workers: int
-
-
-class ScanConfig(_ScanConfigFields):
+class ScanConfig(namedtuple("ScanConfig", "axes j1 j2 temperature seeds max_iter format workers")):
     __slots__ = ()
 
     def __new__(
         cls,
         axes: list[AxisSpec],
-        j1: Optional[float] = None,
-        j2: Optional[float] = None,
-        temperature: Optional[float] = None,
+        j1: float | None = None,
+        j2: float | None = None,
+        temperature: float | None = None,
         seeds: list[int] | tuple[int, ...] = (0,),
         max_iter: int = DEFAULT_MAX_ITER,
         format: str = "csv",
@@ -153,22 +134,11 @@ class ScanConfig(_ScanConfigFields):
         return config
 
 
-class ScanRow(NamedTuple):
-    grid_i: int
-    grid_j: int
-    j1: float
-    j2: float
-    temperature: float
-    a: float
-    b: float
-    phase: str
-    cycle_period: int
-    para_count: int
-    comm2_count: int
-    m1_residual: float
-    m2_residual: float
-    iterations: int
-    seed: int
+ScanRow = namedtuple(
+    "ScanRow",
+    "grid_i grid_j j1 j2 temperature a b phase cycle_period para_count comm2_count"
+    " m1_residual m2_residual iterations seed",
+)
 
 
 # the CSV header and the JSON keys, in column order
@@ -319,7 +289,7 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share(evaluate, points: list) -> tuple[list, Optional[Exception]]:
+def _share(evaluate, points: list) -> tuple[list, Exception | None]:
     """The rows of each point in turn, up to the first point that raises,
     and that point's exception (or None); so with ``k`` points done, the
     failing point is ``points[k]``."""
@@ -356,7 +326,7 @@ def _fork_share(evaluate, points: list):
             os._exit(code)
     os.close(write_fd)
 
-    def wait() -> tuple[list, Optional[Exception]]:
+    def wait() -> tuple[list, Exception | None]:
         try:
             with open(read_fd, "rb") as result:
                 data = result.read()

@@ -32,7 +32,7 @@ so the two cannot disagree on the number of fixed points.
 
 import math
 import sys
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .core import (
     BoltzmannParams,
@@ -79,36 +79,34 @@ _DEGENERATE_WINDOW = 1e-14
 _LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
-class FixedPointRoot(NamedTuple):
-    x: float
-    derivative: float
-    stability: str
+FixedPointRoot = namedtuple("FixedPointRoot", "x derivative stability")
 
 
-class FixedPointReport(NamedTuple):
-    """Positive fixed points of the ratio map, ascending, with stability tags."""
+class FixedPointReport(namedtuple("FixedPointReport", "roots regime")):
+    """Positive fixed points of the ratio map, ascending, with stability tags.
 
-    roots: tuple[FixedPointRoot, ...]
-    regime: str  # "unique" | "two" | "three"
+    ``roots`` is a tuple of ``FixedPointRoot``; ``regime`` counts them:
+    "unique", "two" or "three".
+    """
+
+    __slots__ = ()
 
 
-class CycleThresholds(NamedTuple):
+class CycleThresholds(namedtuple("CycleThresholds", "star_minus star_plus outer_minus outer_plus")):
     """Existence thresholds for period-two ratios, as functions of b.
 
     ``star_minus/star_plus`` bound the interval of ``a**2`` where the
     two-cycle discriminant is positive (present only for ``b <= sqrt(1/3)``);
     ``outer_minus/outer_plus`` bound where the quadratic's linear coefficient
-    is negative (present only for ``b <= sqrt(sqrt(2)-1)``).  When both exist,
-    ``outer_minus <= star_minus < star_plus <= outer_plus``.
+    is negative (present only for ``b <= sqrt(sqrt(2)-1)``).  An absent bound
+    is None.  When both exist, ``outer_minus <= star_minus < star_plus <=
+    outer_plus``.
     """
 
-    star_minus: Optional[float]
-    star_plus: Optional[float]
-    outer_minus: Optional[float]
-    outer_plus: Optional[float]
+    __slots__ = ()
 
 
-class TwoCycleReport(NamedTuple):
+class TwoCycleReport(namedtuple("TwoCycleReport", "b_coeff discriminant roots degenerate")):
     """Period-two ratios distinct from fixed points.
 
     ``b_coeff`` and ``discriminant`` are the linear coefficient and the
@@ -117,20 +115,14 @@ class TwoCycleReport(NamedTuple):
     single ratio (which is then also a fixed point, with derivative -1).
     """
 
-    b_coeff: float
-    discriminant: float
-    roots: tuple[float, ...]
-    degenerate: bool
+    __slots__ = ()
 
 
-class CriticalCurveSample(NamedTuple):
-    j2: float
-    beta: float
-    j1_plus: Optional[float]
-    j1_minus: Optional[float]
+# j1_plus and j1_minus are None where the curve has no branch at that j2
+CriticalCurveSample = namedtuple("CriticalCurveSample", "j2 beta j1_plus j1_minus")
 
 
-def _window_critical_points(b_tilde: float) -> Optional[tuple[float, float]]:
+def _window_critical_points(b_tilde: float) -> tuple[float, float] | None:
     """Positive critical points of the level function, present iff b_tilde > 9."""
     if b_tilde <= 9.0:
         return None
@@ -217,7 +209,7 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
     return FixedPointReport(roots=tuple(roots), regime=regime)
 
 
-def _star_numerator(b: float) -> Optional[float]:
+def _star_numerator(b: float) -> float | None:
     """``mid + r``, where ``(mid + r) / (8 b^6)`` is the upper star threshold in
     ``a**2``; None where the star window is empty (``9 b^4 - 1 > 1e-12``)."""
     b4 = b**4
@@ -346,7 +338,7 @@ def lift_two_cycle(p: BoltzmannParams, y: float) -> StateVector:
     return periodic_state(p, normalize(StateVector(y, 1.0, 1.0, y)), 2)
 
 
-def critical_temperature(j2: float) -> Optional[float]:
+def critical_temperature(j2: float) -> float | None:
     """Temperature below which the slice structure changes: 2|j2|/ln 3.
 
     For ``j2 > 0`` this is where extra fixed points can appear; for ``j2 < 0``

@@ -13,7 +13,7 @@ seconds-scale smoke test; the full acceptance suite lives in the test tree.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     BoltzmannParams,
@@ -39,10 +39,7 @@ from .symmetric import (
 __all__ = ["run_verify"]
 
 
-class VerifyResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
+VerifyResult = namedtuple("VerifyResult", "name passed detail")
 
 
 def _check_recurrence_vs_enumeration() -> VerifyResult:

@@ -7,7 +7,7 @@ checks.
 
 import bisect
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from cayleyphase import (
     BoltzmannParams,
@@ -32,7 +32,7 @@ def _level(y: float, b_tilde: float) -> float:
     return r * r / y
 
 
-def multi_root_window(b_tilde: float) -> Optional[tuple[float, float]]:
+def multi_root_window(b_tilde: float) -> tuple[float, float] | None:
     """Window of levels ``1/(a^2 b^6)`` with three fixed points; None if b_tilde <= 9.
 
     Its edges are the level at the critical points, the roots of
@@ -51,12 +51,12 @@ def params_at_level(level: float, b: float) -> BoltzmannParams:
     return BoltzmannParams((level * b**6) ** -0.5, b)
 
 
-class SymmetricClass(NamedTuple):
+class SymmetricClass(namedtuple("SymmetricClass", "kind target")):
     """Asymptotic class of a symmetric-slice trajectory: the attracting ratio
-    and whether the full sequence or only every second step converges."""
+    and whether the full sequence ("asymptotically-fixed") or only every
+    second step ("asymptotically-periodic") converges."""
 
-    kind: str  # "asymptotically-fixed" | "asymptotically-periodic"
-    target: float
+    __slots__ = ()
 
 
 def symmetric_attractor_class(p: BoltzmannParams, u0: StateVector) -> SymmetricClass:

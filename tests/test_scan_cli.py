@@ -820,18 +820,26 @@ SMALL_ORDERED_SCAN = (
 )
 
 
+# each writes its result to stdout: a short one (buffered, only the flush
+# after main writes it) or one past the stdout buffer (written inside main)
+STDOUT_WRITE_CALLS = {
+    "version": ("--version",),
+    "curves": JSON_CALLS["curves"],
+    "verify": ("verify",),
+    "scan": SMALL_ORDERED_SCAN,
+}
+
+
 def buffered_env():
     # stdout block-buffered, as it is by default: the flush at exit then
     # writes what is still buffered
     return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
-def run_both_exits(*args, stdout=subprocess.PIPE):
+def run_both_exits(*args):
     """The command run as ``python -m cayleyphase`` and in the ordinary-exit form."""
     return [
-        subprocess.run(
-            [sys.executable, *form, *args], stdout=stdout, stderr=subprocess.PIPE, env=buffered_env(), timeout=600
-        )
+        subprocess.run([sys.executable, *form, *args], capture_output=True, env=buffered_env(), timeout=600)
         for form in EXIT_FORMS
     ]
 
@@ -863,14 +871,39 @@ class TestExit:
         assert len(paths[0].read_bytes()) > 64 * 1024
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("args", [("--version",), JSON_CALLS["curves"]], ids=["version", "curves"])
-    def test_a_failed_flush_exits_as_before(self, args):
-        # the write into the buffer succeeds, and the flush at exit fails
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", STDOUT_WRITE_CALLS.values(), ids=STDOUT_WRITE_CALLS)
+    def test_a_failed_write_to_stdout_is_reported(self, args, unbuffered):
+        # a full disk: whether the write inside main or the flush after it
+        # fails, one line says so, and the exit is 1
+        env = buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "wb") as full:
-            command, ordinary = run_both_exits(*args, stdout=full)
-        assert command.returncode == ordinary.returncode != 0
-        assert command.stderr == ordinary.stderr
-        assert b"No space left on device" in command.stderr
+            r = subprocess.run(
+                [sys.executable, "-m", "cayleyphase", *args],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=600,
+            )
+        assert r.returncode == 1, r.stderr
+        reports = [line for line in r.stderr.splitlines() if "cannot write" in line]
+        assert reports == ["cannot write <stdout>: [Errno 28] No space left on device"], r.stderr
+        assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr, r.stderr
+
+    def test_a_closed_stdout_descriptor(self, tmp_path):
+        # descriptor 1 closed before the start leaves sys.stdout None: a
+        # result for stdout is a failed write, one for --output is not
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "cayleyphase", *args],
+                stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1), timeout=600,
+            )
+
+        r = run("--version")
+        assert r.returncode == 1 and r.stderr.startswith("cannot write <stdout>: "), r.stderr
+        assert "Traceback" not in r.stderr, r.stderr
+        r = run(*JSON_CALLS["curves"], "--output", str(tmp_path / "curves.csv"))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert (tmp_path / "curves.csv").read_text().startswith("j2,j1_plus,j1_minus\n")
 
     @pytest.mark.parametrize("args", [SMALL_ORDERED_SCAN, JSON_CALLS["curves"]], ids=["scan", "curves"])
     def test_a_closed_pipe_ends_quietly(self, args):
@@ -890,7 +923,7 @@ class TestExit:
 
     def test_the_command_imports_neither_pathlib_nor_bisect(self):
         # -S: no .pth file of site-packages preloads modules
-        listed = "import sys, cayleyphase.cli; print(sorted({'bisect', 'numpy', 'pathlib'} & set(sys.modules)))"
+        listed = "import sys, cayleyphase.cli; print(sorted({'bisect', 'numpy', 'pathlib', 'typing'} & set(sys.modules)))"
         r = subprocess.run([sys.executable, "-S", "-c", listed], capture_output=True, text=True, timeout=600)
         assert r.returncode == 0 and r.stdout == "[]\n", r.stderr
 
