@@ -234,15 +234,26 @@ def _cmd_verify(_args) -> int:
     return 0 if all(r.passed for r in results) else VERIFY_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's one output hook swallows a failed write: --help and the
+    # subcommands' help go through the command's write instead
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _write_output(message, None)
+        else:
+            super()._print_message(message, file)
+
+
 class _Version(argparse.Action):
-    # argparse's own version action would swallow a failed write
+    # argparse's own version action formats its text with textwrap, an
+    # import that every --version call would pay
     def __call__(self, parser, *_):
         _write_output(f"cayleyphase {__version__}\n", None)
         parser.exit()
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cayleyphase", description=__doc__)
+    parser = _Parser(prog="cayleyphase", description=__doc__)
     parser.add_argument(
         "--version", action=_Version, nargs=0, default=argparse.SUPPRESS, help="show program's version number and exit"
     )

@@ -212,7 +212,10 @@ def _uniforms(seed: int) -> list[float]:
 def _starts_for_seeds(seeds: list[int]) -> dict[int, tuple[float, float, float, float]]:
     # log-uniform components; the start is seed-determined and shared by every
     # grid point so phase differences across the grid are physical
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise DomainError(f"scan and diagnose need numpy: {exc}") from exc
 
     # numpy's array ``**`` (SIMD pow, not libm's) fixes the recorded starts;
     # Python floats, because numpy scalars would make the pure-Python kernel

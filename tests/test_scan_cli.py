@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +431,29 @@ def _reject_constant(name):
     raise AssertionError(f"{name} is not strict JSON")
 
 
+# run under python -S, so that site-packages and numpy with it are hidden:
+# the CLI calls named in argv[1], in-process, then the ferro solver and
+# phase_counts, which only commands that need numpy reach
+STDLIB_ONLY_PROBE = """
+import contextlib, importlib.util, io, json, sys
+seen = {"numpy importable": importlib.util.find_spec("numpy") is not None}
+import cayleyphase
+from cayleyphase.cli import main
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+seen["calls"] = {name: run(argv) for name, argv in json.loads(sys.argv[1]).items()}
+ferro_points = [cayleyphase.Couplings(1.0, 0.15, 0.6), cayleyphase.Couplings(1.0, 1.5, 0.09)]
+seen["ferro counts"] = [len(cayleyphase.solve_ferro_fixed_points(cayleyphase.derive_params(c))) for c in ferro_points]
+seen["phase counts"] = cayleyphase.phase_counts(cayleyphase.Couplings(232.9288032071753, 9.71014349621855, 1))
+print(json.dumps(seen))
+"""
+
+
 class TestCli:
     def test_diagnose_text(self):
         r = run_cli("diagnose", "--j1", "1", "--j2", "0.9", "--temperature", "1")
@@ -560,6 +585,12 @@ class TestCli:
         r = run_cli("verify")
         assert r.returncode == 0, r.stdout + r.stderr
         assert "FAIL" not in r.stdout
+        # without the compiled kernel, the backend check says so and passes
+        r = run_cli("verify", pure_python=True)
+        lines = r.stdout.splitlines()
+        assert r.returncode == 0 and all(line.startswith("PASS") for line in lines), r.stdout + r.stderr
+        unavailable = "PASS  trajectory backends agree: compiled kernel unavailable; running on the python backend"
+        assert lines.count(unavailable) == 1, r.stdout
 
     def test_verify_catches_a_shifted_star_threshold(self, monkeypatch, capsys):
         # the thresholds' own identity (star_minus * star_plus == 1) survives
@@ -712,6 +743,49 @@ class TestCli:
         out = capsys.readouterr().out
         assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == set(options.split()), out
 
+    def test_closed_forms_need_only_the_standard_library(self, capsys):
+        # under -S the closed forms write what they write with numpy loaded,
+        # the ferro solver finds its roots and verify passes; scan and
+        # diagnose, which need numpy, end in one error line
+        overflowing = ("partition", "--j1", "-188", "--j2", "-74.3", "--temperature", "1", "--depth", "3", "--log")
+        calls = {
+            "version": ("--version",),
+            "partition": JSON_CALLS["partition"],
+            "partition-json": (*JSON_CALLS["partition"], "--format", "json"),
+            # 1/(a^2 b^6) overflows a double: log Z is a log-sum-exp over
+            # the enumerated bond sums
+            "partition-overflowing": (*overflowing, "--format", "json"),
+            "curves": JSON_CALLS["curves"],
+            "curves-json": (*JSON_CALLS["curves"], "--format", "json"),
+            "verify": ("verify",),
+            "diagnose": JSON_CALLS["diagnose"],
+            "scan": JSON_CALLS["scan"],
+        }
+        # the package's own directory is the whole path beyond the standard library
+        env = {**os.environ, "PYTHONPATH": str(Path(cayleyphase.__file__).resolve().parents[1])}
+        r = subprocess.run(
+            [sys.executable, "-S", "-c", STDLIB_ONLY_PROBE, json.dumps(calls)],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert r.returncode == 0, r.stderr
+        seen = json.loads(r.stdout)
+        assert seen.pop("numpy importable") is False
+        results = seen.pop("calls")
+        for name in ("diagnose", "scan"):
+            code, out, err = results.pop(name)
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert (code, out, errors) == (1, "", ["error: scan and diagnose need numpy: No module named 'numpy'"]), err
+        # verify's backend line depends on whether this process has built the kernel
+        code, out, err = results.pop("verify")
+        assert code == 0 and err == "" and out and all(line.startswith("PASS") for line in out.splitlines()), out
+        for name, argv in calls.items():
+            if name in results:
+                assert results[name] == [main(list(argv)), *capsys.readouterr()], name
+        for name in ("partition-json", "partition-overflowing", "curves-json"):
+            json.loads(results[name][1], parse_constant=_reject_constant)
+        assert json.loads(results["partition-overflowing"][1])["log_Z"] == pytest.approx(2020.2931471805598, abs=1e-9)
+        assert seen == {"ferro counts": [2, 2], "phase counts": [1, 0]}
+
     def test_partition_overflow_names_the_log_flag(self, capsys):
         argv = ["partition", "--j1", "0.5", "--j2", "-0.3", "--temperature", "1", "--depth", "40"]
         assert main(argv) == 2
@@ -824,6 +898,8 @@ SMALL_ORDERED_SCAN = (
 # after main writes it) or one past the stdout buffer (written inside main)
 STDOUT_WRITE_CALLS = {
     "version": ("--version",),
+    "help": ("--help",),
+    "scan-help": ("scan", "--help"),
     "curves": JSON_CALLS["curves"],
     "verify": ("verify",),
     "scan": SMALL_ORDERED_SCAN,
@@ -836,8 +912,12 @@ def buffered_env():
     return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
+@functools.cache
 def run_both_exits(*args):
-    """The command run as ``python -m cayleyphase`` and in the ordinary-exit form."""
+    """The command run as ``python -m cayleyphase`` and in the ordinary-exit form.
+
+    Cached: a later test reads the outputs of an earlier one.
+    """
     return [
         subprocess.run([sys.executable, *form, *args], capture_output=True, env=buffered_env(), timeout=600)
         for form in EXIT_FORMS
@@ -869,6 +949,9 @@ class TestExit:
         assert command.stderr == ordinary.stderr
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert len(paths[0].read_bytes()) > 64 * 1024
+        # one worker or two, to stdout or to the file: the same bytes
+        written = [run_both_exits(*ORDERED_SCAN, "--workers", w)[0].stdout for w in ("1", "2")]
+        assert written == [paths[0].read_bytes()] * 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
