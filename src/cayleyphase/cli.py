@@ -191,6 +191,7 @@ def _cmd_scan(args) -> int:
         cfg = ScanConfig(**{**cfg_kwargs, **overrides})
     except TypeError as exc:  # JSON of the wrong shape
         raise DomainError(f"bad config {args.config}: {exc}") from exc
+    _starts_for_seeds(cfg.seeds)  # a scan that cannot start fails before the warning
     _warn_if_pure_python()
     rows = run_scan(cfg)
     text = format_csv(rows) if cfg.format == "csv" else format_json(rows, cfg)

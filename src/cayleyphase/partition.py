@@ -42,7 +42,7 @@ __all__ = [
     "periodic_partition",
 ]
 
-_MAX_ENUM_DEPTH = 3  # 2^15 spins = 32768 configurations
+_MAX_ENUM_DEPTH = 4  # 31 spins and 2^31 configurations, walked as a branch of 15 spins
 _MAX_SITE_DEPTH = 1022  # 2^1024 - 1 sites round up to inf as a double
 
 
@@ -110,39 +110,50 @@ def partition_recurrence_log(p: BoltzmannParams, n: int) -> tuple[float, StateVe
 @functools.lru_cache(maxsize=None)
 def _bond_sum_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """``((S_nn, S_nnn), count)`` for each pair of bond sums at depth n."""
-    size = tree_vertex_count(n)
-    spins = [0] * size
-    counts: collections.Counter[tuple[int, int]] = collections.Counter()
+    # one branch below the root, with the root up: spins[0] is the root and
+    # spins[1:] the branch in 1-based heap order, so j's parent is j // 2 and,
+    # from the branch's second generation on, its grandparent is j // 4
+    size = tree_vertex_count(n - 1)
+    spins = [1] * (size + 1)
+    branch: collections.Counter[tuple[int, int]] = collections.Counter()
 
-    def walk(v: int, s_nn: int, s_nnn: int) -> None:
-        # spins[:v] are set, and s_nn, s_nnn sum their bonds
-        if v == size:
-            counts[s_nn, s_nnn] += 1
+    def walk(j: int, s_nn: int, s_nnn: int) -> None:
+        # spins[:j] are set, and s_nn, s_nnn sum their bonds
+        if j > size:
+            branch[s_nn, s_nnn] += 1
             return
-        i, g = (v - 1) // 2, (v - 3) // 4  # heap order: parent, grandparent
+        parent, grandparent = spins[j // 2], (spins[j // 4] if j >= 2 else 0)
         for s in (1, -1):
-            spins[v] = s
-            nn = s * spins[i] if v >= 1 else 0
-            nnn = s * spins[g] if v >= 3 else 0
-            walk(v + 1, s_nn + nn, s_nnn + nnn)
+            spins[j] = s
+            walk(j + 1, s_nn + s * parent, s_nnn + s * grandparent)
 
-    walk(0, 0, 0)
+    walk(1, 0, 0)
+    # the other branch is an independent copy given the root, and the global
+    # flip leaves both sums unchanged: every pair of branches, twice
+    counts: collections.Counter[tuple[int, int]] = collections.Counter()
+    for (nn1, nnn1), c1 in branch.items():
+        for (nn2, nnn2), c2 in branch.items():
+            counts[nn1 + nn2, nnn1 + nnn2] += 2 * c1 * c2
     return tuple(counts.items())
 
 
 def enumerate_partition(c: Couplings, n: int) -> float:
     """Exact partition function by summation over all spin configurations.
 
-    Ground truth for depths 1..3 (at most 2^15 configurations).  A
+    Ground truth for depths 1..4 (at most 2^31 configurations).  A
     configuration's Boltzmann weight depends only on its two integer bond
     sums, S_nn over the parent-child bonds and S_nnn over the grandparent
-    pairs.  So all configurations are walked once per depth and process,
-    setting the spins one vertex at a time in heap order (each new vertex
-    adds its bond to its parent and, from the second generation on, to its
-    grandparent), and counted in exact integers per pair of sums: 111 pairs
-    at depth 3.  Z is then the compensated (error-free) sum of ``count *
-    exp(beta (j1 S_nn + j2 S_nnn))`` over the pairs; a term that overflows
-    makes Z infinite.
+    pairs.  So configurations are counted in exact integers per pair of
+    sums, once per depth and process: 111 pairs at depth 3, 547 at depth 4.
+    The count splits only at the root.  With the root up, every
+    configuration of one branch is walked, setting the spins one vertex at
+    a time in heap order; each new vertex adds its bond to its parent and,
+    below the branch's top, to its grandparent, the root included.  Given
+    the root, the other branch is an independent copy, so every pair of
+    branch configurations is added; the global flip keeps both sums, so
+    the root-down half doubles each count.  Z is then the compensated
+    (error-free) sum of ``count * exp(beta (j1 S_nn + j2 S_nnn))`` over the
+    pairs; a term that overflows makes Z infinite.
     """
     if not 1 <= n <= _MAX_ENUM_DEPTH:
         raise DomainError(f"enumeration supports 1 <= n <= {_MAX_ENUM_DEPTH}")

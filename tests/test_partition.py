@@ -30,6 +30,22 @@ from conftest import TINY_RATIOS
 from oracles import tree_edges, tree_grandparent_pairs
 
 
+def _all_bond_sums(n):
+    """Spins, S_nn and S_nnn of every configuration of the depth-n tree."""
+    size = tree_vertex_count(n)
+    idx = np.arange(1 << size, dtype=np.uint32)
+    spins = np.empty((1 << size, size), dtype=np.int8)
+    for v in range(size):
+        spins[:, v] = (((idx >> v) & 1) << 1).astype(np.int8) - 1
+    s_nn = np.zeros(1 << size, dtype=np.int32)
+    for i, j in tree_edges(n):
+        s_nn += spins[:, i].astype(np.int32) * spins[:, j]
+    s_nnn = np.zeros(1 << size, dtype=np.int32)
+    for i, j in tree_grandparent_pairs(n):
+        s_nnn += spins[:, i].astype(np.int32) * spins[:, j]
+    return spins, s_nn, s_nnn
+
+
 class TestTreeLayout:
     def test_vertex_counts(self):
         assert [tree_vertex_count(n) for n in (1, 2, 3)] == [3, 7, 15]
@@ -71,14 +87,14 @@ class TestEnumeration:
 
     def test_depth_limit(self):
         with pytest.raises(DomainError):
-            enumerate_partition(Couplings(0.0, 0.0, 1.0), 4)
+            enumerate_partition(Couplings(0.0, 0.0, 1.0), 5)
 
     def test_depth_one_independent_of_j2(self):
         base = enumerate_partition(Couplings(0.8, 0.0, 1.1), 1)
         for j2 in (-2.0, -0.3, 0.6, 1.9):
             assert enumerate_partition(Couplings(0.8, j2, 1.1), 1) == pytest.approx(base, rel=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts_and_bond_forests(self, n):
         # every configuration is counted once; with one coupling switched off
         # the other's bonds form a forest, whose Z is a product over bonds:
@@ -100,20 +116,19 @@ class TestEnumeration:
         # a vectorised enumeration of its own, an independent route
         c = Couplings(0.9, -0.6, 0.8)
         n = 2
-        size = tree_vertex_count(n)
-        idx = np.arange(1 << size, dtype=np.uint32)
-        spins = np.empty((1 << size, size), dtype=np.int8)
-        for v in range(size):
-            spins[:, v] = (((idx >> v) & 1) << 1).astype(np.int8) - 1
-        s_nn = np.zeros(1 << size, dtype=np.int32)
-        for i, j in tree_edges(n):
-            s_nn += spins[:, i].astype(np.int32) * spins[:, j]
-        s_nnn = np.zeros(1 << size, dtype=np.int32)
-        for i, j in tree_grandparent_pairs(n):
-            s_nnn += spins[:, i].astype(np.int32) * spins[:, j]
+        spins, s_nn, s_nnn = _all_bond_sums(n)
         weights = np.exp(c.beta * (c.j1 * s_nn + c.j2 * s_nnn))
         half = 2.0 * math.fsum(weights[spins[:, 0] == 1].tolist())
         assert half == pytest.approx(enumerate_partition(c, n), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_counts_match_the_whole_tree(self, n):
+        # the one-branch walk, squared and doubled, against every
+        # configuration of the whole tree, from the layout oracle's bonds
+        _, s_nn, s_nnn = _all_bond_sums(n)
+        pairs, counts = np.unique(np.stack([s_nn, s_nnn], axis=1), axis=0, return_counts=True)
+        expected = {(int(nn), int(nnn)): int(k) for (nn, nnn), k in zip(pairs, counts)}
+        assert dict(_bond_sum_counts(n)) == expected
 
 
 class TestRecurrenceVsEnumeration:
@@ -128,7 +143,7 @@ class TestRecurrenceVsEnumeration:
             (-1.1, -0.8, 0.9),
         ],
     )
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_oracle_agreement(self, j1, j2, t, n):
         c = Couplings(j1, j2, t)
         z_rec, _ = partition_recurrence(derive_params(c), n)

@@ -857,6 +857,18 @@ class TestCli:
         assert r.returncode == 2
         assert "range" in r.stderr and "np.float64" not in r.stderr
 
+    @pytest.mark.parametrize("command", ["scan", "diagnose"])
+    def test_no_slow_kernel_warning_without_numpy(self, command):
+        # with neither the compiled kernel nor numpy, the command cannot
+        # start: it says so in one line and warns of no slow run
+        blocked = PURE_PYTHON_MAIN.replace("= None;", "= None; sys.modules['numpy'] = None;")
+        r = subprocess.run(
+            [sys.executable, "-c", blocked, *JSON_CALLS[command]], capture_output=True, text=True, timeout=600
+        )
+        assert r.returncode == 1 and r.stdout == "", r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+
 
 # the command, and the CLI leaving by the interpreter's ordinary exit, with finalization
 ORDINARY_EXIT_MAIN = "import sys; from cayleyphase.cli import main; sys.exit(main(sys.argv[1:]))"
