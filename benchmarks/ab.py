@@ -10,7 +10,11 @@ fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
   (which also gives its peak RSS);
 - the two sides alternate which runs first from round to round;
 - exit code and stdout must agree on every call.  A mismatch is recorded
-  and the script exits 1;
+  and the script exits 1.  A call whose stdout differs is also compared as
+  the benchmark's gate compares it (``workloads.summarize`` and
+  ``workloads.matches``); the calls that differ there too, or in exit code,
+  are listed as ``summary_mismatches``, so a change of layout alone leaves
+  that list empty;
 - each round also times a bare ``python -c pass``, the floor of any call.
 
 It writes medians and interquartile ranges, per call and per pass over each
@@ -79,6 +83,16 @@ def spawn(argv: list[str], env: dict, scratch: Path) -> dict:
     }
 
 
+def same_summary(argv: list[str], parent: tuple, change: tuple) -> bool:
+    """Whether two ``(exit code, stdout)`` results agree as the gate compares them."""
+    if parent[0] != change[0]:
+        return False
+    try:
+        return wl.matches(wl.summarize(argv, parent[1].decode()), wl.summarize(argv, change[1].decode()))
+    except (ValueError, KeyError, IndexError):  # malformed output, as the gate counts it
+        return False
+
+
 def stats(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
@@ -123,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         calls = {name: wl.calls(name, "full", args.seed) for name in wl.WORKLOADS}
         wall = {(name, k, side): [] for name, cs in calls.items() for k in range(len(cs)) for side in SIDES}
         rss = {key: [] for key in wall}
-        interpreter, mismatches = [], []
+        interpreter, mismatches, summary_mismatches = [], [], []
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             interpreter.append(spawn([sys.executable, "-c", "pass"], env["change"], tmp)["wall_s"])
@@ -137,6 +151,8 @@ def main(argv: list[str] | None = None) -> int:
                         results[side] = done["result"]
                     if results["parent"] != results["change"]:
                         mismatches.append(" ".join(call))
+                        if not same_summary(call, results["parent"], results["change"]):
+                            summary_mismatches.append(" ".join(call))
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
 
     report = {
@@ -152,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         "interpreter_s": stats(interpreter),
         "identical_output": not mismatches,
         "mismatches": sorted(set(mismatches)),
+        "summary_mismatches": sorted(set(summary_mismatches)),
         "workloads": {},
     }
     for name, cs in calls.items():

@@ -402,53 +402,15 @@ def _json_safe(obj):
     return obj
 
 
-@functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    # no indent, so json encodes in C; the item separator carries the line
-    # break and the indent of a container's items at this depth
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), sort_keys=True, allow_nan=False)
-
-
-def _encode_flat(obj, depth: int) -> str:
-    # strict first: a non-finite value is rare, so only its container pays
-    # for the copy without it
-    try:
-        return _encoder(depth).encode(obj)
-    except ValueError:
-        return _encoder(depth).encode(_json_safe(obj))
-
-
-# the exact types json writes as scalars: a container holding only these goes
-# to the C encoder whole; anything else (a named tuple too) is walked, so a
-# container inside it is laid out as json.dumps lays it out
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _dump(obj, depth: int) -> str:
-    """``obj`` (whose dicts have string keys) as ``json.dumps(indent=2,
-    sort_keys=True)`` writes it at ``depth``, with non-finite values as null."""
-    if isinstance(obj, dict):
-        values, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        values, brackets = obj, "[]"
-    else:
-        return _encode_flat(obj, depth)
-    if not obj:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    if _SCALARS.issuperset(map(type, values)):
-        body = _encode_flat(obj, depth + 1)[1:-1]  # without its brackets
-    elif brackets == "{}":
-        body = ("," + pad).join(f"{_encoder(0).encode(k)}: {_dump(v, depth + 1)}" for k, v in sorted(obj.items()))
-    else:
-        body = ("," + pad).join(_dump(v, depth + 1) for v in obj)
-    return brackets[0] + pad + body + "\n" + "  " * depth + brackets[1]
-
-
 def _json(payload) -> str:
-    """The one JSON form: indented, keys sorted, non-finite values as null
-    (the payload's dicts are edited in place)."""
-    return _dump(payload, 0) + "\n"
+    """The one JSON form: one line, keys sorted, non-finite values as null,
+    and a final newline. The strict encode runs in json's C encoder; only a
+    payload holding a non-finite value is encoded again, through
+    ``_json_safe`` (which edits the payload's dicts in place)."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False) + "\n"
 
 
 def format_json(rows: list[ScanRow], cfg: ScanConfig) -> str:

@@ -91,8 +91,9 @@ def _check_cycle_thresholds() -> VerifyResult:
 
 def _check_lifts() -> VerifyResult:
     worst = 0.0
-    p3 = derive_params(Couplings(0.25, 0.9, 1.0))  # three fixed points
-    for r in solve_fixed_points(p3).roots:
+    p3 = derive_params(Couplings(0.25, 0.9, 0.5))  # three fixed points: stable, unstable, stable
+    roots = solve_fixed_points(p3).roots
+    for r in roots:
         worst = max(worst, recurrence_residual(p3, lift_fixed_point(p3, r.x)))
     p2 = derive_params(Couplings(0.0, -1.0, 1.0 / math.log(2.0)))  # b = 0.5
     rep = solve_two_cycles(p2)
@@ -102,8 +103,9 @@ def _check_lifts() -> VerifyResult:
         worst = max(worst, max(abs(a - b) for a, b in zip(w, u)) / u.max_norm())
     return VerifyResult(
         "lifted fixed points and two-cycles",
-        worst <= 1e-9,
-        f"worst relative fixed/period residual {worst:.3e} (tolerance 1e-9)",
+        worst <= 1e-9 and len(roots) == 3,
+        f"{len(roots)} slice fixed points lifted (must be 3),"
+        f" worst relative fixed/period residual {worst:.3e} (tolerance 1e-9)",
     )
 
 

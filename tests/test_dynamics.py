@@ -37,7 +37,7 @@ from cayleyphase import (
 from cayleyphase.dynamics import BURN_IN, P_MAX, TOL
 from cayleyphase.scan import _starts_for_seeds
 
-from conftest import DIAGNOSE_POINTS, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff, normalized
+from conftest import DIAGNOSE_POINTS, HARD_KERNEL_CASES, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff, normalized
 from oracles import SymmetricClass, multi_root_window, symmetric_attractor_class
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -228,28 +228,14 @@ class TestBackends:
             assert len(out[4]) == max(out[1], 1)
             if ((j1, j2, t), u0) == c1_max:
                 assert out[2] == 1758 and all(state[0] == 1.0 for state in out[4])
-        # hard cases from the scan's seeded starts, at the production
-        # constants: (point, seed, max_iter), expected (kind, period, steps)
-        seeded = [
-            # a 5-cycle that the period-1 test alone would miss
-            (((1.0, -0.8 + 1.2 * 6 / 19, 0.25 + 1.75 * 17 / 19), 1, 5000), (py.CYCLE, 5, 231)),
-            # cold and ordered: a fixed direction after 4 steps, with
-            # components far below TOL still moving
-            (((1.0, 1.2, 0.03), 0, 5000), (py.FIXED, 1, 4)),
-            (((1.0, 1.2, 0.03), 1, 5000), (py.FIXED, 1, 4)),
-            # the cold corner: a 4-cycle with a component underflowed to 0.0
-            (((1.0, -2.0, 0.03), 0, 5000), (py.CYCLE, 4, 200)),
-            # extreme weights: a = 1.4e101, b^4 = 7.4e16
-            (((232.9288032071753, 9.71014349621855, 1.0), 0, 5000), (py.FIXED, 1, 4)),
-        ]
-        for (point, seed, max_iter), expected in seeded:
+        for name, (point, seed, max_iter, expected) in HARD_KERNEL_CASES.items():
             p = derive_params(Couplings(*point))
             args = (p.a, p.b, *_seeded_start(seed), max_iter, TOL, BURN_IN, P_MAX)
             out = py.run_trajectory(*args)
-            assert out == compiled_kernel.run_trajectory(*args), args
-            assert out[:3] == expected, args
-            if point == (1.0, -2.0, 0.03):
-                assert 0.0 in out[4][-1]
+            assert out == compiled_kernel.run_trajectory(*args), name
+            assert out[:3] == expected, name
+            if name.startswith("underflow"):
+                assert 0.0 in out[4][-1], name
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(

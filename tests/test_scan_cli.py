@@ -36,8 +36,13 @@ from cayleyphase.scan import CSV_COLUMNS, _json, _json_safe, _starts_for_seeds, 
 from conftest import DIAGNOSE_POINTS
 
 
-def _json_reference(payload) -> str:
-    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json_reference(payload):
+    # the object the one JSON form must parse to
+    return json.loads(json.dumps(_json_safe(payload)))
+
+
+def _one_line(text: str) -> bool:
+    return text.endswith("\n") and text.count("\n") == 1
 
 
 # nested dicts, lists and tuples of every scalar json writes, with infinities,
@@ -311,7 +316,9 @@ class TestScanDeterminism:
     @settings(max_examples=300, deadline=None)
     @given(payload=_JSON_PAYLOADS)
     def test_json_writer_matches_json_dumps(self, payload):
-        assert _json(copy.deepcopy(payload)) == _json_reference(copy.deepcopy(payload))
+        text = _json(copy.deepcopy(payload))
+        assert _one_line(text)
+        assert json.loads(text) == _json_reference(copy.deepcopy(payload))
 
     def test_json_writer_matches_json_dumps_on_a_scan(self):
         # the coldest corner of the frustrated grid: its period-4 runs have an
@@ -326,7 +333,24 @@ class TestScanDeterminism:
         assert '"m2_residual": null' in text
         payload = {"metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}}
         payload["results"] = [r._asdict() for r in rows]
-        assert text == _json_reference(payload)
+        assert _one_line(text)
+        assert json.loads(text) == _json_reference(payload)
+
+    def test_json_writer_stays_in_the_c_encoder(self, monkeypatch):
+        # json's pure-Python encoder is about twice as slow; it must not be
+        # reached, neither by the strict encode nor by the retry without a
+        # non-finite value
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("json fell back to its pure-Python encoder")
+
+        cfg = make_config(axes=[AxisSpec("temperature", 0.8, 2.4, 2)], j1=0.5, format="json")
+        rows = run_scan(cfg)
+        assert all(math.isfinite(r.m2_residual) for r in rows)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        cases = ((rows, rows[0].m2_residual), ([rows[0]._replace(m2_residual=math.inf), *rows[1:]], None))
+        for rows_, m2_residual in cases:
+            text = format_json(rows_, cfg)
+            assert _one_line(text) and json.loads(text)["results"][0]["m2_residual"] == m2_residual
 
 
 class TestScanPhysics:
@@ -465,8 +489,9 @@ class TestCli:
     def test_one_json_form(self, command, capsys):
         assert main([*JSON_CALLS[command], "--format", "json"]) == 0
         text = capsys.readouterr().out
+        assert _one_line(text)
         data = json.loads(text, parse_constant=_reject_constant)
-        assert json.dumps(data, indent=2, sort_keys=True) + "\n" == text
+        assert json.dumps(data, sort_keys=True) + "\n" == text
         if command == "curves":
             assert main(list(JSON_CALLS[command])) == 0
             header, *lines = capsys.readouterr().out.splitlines()
@@ -602,6 +627,19 @@ class TestCli:
         assert main(["verify"]) == 3
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert len(failed) == 1 and "two-cycle thresholds" in failed[0], failed
+
+    def test_verify_catches_a_lost_slice_root(self, monkeypatch, capsys):
+        # every lifted root may satisfy the map, yet the check must see all three
+        solve = cayleyphase.verify.solve_fixed_points
+
+        def drop_a_root(p):
+            rep = solve(p)
+            return rep._replace(roots=rep.roots[:-1])
+
+        monkeypatch.setattr(cayleyphase.verify, "solve_fixed_points", drop_a_root)
+        assert main(["verify"]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "lifted fixed points" in failed[0], failed
 
     def test_usage_error_exit_code(self, tmp_path):
         point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
