@@ -348,8 +348,8 @@ class TestScanDeterminism:
         assert all(math.isfinite(r.m2_residual) for r in rows)
         monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
         cases = ((rows, rows[0].m2_residual), ([rows[0]._replace(m2_residual=math.inf), *rows[1:]], None))
-        for rows_, m2_residual in cases:
-            text = format_json(rows_, cfg)
+        for case_rows, m2_residual in cases:
+            text = format_json(case_rows, cfg)
             assert _one_line(text) and json.loads(text)["results"][0]["m2_residual"] == m2_residual
 
 
