@@ -18,7 +18,12 @@ fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
 - each round also times a bare ``python -c pass``, the floor of any call.
 
 It writes medians and interquartile ranges, per call and per pass over each
-workload, the rounds each side won, both commits and the machine, as JSON:
+workload, the rounds each side won, both commits and the machine, as JSON.
+Peak RSS is reported as the benchmark defines ``peak_rss_mb``: per round and
+side, the maximum over that pass's calls; then its median and interquartile
+range across rounds, the rounds each side was lower in, and each call's
+median.
+
 
     python benchmarks/ab.py --parent HEAD~1 --out BENCH_<n>.json [--rounds 21] [--seed 1]
 """
@@ -156,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
 
     report = {
-        "what": "wall time of each benchmark workload's CLI calls, python -m cayleyphase ARGS,"
+        "what": "wall time and peak RSS of each benchmark workload's CLI calls, python -m cayleyphase ARGS,"
         " on a fresh build of the parent commit and of the working tree; fresh processes",
         "machine": machine(),
         "commits": {
@@ -173,16 +178,19 @@ def main(argv: list[str] | None = None) -> int:
     }
     for name, cs in calls.items():
         passes = {side: [sum(wall[name, k, side][r] for k in range(len(cs))) for r in range(args.rounds)] for side in SIDES}
+        peaks = {side: [max(rss[name, k, side][r] for k in range(len(cs))) for r in range(args.rounds)] for side in SIDES}
         report["workloads"][name] = {
             "calls_per_pass": len(cs),
             "pass_s": {side: stats(passes[side]) for side in SIDES},
             "faster_in_rounds": wins(passes["parent"], passes["change"]),
-            "peak_rss_mb_median": {side: statistics.median(v for k in range(len(cs)) for v in rss[name, k, side]) for side in SIDES},
+            "peak_rss_mb": {side: stats(peaks[side]) for side in SIDES},
+            "lower_peak_rss_in_rounds": wins(peaks["parent"], peaks["change"]),
             "per_call": [
                 {
                     "argv": " ".join(call),
                     "wall_s": {side: stats(wall[name, k, side]) for side in SIDES},
                     "faster_in_rounds": wins(wall[name, k, "parent"], wall[name, k, "change"]),
+                    "peak_rss_mb_median": {side: statistics.median(rss[name, k, side]) for side in SIDES},
                 }
                 for k, call in enumerate(cs)
             ],

@@ -27,10 +27,9 @@ from .scan import (
     _csv,
     _fmt,
     _json,
+    _scan_chunks,
     _starts_for_seeds,
     _trajectories,
-    format_csv,
-    format_json,
     run_scan,
 )
 from .symmetric import (
@@ -71,14 +70,36 @@ def _cannot_write(name: str, exc: Exception) -> int:
     return USAGE_ERROR
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write a result to ``path``, or to stdout when it is None."""
+# characters per write of a result given in chunks
+_BLOCK = 64 * 1024
+
+
+def _blocks(chunks):
+    """The chunks joined into blocks of about ``_BLOCK`` characters: with
+    ``PYTHONUNBUFFERED`` set, each write to stdout is a system call."""
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    if block:
+        yield "".join(block)
+
+
+def _write_output(text, path: str | None) -> None:
+    """Write a result, one string or an iterable of text chunks (a scan,
+    row by row), to ``path``, or to stdout when it is None."""
+    blocks = (text,) if isinstance(text, str) else _blocks(text)
     try:
         if path is None:
-            sys.stdout.write(text)
+            for block in blocks:
+                sys.stdout.write(block)
         else:
             with open(path, "w") as f:
-                f.write(text)
+                for block in blocks:
+                    f.write(block)
     except (OSError, AttributeError) as exc:  # AttributeError: no stdout, its descriptor was closed
         if path is None and isinstance(exc, BrokenPipeError):
             raise  # the reader of stdout has gone: run ends the command quietly
@@ -193,9 +214,10 @@ def _cmd_scan(args) -> int:
         raise DomainError(f"bad config {args.config}: {exc}") from exc
     _starts_for_seeds(cfg.seeds)  # a scan that cannot start fails before the warning
     _warn_if_pure_python()
+    # every row is computed before the first byte is written: a failing grid
+    # point writes nothing
     rows = run_scan(cfg)
-    text = format_csv(rows) if cfg.format == "csv" else format_json(rows, cfg)
-    _write_output(text, args.output)
+    _write_output(_scan_chunks(rows, cfg.format, cfg), args.output)
     return 0
 
 

@@ -310,8 +310,13 @@ def _fork_share(evaluate, points: list):
     for the child and returns its ``_share`` result.
 
     Forked, not spawned: a spawned worker imports the package and numpy
-    afresh, which costs more than a benchmark-sized grid takes. Forking is
-    safe only while the process runs one thread, as the CLI does."""
+    afresh, which costs more than a benchmark-sized grid takes. The process
+    may run more than one thread when it forks (``_starts_for_seeds`` has
+    imported numpy, whose BLAS can start threads), and the child inherits
+    only the forking thread: a lock another thread held stays locked in the
+    child. The fork relies on the child running only Python and the
+    trajectory kernel, never BLAS. Python 3.12 and later may warn that
+    forking a multi-threaded process can deadlock the child."""
     import pickle  # here, as it adds a fifth to the package's import time
 
     read_fd, write_fd = os.pipe()
@@ -378,19 +383,22 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv(header, rows) -> list[str]:
-    """The one CSV form, as lines: the header, then the rows' ``_fmt`` cells."""
-    return [",".join(header), *(",".join(map(_fmt, r)) for r in rows)]
+def _csv(header, rows):
+    """The one CSV form, as lines without their newline: the header, then
+    the rows' ``_fmt`` cells."""
+    yield ",".join(header)
+    for r in rows:
+        yield ",".join(map(_fmt, r))
 
 
 def format_csv(rows: list[ScanRow]) -> str:
-    return "\n".join(_csv(CSV_COLUMNS, rows)) + "\n"
+    return "".join(_scan_chunks(rows, "csv"))
 
 
 def _json_safe(obj):
     # strict JSON has no Infinity/NaN literals; floats first, as most values
-    # are. A dict is edited in place, so a scan's rows are not held twice
-    # while they are dumped: every payload is built for its one dump
+    # are. A dict is edited in place: every payload is built for its one
+    # encode
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -402,17 +410,47 @@ def _json_safe(obj):
     return obj
 
 
+# ``json.dumps(obj, sort_keys=True, allow_nan=False)``; its one-shot encode
+# runs in json's C encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+def _encode(obj) -> str:
+    """``obj`` in the one JSON form, without the newline. Only an object
+    holding a non-finite value is encoded again, through ``_json_safe``
+    (which edits its dicts in place)."""
+    try:
+        return _ENCODER.encode(obj)
+    except ValueError:
+        return _ENCODER.encode(_json_safe(obj))
+
+
 def _json(payload) -> str:
     """The one JSON form: one line, keys sorted, non-finite values as null,
-    and a final newline. The strict encode runs in json's C encoder; only a
-    payload holding a non-finite value is encoded again, through
-    ``_json_safe`` (which edits the payload's dicts in place)."""
-    try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:
-        return json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False) + "\n"
+    and a final newline."""
+    return _encode(payload) + "\n"
+
+
+def _scan_chunks(rows: list[ScanRow], fmt: str, cfg: ScanConfig | None = None):
+    """A scan's output in format ``fmt`` as text chunks, one per row.
+
+    CSV: the header line, then one line per row. JSON: the bytes of ``_json``
+    on ``{"metadata": ..., "results": [row dicts]}``, with each row encoded
+    on its own, so no chunk grows with the grid (``cfg`` gives the
+    metadata)."""
+    if fmt == "csv":
+        for line in _csv(CSV_COLUMNS, rows):
+            yield line + "\n"
+        return
+    metadata = {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}
+    # sorted keys: "metadata" before "results"
+    yield '{"metadata": ' + _encode(metadata) + ', "results": ['
+    separator = ""
+    for r in rows:
+        yield separator + _encode(r._asdict())
+        separator = ", "
+    yield "]}\n"
 
 
 def format_json(rows: list[ScanRow], cfg: ScanConfig) -> str:
-    metadata = {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}
-    return _json({"metadata": metadata, "results": [r._asdict() for r in rows]})
+    return "".join(_scan_chunks(rows, "json", cfg))

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +33,8 @@ from cayleyphase import (
     run_scan,
     __version__,
 )
-from cayleyphase.cli import main
-from cayleyphase.scan import CSV_COLUMNS, _json, _json_safe, _starts_for_seeds, _uniforms
+from cayleyphase.cli import _write_output, main
+from cayleyphase.scan import CSV_COLUMNS, _json, _json_safe, _scan_chunks, _starts_for_seeds, _uniforms
 from conftest import DIAGNOSE_POINTS
 
 
@@ -331,10 +333,7 @@ class TestScanDeterminism:
         assert any(math.isinf(r.m2_residual) for r in rows)
         text = format_json(rows, cfg)
         assert '"m2_residual": null' in text
-        payload = {"metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}}
-        payload["results"] = [r._asdict() for r in rows]
-        assert _one_line(text)
-        assert json.loads(text) == _json_reference(payload)
+        assert text == _scan_json_reference(rows, cfg)
 
     def test_json_writer_stays_in_the_c_encoder(self, monkeypatch):
         # json's pure-Python encoder is about twice as slow; it must not be
@@ -351,6 +350,47 @@ class TestScanDeterminism:
         for case_rows, m2_residual in cases:
             text = format_json(case_rows, cfg)
             assert _one_line(text) and json.loads(text)["results"][0]["m2_residual"] == m2_residual
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_scan_writer_memory_does_not_grow_with_the_grid(self, fmt, monkeypatch):
+        # the output is encoded and written row by row, in blocks of a
+        # fixed size: ten times the rows must not take ten times the memory
+        cfg = make_config(format=fmt)
+        rows = run_scan(cfg)
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        peaks, digests = [], []
+        for many in (rows * 50, rows * 500):
+            sink.digest = hashlib.sha256()
+            tracemalloc.start()
+            try:
+                _write_output(_scan_chunks(many, fmt, cfg), None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            digests.append(sink.digest.digest())
+            text = format_json(many, cfg) if fmt == "json" else format_csv(many)
+            assert digests[-1] == hashlib.sha256(text.encode()).digest()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+class _Sink:
+    """A stdout that keeps only a digest of what is written to it."""
+
+    def write(self, text: str) -> None:
+        self.digest.update(text.encode())
+
+
+def _scan_json_reference(rows, cfg) -> str:
+    # json.dumps on the whole payload; only a payload holding a non-finite
+    # value goes through _json_safe first
+    payload = {"metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}}
+    payload["results"] = [r._asdict() for r in rows]
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False) + "\n"
 
 
 class TestScanPhysics:
@@ -944,6 +984,29 @@ SMALL_ORDERED_SCAN = (
 )
 
 
+# a scan's JSON and the config the CLI makes of it: the benchmark's
+# scan-ordered grid at a smaller budget, over 64 KiB and all finite, and the
+# coldest corner of the frustrated grid, whose period-4 runs have an infinite
+# m2 residual
+SCAN_JSON_GRIDS = {
+    "finite": (
+        ORDERED_SCAN,
+        ScanConfig(
+            axes=[AxisSpec("j2_over_j1", 0.0, 0.8, 40), AxisSpec("temperature", 0.25, 4.0, 10)],
+            j1=1.0, seeds=[2, 3], max_iter=2000, format="json",
+        ),
+    ),
+    "cold": (
+        ("scan", "--axis", "j2_over_j1:-0.8:-0.6:2", "--axis", "temperature:0.25:0.5:2", "--j1", "1",
+         "--seeds", "6,7", "--max-iter", "4000", "--format", "json"),
+        make_config(
+            axes=[AxisSpec("j2_over_j1", -0.8, -0.6, 2), AxisSpec("temperature", 0.25, 0.5, 2)],
+            j1=1.0, j2=None, seeds=[6, 7], format="json",
+        ),
+    ),
+}
+
+
 # each writes its result to stdout: a short one (buffered, only the flush
 # after main writes it) or one past the stdout buffer (written inside main)
 STDOUT_WRITE_CALLS = {
@@ -1002,6 +1065,41 @@ class TestExit:
         # one worker or two, to stdout or to the file: the same bytes
         written = [run_both_exits(*ORDERED_SCAN, "--workers", w)[0].stdout for w in ("1", "2")]
         assert written == [paths[0].read_bytes()] * 2
+
+    @pytest.mark.parametrize("grid", ["finite", "cold"])
+    def test_scan_json_bytes(self, grid, tmp_path):
+        # the rows are written one by one: stdout and --output, buffered or
+        # not, hold the bytes of json.dumps on the whole payload
+        args, cfg = SCAN_JSON_GRIDS[grid]
+        rows = run_scan(cfg)
+        assert all(math.isfinite(r.m2_residual) for r in rows) == (grid == "finite")
+        expected = _scan_json_reference(rows, cfg).encode()
+        written = []
+        for unbuffered in (False, True):
+            env = buffered_env()
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            path = tmp_path / f"scan-{unbuffered}.json"
+            for extra in ((), ("--output", str(path))):
+                r = subprocess.run(
+                    [sys.executable, "-m", "cayleyphase", *args, *extra], capture_output=True, env=env, timeout=600
+                )
+                assert (r.returncode, r.stderr) == (0, b""), r.stderr
+                written.append(path.read_bytes() if extra else r.stdout)
+        assert written == [expected] * 4
+
+    def test_a_failing_scan_writes_nothing(self, tmp_path):
+        # every row is computed before the first byte is written
+        args, code = EXIT_PARITY_CALLS["range-error"]
+        assert [r.stdout for r in run_both_exits(*args)] == [b"", b""]
+        path = tmp_path / "scan.csv"
+        r = subprocess.run(
+            [sys.executable, "-m", "cayleyphase", *args, "--output", str(path)],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert r.returncode == code, r.stderr
+        assert r.stdout == "" and not path.exists()
+        assert r.stderr.startswith("numeric range error: "), r.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
