@@ -17,13 +17,13 @@ fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
   that list empty;
 - each round also times a bare ``python -c pass``, the floor of any call.
 
-It writes medians and interquartile ranges, per call and per pass over each
-workload, the rounds each side won, both commits and the machine, as JSON.
-Peak RSS is reported as the benchmark defines ``peak_rss_mb``: per round and
-side, the maximum over that pass's calls; then its median and interquartile
-range across rounds, the rounds each side was lower in, and each call's
-median.
+Peak RSS is taken as the benchmark defines ``peak_rss_mb``: per round and
+side, the maximum over that pass's calls.  Its median and interquartile range
+across rounds are reported, with the rounds each side was lower in and each
+call's median.
 
+It writes medians and interquartile ranges, per call and per pass over each
+workload, the rounds each side won, both commits and the machine, as JSON:
 
     python benchmarks/ab.py --parent HEAD~1 --out BENCH_<n>.json [--rounds 21] [--seed 1]
 """

@@ -351,7 +351,6 @@ class TestScanDeterminism:
             text = format_json(case_rows, cfg)
             assert _one_line(text) and json.loads(text)["results"][0]["m2_residual"] == m2_residual
 
-
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_scan_writer_memory_does_not_grow_with_the_grid(self, fmt, monkeypatch):
         # the output is encoded and written row by row, in blocks of a
