@@ -6,8 +6,9 @@ directory, so no stale bytecode is timed: the commit ``--parent`` (from
 calls (size ``full``, read from ``perfbench/workloads.py``) on both sides as
 fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
 
-- stdout and stderr go to files, and every child is reaped with ``wait4``
-  (which also gives its peak RSS);
+- stdout and stderr go to files, and every child is reaped with ``wait4``,
+  which also gives its peak RSS and its user plus system CPU time (on Linux
+  that includes the forked workers the child reaped);
 - the two sides alternate which runs first from round to round;
 - exit code and stdout must agree on every call.  A mismatch is recorded
   and the script exits 1.  A call whose stdout differs is also compared as
@@ -15,6 +16,11 @@ fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
   ``workloads.matches``); the calls that differ there too, or in exit code,
   are listed as ``summary_mismatches``, so a change of layout alone leaves
   that list empty;
+- a call named by ``--may-differ ARGV`` (repeatable; ARGV is the call's
+  arguments joined by single spaces, as ``mismatches`` lists them) is a
+  declared change: its mismatch does not make the script exit 1, and both
+  sides' exit codes and stdout sha256, and whether their gate summaries
+  match, are recorded under ``may_differ``;
 - each round also times a bare ``python -c pass``, the floor of any call.
 
 Peak RSS is taken as the benchmark defines ``peak_rss_mb``: per round and
@@ -22,13 +28,18 @@ side, the maximum over that pass's calls.  Its median and interquartile range
 across rounds are reported, with the rounds each side was lower in and each
 call's median.
 
-It writes medians and interquartile ranges, per call and per pass over each
-workload, the rounds each side won, both commits and the machine, as JSON:
+It writes medians and interquartile ranges of wall and CPU time, per call and
+per pass over each workload, the rounds each side won, both commits and the
+machine, as JSON.  Each round also gives a paired change/parent ratio of every
+workload's pass wall and CPU time; the ratios are listed with their median and
+quartiles, which cancel the drift of a busy host that both sides of a round
+share:
 
-    python benchmarks/ab.py --parent HEAD~1 --out BENCH_<n>.json [--rounds 21] [--seed 1]
+    python benchmarks/ab.py --parent HEAD~1 --out BENCH_<n>.json [--rounds 21] [--seed 1] [--may-differ ARGV ...]
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -83,6 +94,7 @@ def spawn(argv: list[str], env: dict, scratch: Path) -> dict:
     child.returncode = os.waitstatus_to_exitcode(status)
     return {
         "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "result": (child.returncode, out_path.read_bytes()),
     }
@@ -98,9 +110,40 @@ def same_summary(argv: list[str], parent: tuple, change: tuple) -> bool:
         return False
 
 
+def compare(call: list[str], results: dict, may_differ: set[str], record: dict) -> None:
+    """Add one round's ``(exit code, stdout)`` of ``call`` on both sides to
+    ``record``: its ``mismatches`` and ``summary_mismatches`` sets, and, for
+    a call named in ``may_differ``, its entry in ``record["may_differ"]``."""
+    argv = " ".join(call)
+    parent, change = results["parent"], results["change"]
+    if argv in may_differ:
+        record["may_differ"][argv] = {
+            "exit_code": {side: results[side][0] for side in SIDES},
+            "stdout_sha256": {side: hashlib.sha256(results[side][1]).hexdigest() for side in SIDES},
+            "identical": parent == change,
+            "same_summary": same_summary(call, parent, change),
+        }
+    if parent != change:
+        record["mismatches"].add(argv)
+        if not same_summary(call, parent, change):
+            record["summary_mismatches"].add(argv)
+
+
+def exit_code(record: dict, may_differ: set[str]) -> int:
+    """1 if a call not declared in ``may_differ`` had different output, else 0."""
+    return 1 if record["mismatches"] - may_differ else 0
+
+
 def stats(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
+
+
+def ratios(parent: list[float], change: list[float]) -> dict:
+    """Each round's change/parent ratio, with their median and quartiles."""
+    per_round = [c / p for p, c in zip(parent, change)]
+    q1, _, q3 = statistics.quantiles(per_round, n=4)
+    return {"median": statistics.median(per_round), "q1": q1, "q3": q3, "per_round": per_round}
 
 
 def machine() -> dict:
@@ -125,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--rounds", type=int, default=21)
     parser.add_argument("--seed", type=int, default=1, help="workload seed (selects the --seeds lists)")
+    parser.add_argument(
+        "--may-differ", action="append", default=[], metavar="ARGV", help="a call whose output may change (repeatable)"
+    )
     args = parser.parse_args(argv)
     if args.rounds < 4:
         parser.error("--rounds must be at least 4, for quartiles")
@@ -132,6 +178,11 @@ def main(argv: list[str] | None = None) -> int:
     if parent_commit is None:
         parser.error(f"--parent {args.parent!r} is not a commit")
     dirty = git("status", "--porcelain", "--", "src", "setup.py", "pyproject.toml")
+    calls = {name: wl.calls(name, "full", args.seed) for name in wl.WORKLOADS}
+    may_differ = set(args.may_differ)
+    unknown = may_differ - {" ".join(call) for cs in calls.values() for call in cs}
+    if unknown:
+        parser.error(f"--may-differ names no call of seed {args.seed}: {sorted(unknown)}")
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         tmp = Path(tmp)
@@ -139,10 +190,11 @@ def main(argv: list[str] | None = None) -> int:
         env = {side: dict(os.environ, PYTHONPATH=str(lib), PYTHONDONTWRITEBYTECODE="1") for side, lib in libs.items()}
         for e in env.values():
             e.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, the default
-        calls = {name: wl.calls(name, "full", args.seed) for name in wl.WORKLOADS}
         wall = {(name, k, side): [] for name, cs in calls.items() for k in range(len(cs)) for side in SIDES}
+        cpu = {key: [] for key in wall}
         rss = {key: [] for key in wall}
-        interpreter, mismatches, summary_mismatches = [], [], []
+        interpreter = []
+        record = {"mismatches": set(), "summary_mismatches": set(), "may_differ": {}}
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             interpreter.append(spawn([sys.executable, "-c", "pass"], env["change"], tmp)["wall_s"])
@@ -152,16 +204,14 @@ def main(argv: list[str] | None = None) -> int:
                     for side in order:
                         done = spawn([sys.executable, "-m", "cayleyphase", *call], env[side], tmp)
                         wall[name, k, side].append(done["wall_s"])
+                        cpu[name, k, side].append(done["cpu_s"])
                         rss[name, k, side].append(done["peak_rss_mb"])
                         results[side] = done["result"]
-                    if results["parent"] != results["change"]:
-                        mismatches.append(" ".join(call))
-                        if not same_summary(call, results["parent"], results["change"]):
-                            summary_mismatches.append(" ".join(call))
+                    compare(call, results, may_differ, record)
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
 
     report = {
-        "what": "wall time and peak RSS of each benchmark workload's CLI calls, python -m cayleyphase ARGS,"
+        "what": "wall time, CPU time and peak RSS of each benchmark workload's CLI calls, python -m cayleyphase ARGS,"
         " on a fresh build of the parent commit and of the working tree; fresh processes",
         "machine": machine(),
         "commits": {
@@ -171,18 +221,26 @@ def main(argv: list[str] | None = None) -> int:
         },
         "settings": {"rounds": args.rounds, "seed": args.seed, "size": "full", "PYTHONDONTWRITEBYTECODE": "1"},
         "interpreter_s": stats(interpreter),
-        "identical_output": not mismatches,
-        "mismatches": sorted(set(mismatches)),
-        "summary_mismatches": sorted(set(summary_mismatches)),
+        "identical_output": not record["mismatches"],
+        "mismatches": sorted(record["mismatches"]),
+        "summary_mismatches": sorted(record["summary_mismatches"]),
+        "may_differ": record["may_differ"],
         "workloads": {},
     }
     for name, cs in calls.items():
         passes = {side: [sum(wall[name, k, side][r] for k in range(len(cs))) for r in range(args.rounds)] for side in SIDES}
+        cpu_passes = {side: [sum(cpu[name, k, side][r] for k in range(len(cs))) for r in range(args.rounds)] for side in SIDES}
         peaks = {side: [max(rss[name, k, side][r] for k in range(len(cs))) for r in range(args.rounds)] for side in SIDES}
         report["workloads"][name] = {
             "calls_per_pass": len(cs),
             "pass_s": {side: stats(passes[side]) for side in SIDES},
             "faster_in_rounds": wins(passes["parent"], passes["change"]),
+            "pass_cpu_s": {side: stats(cpu_passes[side]) for side in SIDES},
+            "less_cpu_in_rounds": wins(cpu_passes["parent"], cpu_passes["change"]),
+            "change_over_parent": {
+                "pass_s": ratios(passes["parent"], passes["change"]),
+                "pass_cpu_s": ratios(cpu_passes["parent"], cpu_passes["change"]),
+            },
             "peak_rss_mb": {side: stats(peaks[side]) for side in SIDES},
             "lower_peak_rss_in_rounds": wins(peaks["parent"], peaks["change"]),
             "per_call": [
@@ -190,13 +248,14 @@ def main(argv: list[str] | None = None) -> int:
                     "argv": " ".join(call),
                     "wall_s": {side: stats(wall[name, k, side]) for side in SIDES},
                     "faster_in_rounds": wins(wall[name, k, "parent"], wall[name, k, "change"]),
+                    "cpu_s": {side: stats(cpu[name, k, side]) for side in SIDES},
                     "peak_rss_mb_median": {side: statistics.median(rss[name, k, side]) for side in SIDES},
                 }
                 for k, call in enumerate(cs)
             ],
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 1 if mismatches else 0
+    return exit_code(record, may_differ)
 
 
 if __name__ == "__main__":

@@ -70,28 +70,10 @@ def _cannot_write(name: str, exc: Exception) -> int:
     return USAGE_ERROR
 
 
-# characters per write of a result given in chunks
-_BLOCK = 64 * 1024
-
-
-def _blocks(chunks):
-    """The chunks joined into blocks of about ``_BLOCK`` characters: with
-    ``PYTHONUNBUFFERED`` set, each write to stdout is a system call."""
-    block, size = [], 0
-    for chunk in chunks:
-        block.append(chunk)
-        size += len(chunk)
-        if size >= _BLOCK:
-            yield "".join(block)
-            block, size = [], 0
-    if block:
-        yield "".join(block)
-
-
 def _write_output(text, path: str | None) -> None:
     """Write a result, one string or an iterable of text chunks (a scan,
-    row by row), to ``path``, or to stdout when it is None."""
-    blocks = (text,) if isinstance(text, str) else _blocks(text)
+    a block of rows at a time), to ``path``, or to stdout when it is None."""
+    blocks = (text,) if isinstance(text, str) else text
     try:
         if path is None:
             for block in blocks:

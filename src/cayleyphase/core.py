@@ -132,6 +132,16 @@ class StateVector(namedtuple("StateVector", "u1 u2 u3 u4")):
         return max(self)
 
 
+def _computed(what: str, u) -> StateVector:
+    """The state of four components that arithmetic produced, without the
+    input check of ``StateVector``: the first component outside (0, inf)
+    raises ``ParameterRangeError``, naming ``what`` and the component."""
+    for i, v in enumerate(u, start=1):
+        if not 0.0 < v < math.inf:
+            raise ParameterRangeError(f"{what} left the floating-point range in component u{i}")
+    return StateVector._make(u)
+
+
 def derive_params(c: Couplings) -> BoltzmannParams:
     """Bond weights for the given couplings; the record checks their range."""
     beta = c.beta
@@ -163,17 +173,11 @@ def recurrence_step(p: BoltzmannParams, u: StateVector) -> StateVector:
     w2 = ainv * (t2 * t2)
     w3 = ainv * (t3 * t3)
     w4 = a * (t4 * t4)
-    for i, w in enumerate((w1, w2, w3, w4), start=1):
-        if not 0.0 < w < math.inf:
-            raise ParameterRangeError(f"recurrence left the double range in component u{i}")
-    return StateVector(w1, w2, w3, w4)
+    return _computed("recurrence", (w1, w2, w3, w4))
 
 
 def _scaled(u: StateVector, m: float) -> StateVector:
-    try:
-        return StateVector(u.u1 / m, u.u2 / m, u.u3 / m, u.u4 / m)
-    except DomainError as exc:
-        raise ParameterRangeError(f"rescaling left the double range: {exc}") from exc
+    return _computed("rescaling", (u.u1 / m, u.u2 / m, u.u3 / m, u.u4 / m))
 
 
 def normalize(u: StateVector) -> StateVector:

@@ -38,6 +38,7 @@ from .core import (
     DomainError,
     ParameterRangeError,
     StateVector,
+    _computed,
     ferro_residual,
     normalize,
     periodic_state,
@@ -111,14 +112,10 @@ def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITE
     kind_code, period, iters, residual, states = _traj.run_trajectory(
         p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, TOL, BURN_IN, P_MAX
     )
-    try:
-        attractor = tuple(StateVector(*s) for s in states)
-    except DomainError as exc:
-        raise ParameterRangeError(f"trajectory left the floating-point range: {exc}") from exc
     return TrajectoryOutcome(
         kind=_KIND_NAMES[kind_code],
         period=period,
-        attractor=attractor,
+        attractor=tuple(_computed("trajectory", s) for s in states),
         iterations_used=iters,
         residual=residual,
     )

@@ -61,9 +61,8 @@ from collections import namedtuple
 
 from .core import (
     BoltzmannParams,
-    DomainError,
     ParameterRangeError,
-    StateVector,
+    _computed,
     bracketed_root,
     ferro_residual,
     recurrence_residual,
@@ -97,9 +96,9 @@ def _accept(p: BoltzmannParams, v: tuple[float, float, float, float]) -> FerroCa
     if not all(0.0 < x < math.inf for x in v):
         return None
     try:
-        u = StateVector(*(x * x for x in v))
+        u = _computed("ferro candidate", tuple(x * x for x in v))
         fu = recurrence_step(p, u)
-    except (DomainError, ParameterRangeError):
+    except ParameterRangeError:
         return None
     # componentwise, so that a small component must be fixed too
     if any(abs(f - x) > FULL_RESIDUAL_TOL * x for f, x in zip(fu, u)):
@@ -135,7 +134,7 @@ def _below_zero(f, lo: float, hi: float) -> float | None:
 
 def _mirror(c: FerroCandidate) -> FerroCandidate:
     # v2 + v3 == v3 + v2 and F(flip u) == flip F(u) hold bit for bit
-    return FerroCandidate(c.C, c.v[::-1], StateVector(*c.u[::-1]), c.full_residual)
+    return FerroCandidate(c.C, c.v[::-1], _computed("mirror", c.u[::-1]), c.full_residual)
 
 
 def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:

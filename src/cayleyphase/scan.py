@@ -14,6 +14,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from itertools import islice
 
 from . import __version__
 from .core import BoltzmannParams, Couplings, DomainError, StateVector, derive_params
@@ -209,7 +210,7 @@ def _uniforms(seed: int) -> list[float]:
     return out
 
 
-def _starts_for_seeds(seeds: list[int]) -> dict[int, tuple[float, float, float, float]]:
+def _starts_for_seeds(seeds: list[int]) -> dict[int, StateVector]:
     # log-uniform components; the start is seed-determined and shared by every
     # grid point so phase differences across the grid are physical
     try:
@@ -220,7 +221,7 @@ def _starts_for_seeds(seeds: list[int]) -> dict[int, tuple[float, float, float, 
     # numpy's array ``**`` (SIMD pow, not libm's) fixes the recorded starts;
     # Python floats, because numpy scalars would make the pure-Python kernel
     # twice as slow and leak their repr into error messages
-    return {seed: tuple(float(x) for x in 10.0 ** np.array(_uniforms(seed))) for seed in seeds}
+    return {seed: StateVector(*(float(x) for x in 10.0 ** np.array(_uniforms(seed)))) for seed in seeds}
 
 
 def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
@@ -239,7 +240,7 @@ def _trajectories(
     """Each seed's classified run from its start, in seed order."""
     runs = []
     for seed in seeds:
-        outcome = iterate(p, StateVector(*starts[seed]), max_iter)
+        outcome = iterate(p, starts[seed], max_iter)
         runs.append((seed, outcome, classify_phase(p, outcome)))
     return runs
 
@@ -431,24 +432,30 @@ def _json(payload) -> str:
     return _encode(payload) + "\n"
 
 
-def _scan_chunks(rows: list[ScanRow], fmt: str, cfg: ScanConfig | None = None):
-    """A scan's output in format ``fmt`` as text chunks, one per row.
+# rows per chunk of a scan's output, one encode and one write each; json's C
+# encoder holds every piece of a block before it joins them, about 4 KB a row
+_BLOCK_ROWS = 32
 
-    CSV: the header line, then one line per row. JSON: the bytes of ``_json``
-    on ``{"metadata": ..., "results": [row dicts]}``, with each row encoded
-    on its own, so no chunk grows with the grid (``cfg`` gives the
-    metadata)."""
+
+def _scan_chunks(rows: list[ScanRow], fmt: str, cfg: ScanConfig | None = None):
+    """A scan's output in format ``fmt`` as text chunks of up to
+    ``_BLOCK_ROWS`` rows each, so no chunk grows with the grid.
+
+    CSV: the header and the row lines, ``_BLOCK_ROWS`` lines to a chunk.
+    JSON: the bytes of ``_json`` on ``{"metadata": ..., "results": [row
+    dicts]}``; each block of rows is one ``_encode`` of a list, with its
+    brackets sliced off (``cfg`` gives the metadata)."""
     if fmt == "csv":
-        for line in _csv(CSV_COLUMNS, rows):
-            yield line + "\n"
+        lines = _csv(CSV_COLUMNS, rows)
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            yield "\n".join(block) + "\n"
         return
     metadata = {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}
     # sorted keys: "metadata" before "results"
     yield '{"metadata": ' + _encode(metadata) + ', "results": ['
-    separator = ""
-    for r in rows:
-        yield separator + _encode(r._asdict())
-        separator = ", "
+    for k in range(0, len(rows), _BLOCK_ROWS):
+        block = _encode([r._asdict() for r in rows[k : k + _BLOCK_ROWS]])[1:-1]
+        yield block if k == 0 else ", " + block
     yield "]}\n"
 
 

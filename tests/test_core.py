@@ -20,6 +20,7 @@ from cayleyphase import (
     ferro_constraint,
     ferro_residual,
     iterate,
+    normalize,
     periodic_state,
     ratio_map,
     ratio_map_deriv,
@@ -28,6 +29,7 @@ from cayleyphase import (
 )
 
 from cayleyphase.core import bracketed_root
+from cayleyphase.scan import _starts_for_seeds
 
 from conftest import maxdiff
 from oracles import ratio_map2
@@ -251,6 +253,32 @@ class TestStateVector:
 
     def test_max_norm(self):
         assert StateVector(4.0, 9.0, 1.0, 0.25).max_norm() == 9.0
+
+
+class TestRangeErrorForm:
+    # a state the arithmetic produced that leaves the double range is a range
+    # error in one form, naming the component; a state a caller hands in that
+    # is not positive and finite stays a domain error
+    @pytest.mark.parametrize(
+        "compute, expected",
+        [
+            (lambda: recurrence_step(BoltzmannParams(1e-150, 1.0), StateVector(1e-100, 1e-100, 1.0, 1.0)),
+             "recurrence left the floating-point range in component u1"),
+            (lambda: normalize(StateVector(1.0, 1e-200, 1.0, 1e200)),
+             "rescaling left the floating-point range in component u2"),
+            # the cold corner of the frustrated quadrant
+            (lambda: iterate(derive_params(Couplings(1.0, -2.0, 0.03)), StateVector(*_starts_for_seeds([0])[0])),
+             "trajectory left the floating-point range in component u2"),
+        ],
+        ids=["recurrence_step", "normalize", "iterate"],
+    )
+    def test_computed_state(self, compute, expected):
+        with pytest.raises(ParameterRangeError, match=f"^{expected}$"):
+            compute()
+
+    def test_caller_state(self):
+        with pytest.raises(DomainError, match="u1"):
+            StateVector(0.0, 1.0, 1.0, 1.0)
 
 
 class TestPeriodicState:

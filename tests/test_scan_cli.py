@@ -34,7 +34,7 @@ from cayleyphase import (
     __version__,
 )
 from cayleyphase.cli import _write_output, main
-from cayleyphase.scan import CSV_COLUMNS, _json, _json_safe, _scan_chunks, _starts_for_seeds, _uniforms
+from cayleyphase.scan import CSV_COLUMNS, _fmt, _json, _json_safe, _scan_chunks, _starts_for_seeds, _uniforms
 from conftest import DIAGNOSE_POINTS
 
 
@@ -242,6 +242,9 @@ class TestScanDeterminism:
         assert code == 2 and captured.out == ""
         # after the pure-Python kernel's warning, where that kernel runs
         assert captured.err.splitlines()[-1].startswith("numeric range error: trajectory left the floating-point range")
+        # one line, in the one form of a computed state's range error
+        assert captured.err.count("numeric range error:") == 1
+        assert captured.err.splitlines()[-1].endswith(" range in component u2")
         # every child is reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -372,6 +375,38 @@ class TestScanDeterminism:
             text = format_json(many, cfg) if fmt == "json" else format_csv(many)
             assert digests[-1] == hashlib.sha256(text.encode()).digest()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)], ids=["0", "1", "B-1", "B", "B+1", "2B+1"]
+    )
+    def test_scan_chunks_at_block_edges(self, blocks, extra):
+        # each chunk holds at most one block of B rows, and the chunks join
+        # to the bytes of the whole document
+        size = cayleyphase.scan._BLOCK_ROWS
+        n = blocks * size + extra
+        cfg = make_config(format="json")
+        rows = (run_scan(cfg) * (2 * size + 1))[:n]
+        chunks = list(_scan_chunks(rows, "json", cfg))
+        assert len(chunks) == 2 + -(-n // size)
+        payload = {"metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}}
+        payload["results"] = [r._asdict() for r in rows]
+        assert "".join(chunks) == json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        chunks = list(_scan_chunks(rows, "csv"))
+        assert len(chunks) == -(-(n + 1) // size)
+        lines = [",".join(CSV_COLUMNS)] + [",".join(map(_fmt, r)) for r in rows]
+        assert "".join(chunks) == format_csv(rows) == "".join(line + "\n" for line in lines)
+
+    def test_a_non_finite_value_is_null_in_its_row_only(self):
+        size = cayleyphase.scan._BLOCK_ROWS
+        cfg = make_config(format="json")
+        rows = (run_scan(cfg) * (2 * size + 1))[: 2 * size + 1]
+        middle = size + size // 2
+        rows[middle] = rows[middle]._replace(m2_residual=math.inf)
+        payload = {"metadata": {"tool": "cayleyphase", "version": __version__, "config": cfg.to_dict()}}
+        payload["results"] = [r._asdict() for r in rows]
+        payload["results"][middle]["m2_residual"] = None
+        assert format_json(rows, cfg) == json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 class _Sink:
