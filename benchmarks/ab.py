@@ -16,11 +16,6 @@ fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
   ``workloads.matches``); the calls that differ there too, or in exit code,
   are listed as ``summary_mismatches``, so a change of layout alone leaves
   that list empty;
-- a call named by ``--may-differ ARGV`` (repeatable; ARGV is the call's
-  arguments joined by single spaces, as ``mismatches`` lists them) is a
-  declared change: its mismatch does not make the script exit 1, and both
-  sides' exit codes and stdout sha256, and whether their gate summaries
-  match, are recorded under ``may_differ``;
 - each round also times a bare ``python -c pass``, the floor of any call.
 
 Peak RSS is taken as the benchmark defines ``peak_rss_mb``: per round and
@@ -35,11 +30,10 @@ workload's pass wall and CPU time; the ratios are listed with their median and
 quartiles, which cancel the drift of a busy host that both sides of a round
 share:
 
-    python benchmarks/ab.py --parent HEAD~1 --out BENCH_<n>.json [--rounds 21] [--seed 1] [--may-differ ARGV ...]
+    python benchmarks/ab.py --parent HEAD~1 --out BENCH_<n>.json [--rounds 21] [--seed 1]
 """
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -110,30 +104,6 @@ def same_summary(argv: list[str], parent: tuple, change: tuple) -> bool:
         return False
 
 
-def compare(call: list[str], results: dict, may_differ: set[str], record: dict) -> None:
-    """Add one round's ``(exit code, stdout)`` of ``call`` on both sides to
-    ``record``: its ``mismatches`` and ``summary_mismatches`` sets, and, for
-    a call named in ``may_differ``, its entry in ``record["may_differ"]``."""
-    argv = " ".join(call)
-    parent, change = results["parent"], results["change"]
-    if argv in may_differ:
-        record["may_differ"][argv] = {
-            "exit_code": {side: results[side][0] for side in SIDES},
-            "stdout_sha256": {side: hashlib.sha256(results[side][1]).hexdigest() for side in SIDES},
-            "identical": parent == change,
-            "same_summary": same_summary(call, parent, change),
-        }
-    if parent != change:
-        record["mismatches"].add(argv)
-        if not same_summary(call, parent, change):
-            record["summary_mismatches"].add(argv)
-
-
-def exit_code(record: dict, may_differ: set[str]) -> int:
-    """1 if a call not declared in ``may_differ`` had different output, else 0."""
-    return 1 if record["mismatches"] - may_differ else 0
-
-
 def stats(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
@@ -168,9 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--rounds", type=int, default=21)
     parser.add_argument("--seed", type=int, default=1, help="workload seed (selects the --seeds lists)")
-    parser.add_argument(
-        "--may-differ", action="append", default=[], metavar="ARGV", help="a call whose output may change (repeatable)"
-    )
     args = parser.parse_args(argv)
     if args.rounds < 4:
         parser.error("--rounds must be at least 4, for quartiles")
@@ -178,11 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     if parent_commit is None:
         parser.error(f"--parent {args.parent!r} is not a commit")
     dirty = git("status", "--porcelain", "--", "src", "setup.py", "pyproject.toml")
-    calls = {name: wl.calls(name, "full", args.seed) for name in wl.WORKLOADS}
-    may_differ = set(args.may_differ)
-    unknown = may_differ - {" ".join(call) for cs in calls.values() for call in cs}
-    if unknown:
-        parser.error(f"--may-differ names no call of seed {args.seed}: {sorted(unknown)}")
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         tmp = Path(tmp)
@@ -190,11 +152,11 @@ def main(argv: list[str] | None = None) -> int:
         env = {side: dict(os.environ, PYTHONPATH=str(lib), PYTHONDONTWRITEBYTECODE="1") for side, lib in libs.items()}
         for e in env.values():
             e.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, the default
+        calls = {name: wl.calls(name, "full", args.seed) for name in wl.WORKLOADS}
         wall = {(name, k, side): [] for name, cs in calls.items() for k in range(len(cs)) for side in SIDES}
         cpu = {key: [] for key in wall}
         rss = {key: [] for key in wall}
-        interpreter = []
-        record = {"mismatches": set(), "summary_mismatches": set(), "may_differ": {}}
+        interpreter, mismatches, summary_mismatches = [], [], []
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             interpreter.append(spawn([sys.executable, "-c", "pass"], env["change"], tmp)["wall_s"])
@@ -207,7 +169,10 @@ def main(argv: list[str] | None = None) -> int:
                         cpu[name, k, side].append(done["cpu_s"])
                         rss[name, k, side].append(done["peak_rss_mb"])
                         results[side] = done["result"]
-                    compare(call, results, may_differ, record)
+                    if results["parent"] != results["change"]:
+                        mismatches.append(" ".join(call))
+                        if not same_summary(call, results["parent"], results["change"]):
+                            summary_mismatches.append(" ".join(call))
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
 
     report = {
@@ -221,10 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         },
         "settings": {"rounds": args.rounds, "seed": args.seed, "size": "full", "PYTHONDONTWRITEBYTECODE": "1"},
         "interpreter_s": stats(interpreter),
-        "identical_output": not record["mismatches"],
-        "mismatches": sorted(record["mismatches"]),
-        "summary_mismatches": sorted(record["summary_mismatches"]),
-        "may_differ": record["may_differ"],
+        "identical_output": not mismatches,
+        "mismatches": sorted(set(mismatches)),
+        "summary_mismatches": sorted(set(summary_mismatches)),
         "workloads": {},
     }
     for name, cs in calls.items():
@@ -255,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             ],
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return exit_code(record, may_differ)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .scan import (
     _csv,
     _fmt,
     _json,
+    _numpy,
     _scan_chunks,
     _starts_for_seeds,
     _trajectories,
@@ -194,7 +195,7 @@ def _cmd_scan(args) -> int:
         cfg = ScanConfig(**{**cfg_kwargs, **overrides})
     except TypeError as exc:  # JSON of the wrong shape
         raise DomainError(f"bad config {args.config}: {exc}") from exc
-    _starts_for_seeds(cfg.seeds)  # a scan that cannot start fails before the warning
+    _numpy()  # a scan that cannot start fails before the warning
     _warn_if_pure_python()
     # every row is computed before the first byte is written: a failing grid
     # point writes nothing

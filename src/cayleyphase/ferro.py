@@ -62,6 +62,7 @@ from collections import namedtuple
 from .core import (
     BoltzmannParams,
     ParameterRangeError,
+    StateVector,
     _computed,
     bracketed_root,
     ferro_residual,
@@ -134,7 +135,7 @@ def _below_zero(f, lo: float, hi: float) -> float | None:
 
 def _mirror(c: FerroCandidate) -> FerroCandidate:
     # v2 + v3 == v3 + v2 and F(flip u) == flip F(u) hold bit for bit
-    return FerroCandidate(c.C, c.v[::-1], _computed("mirror", c.u[::-1]), c.full_residual)
+    return FerroCandidate(c.C, c.v[::-1], StateVector._make(c.u[::-1]), c.full_residual)
 
 
 def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:

@@ -210,14 +210,19 @@ def _uniforms(seed: int) -> list[float]:
     return out
 
 
+def _numpy():
+    """numpy, which the start vectors need; without it a ``DomainError``."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise DomainError(f"scan and diagnose need numpy: {exc}") from exc
+    return numpy
+
+
 def _starts_for_seeds(seeds: list[int]) -> dict[int, StateVector]:
     # log-uniform components; the start is seed-determined and shared by every
     # grid point so phase differences across the grid are physical
-    try:
-        import numpy as np
-    except ImportError as exc:
-        raise DomainError(f"scan and diagnose need numpy: {exc}") from exc
-
+    np = _numpy()
     # numpy's array ``**`` (SIMD pow, not libm's) fixes the recorded starts;
     # Python floats, because numpy scalars would make the pure-Python kernel
     # twice as slow and leak their repr into error messages

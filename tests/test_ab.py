@@ -1,7 +1,6 @@
 """The parent/change recorder's logic (``benchmarks/ab.py``) on synthetic
 results: no build and no timed process."""
 
-import hashlib
 import sys
 from pathlib import Path
 
@@ -9,10 +8,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import ab  # noqa: E402
-
-
-def _record():
-    return {"mismatches": set(), "summary_mismatches": set(), "may_differ": {}}
 
 
 class TestSameSummary:
@@ -44,37 +39,3 @@ def test_ratios_are_paired_by_round():
     assert got["per_round"] == [0.5, 1.0, 1.5, 2.0]
     assert got["median"] == 1.25
     assert (got["q1"], got["q3"]) == pytest.approx((0.625, 1.875))
-
-
-class TestMayDiffer:
-    def test_a_declared_mismatch_exits_0_with_both_digests(self):
-        record = _record()
-        parent, change = (0, b"cayleyphase 1.0\n"), (0, b"cayleyphase 1.1\n")
-        ab.compare(["--version"], {"parent": parent, "change": change}, {"--version"}, record)
-        assert record["mismatches"] == {"--version"}
-        assert ab.exit_code(record, {"--version"}) == 0
-        entry = record["may_differ"]["--version"]
-        assert entry["stdout_sha256"] == {
-            "parent": hashlib.sha256(parent[1]).hexdigest(),
-            "change": hashlib.sha256(change[1]).hexdigest(),
-        }
-        assert entry["exit_code"] == {"parent": 0, "change": 0}
-        assert entry["identical"] is False and entry["same_summary"] is True
-
-    def test_any_other_mismatch_exits_1(self):
-        record = _record()
-        declared = {"--version"}
-        same = (0, b"cayleyphase 1.0\n")
-        ab.compare(["--version"], {"parent": same, "change": same}, declared, record)
-        ab.compare(["verify"], {"parent": (0, b"PASS  a: 1\n"), "change": (3, b"FAIL  a: 1\n")}, declared, record)
-        assert record["mismatches"] == record["summary_mismatches"] == {"verify"}
-        assert record["may_differ"]["--version"]["identical"] is True
-        assert "verify" not in record["may_differ"]
-        assert ab.exit_code(record, declared) == 1
-        assert ab.exit_code(record, declared | {"verify"}) == 0
-
-    def test_identical_output_exits_0(self):
-        record = _record()
-        same = (0, b"PASS  a: 1\n")
-        ab.compare(["verify"], {"parent": same, "change": same}, set(), record)
-        assert record == _record() and ab.exit_code(record, set()) == 0

@@ -267,7 +267,7 @@ class TestRangeErrorForm:
             (lambda: normalize(StateVector(1.0, 1e-200, 1.0, 1e200)),
              "rescaling left the floating-point range in component u2"),
             # the cold corner of the frustrated quadrant
-            (lambda: iterate(derive_params(Couplings(1.0, -2.0, 0.03)), StateVector(*_starts_for_seeds([0])[0])),
+            (lambda: iterate(derive_params(Couplings(1.0, -2.0, 0.03)), _starts_for_seeds([0])[0]),
              "trajectory left the floating-point range in component u2"),
         ],
         ids=["recurrence_step", "normalize", "iterate"],

@@ -444,7 +444,7 @@ class TestSymmetricAttractorClass:
 
 def _seeded_start(seed):
     """The normalised start that a scan gives ``seed``."""
-    return normalize(StateVector(*_starts_for_seeds([seed])[seed]))
+    return normalize(_starts_for_seeds([seed])[seed])
 
 
 def _iterated_limit(p, x, steps=400_000):
