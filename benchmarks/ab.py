@@ -10,12 +10,12 @@ fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
   which also gives its peak RSS and its user plus system CPU time (on Linux
   that includes the forked workers the child reaped);
 - the two sides alternate which runs first from round to round;
-- exit code and stdout must agree on every call.  A mismatch is recorded
-  and the script exits 1.  A call whose stdout differs is also compared as
-  the benchmark's gate compares it (``workloads.summarize`` and
-  ``workloads.matches``); the calls that differ there too, or in exit code,
-  are listed as ``summary_mismatches``, so a change of layout alone leaves
-  that list empty;
+- exit code, stdout and stderr must agree on every call.  A mismatch is
+  recorded and the script exits 1.  A call that differs is also compared as
+  the benchmark's gate compares it (exit code and ``workloads.summarize`` of
+  stdout, with ``workloads.matches``); the calls that differ there too are
+  listed as ``summary_mismatches``, so a change of layout or of stderr alone
+  leaves that list empty;
 - each round also times a bare ``python -c pass``, the floor of any call.
 
 Peak RSS is taken as the benchmark defines ``peak_rss_mb``: per round and
@@ -90,12 +90,12 @@ def spawn(argv: list[str], env: dict, scratch: Path) -> dict:
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
-        "result": (child.returncode, out_path.read_bytes()),
+        "result": (child.returncode, out_path.read_bytes(), err_path.read_bytes()),
     }
 
 
 def same_summary(argv: list[str], parent: tuple, change: tuple) -> bool:
-    """Whether two ``(exit code, stdout)`` results agree as the gate compares them."""
+    """Whether two ``(exit code, stdout, ...)`` results agree as the gate compares them."""
     if parent[0] != change[0]:
         return False
     try:

@@ -66,27 +66,28 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _cannot_write(name: str, exc: Exception) -> int:
-    print(f"cannot write {name}: {exc}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 def _write_output(text, path: str | None) -> None:
     """Write a result, one string or an iterable of text chunks (a scan,
-    a block of rows at a time), to ``path``, or to stdout when it is None."""
+    a block of rows at a time), to ``path``, or to stdout when it is None,
+    and flush it there.
+
+    A failed write or flush ends the command with exit 1: a reader of stdout
+    that has gone (a closed pipe) quietly, any other failure (a full disk,
+    say) with one ``cannot write`` line on stderr."""
     blocks = (text,) if isinstance(text, str) else text
     try:
         if path is None:
             for block in blocks:
                 sys.stdout.write(block)
+            sys.stdout.flush()
         else:
             with open(path, "w") as f:
                 for block in blocks:
                     f.write(block)
     except (OSError, AttributeError) as exc:  # AttributeError: no stdout, its descriptor was closed
-        if path is None and isinstance(exc, BrokenPipeError):
-            raise  # the reader of stdout has gone: run ends the command quietly
-        raise SystemExit(_cannot_write("<stdout>" if path is None else path, exc)) from exc
+        if not (path is None and isinstance(exc, BrokenPipeError)):
+            print(f"cannot write {'<stdout>' if path is None else path}: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR) from exc
 
 
 def _emit(args, payload, lines: list[str]) -> int:
@@ -316,44 +317,24 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code == 2 else exc.code
 
 
-def _reader_gone() -> int:
-    # the recipe of Python's signal docs: what output is left goes to
-    # os.devnull, so no later flush can fail again
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return USAGE_ERROR
-
-
 def run() -> None:
     """The ``cayleyphase`` command: ``main``, then an exit without finalization.
 
-    Once ``main`` has returned and stdout and stderr are flushed, the process
-    leaves with ``os._exit``.  That skips the interpreter's finalization:
-    module teardown, the last garbage collection, freeing numpy's objects,
-    and every ``atexit`` hook, among them those that other code registered,
-    such as coverage's subprocess hook.  The package registers none,
+    ``main`` has flushed every result it wrote to stdout (see
+    ``_write_output``); once stderr is flushed too, the process leaves with
+    ``os._exit``.  That skips the interpreter's finalization: module
+    teardown, the last garbage collection, freeing numpy's objects, and
+    every ``atexit`` hook, among them those that other code registered, such
+    as coverage's subprocess hook.  It also drops, unflushed, what a failed
+    write left in stdout's buffer.  The package registers no hook,
     ``--output`` is closed once written, and a scan reaps its forked
     children before ``main`` returns.  In-process callers use ``main``,
     which returns the exit code and never ends the process.
-
-    A failed write to stdout, whether ``main``'s write or the flush finds
-    it, ends the command with exit 1: a reader that has gone (a closed pipe)
-    quietly, any other failure (a full disk, say) with one ``cannot write
-    <stdout>`` line on stderr.  Any other exception from ``main`` reaches
-    the interpreter as it is.
     """
-    try:
-        code = main()
-    except BrokenPipeError:
-        code = _reader_gone()
-    if sys.stdout is None or sys.stderr is None:
-        # a descriptor closed before the start: the ordinary exit copes with it
+    code = main()
+    if sys.stderr is None:
+        # descriptor 2 closed before the start: the ordinary exit copes with it
         raise SystemExit(code)
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        code = _reader_gone()
-    except OSError as exc:
-        code = _cannot_write("<stdout>", exc)
     sys.stderr.flush()
     os._exit(code)
 

@@ -25,7 +25,7 @@ from .core import (
     recurrence_step,
     symmetric_residual,
 )
-from .dynamics import BURN_IN, KERNEL_BACKEND, P_MAX, TOL
+from .dynamics import BURN_IN, KERNEL_BACKEND, P_MAX, TOL, _traj
 from .ferro import solve_ferro_fixed_points
 from .partition import enumerate_partition, partition_recurrence, periodic_partition
 from .symmetric import (
@@ -128,7 +128,10 @@ def _check_ferro_fixed_points() -> VerifyResult:
 
 
 def _check_periodic_partition() -> VerifyResult:
-    p = derive_params(Couplings(0.0, -1.0, 1.0 / math.log(2.0)))  # a=1, b=0.5
+    # b = 0.5 and a = 2^0.2, so a^2 lies inside the star window: at a = 1 the
+    # orbit's two lifted states are flips of each other, and Z is the same at
+    # both parities of n
+    p = derive_params(Couplings(0.2, -1.0, 1.0 / math.log(2.0)))
     rep = solve_two_cycles(p)
     y = rep.roots[1]
     u = lift_two_cycle(p, y)
@@ -146,20 +149,18 @@ def _check_periodic_partition() -> VerifyResult:
 
 
 def _check_backends() -> VerifyResult:
-    from . import _trajectory_py
-
-    try:
-        from . import _trajectory  # type: ignore[attr-defined]
-    except ImportError:
+    if KERNEL_BACKEND == "python":
         return VerifyResult(
             "trajectory backends agree",
             True,
             f"compiled kernel unavailable; running on the {KERNEL_BACKEND} backend",
         )
+    from . import _trajectory_py
+
     p = derive_params(Couplings(0.6, -0.45, 0.45))
     args = (p.a, p.b, 1.0, 0.37, 0.11, 0.92, 5000, TOL, BURN_IN, P_MAX)
     out_py = _trajectory_py.run_trajectory(*args)
-    out_cy = _trajectory.run_trajectory(*args)
+    out_cy = _traj.run_trajectory(*args)
     ok = out_py == out_cy
     return VerifyResult(
         "trajectory backends agree",

@@ -1,6 +1,8 @@
 import copy
+import errno
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -406,11 +408,30 @@ class TestScanDeterminism:
         assert [r["m2_residual"] is None for r in json.loads(text)["results"]] == [k == middle for k in range(len(rows))]
 
 
+class _FailingRaw(io.RawIOBase):
+    """A raw stdout whose every write raises ``exc``, or discards its bytes
+    once ``exc`` is None."""
+
+    def __init__(self, exc: OSError | None) -> None:
+        self.exc = exc
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        if self.exc is not None:
+            raise self.exc
+        return len(data)
+
+
 class _Sink:
     """A stdout that keeps only a digest of what is written to it."""
 
     def write(self, text: str) -> None:
         self.digest.update(text.encode())
+
+    def flush(self) -> None:
+        pass
 
 
 def _scan_json_reference(rows, cfg) -> str:
@@ -711,6 +732,46 @@ class TestCli:
         assert main(["verify"]) == 3
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert len(failed) == 1 and "lifted fixed points" in failed[0], failed
+
+    def test_verify_catches_a_parity_blind_periodic_partition(self, monkeypatch, capsys):
+        # the two-cycle alternates between two partition values: a closed
+        # form that ignores the parity of n must fail
+        periodic = cayleyphase.verify.periodic_partition
+        monkeypatch.setattr(cayleyphase.verify, "periodic_partition", lambda p, y, n: periodic(p, y, 0))
+        assert main(["verify"]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "periodic partition" in failed[0], failed
+
+    @pytest.mark.parametrize(
+        "exc, stderr",
+        [
+            (OSError(errno.ENOSPC, "No space left on device"), "cannot write <stdout>: [Errno 28] No space left on device\n"),
+            (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+        ],
+        ids=["full-disk", "reader-gone"],
+    )
+    def test_a_failed_write_is_seen_in_process(self, exc, stderr, capsys, monkeypatch):
+        # the short --version line stays in stdout's buffer until main flushes it
+        raw = _FailingRaw(exc)
+        stdout = io.TextIOWrapper(io.BufferedWriter(raw))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["--version"]) == 1
+        finally:
+            # drop what the failed flush left buffered: the wrapper's
+            # finalizer must not flush it again
+            raw.exc = None
+            stdout.close()
+        assert capsys.readouterr().err == stderr
+
+    def test_a_closed_stderr_descriptor(self):
+        # descriptor 2 closed before the start leaves sys.stderr None: the
+        # result is still written, and the exit code is main's
+        r = subprocess.run(
+            [sys.executable, "-m", "cayleyphase", "--version"],
+            stdout=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(2), timeout=600,
+        )
+        assert (r.returncode, r.stdout) == (0, f"cayleyphase {cayleyphase.__version__}\n")
 
     def test_usage_error_exit_code(self, tmp_path):
         point = ("--j1", "0.5", "--j2", "-0.3", "--temperature", "1")
@@ -1038,8 +1099,8 @@ SCAN_JSON_GRIDS = {
 }
 
 
-# each writes its result to stdout: a short one (buffered, only the flush
-# after main writes it) or one past the stdout buffer (written inside main)
+# each writes its result to stdout: a short one (buffered until main's
+# flush writes it) or one past the stdout buffer (written before that flush)
 STDOUT_WRITE_CALLS = {
     "version": ("--version",),
     "help": ("--help",),
@@ -1061,8 +1122,8 @@ def past_slow_kernel_warning(stderr: str) -> str:
 
 
 def buffered_env():
-    # stdout block-buffered, as it is by default: the flush at exit then
-    # writes what is still buffered
+    # stdout block-buffered, as it is by default: the flush after the
+    # result's last write then writes what is still buffered
     return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
@@ -1146,8 +1207,8 @@ class TestExit:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("args", STDOUT_WRITE_CALLS.values(), ids=STDOUT_WRITE_CALLS)
     def test_a_failed_write_to_stdout_is_reported(self, args, unbuffered):
-        # a full disk: whether the write inside main or the flush after it
-        # fails, one line says so, and the exit is 1
+        # a full disk: whether a write of the result or the flush after its
+        # last write fails, one line says so, and the exit is 1
         env = buffered_env()
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -1179,8 +1240,8 @@ class TestExit:
 
     @pytest.mark.parametrize("args", [SMALL_ORDERED_SCAN, JSON_CALLS["curves"]], ids=["scan", "curves"])
     def test_a_closed_pipe_ends_quietly(self, args):
-        # the reader has gone before the command writes: the scan's write
-        # fails inside main, the buffered curves table in the flush after it
+        # the reader has gone before the command writes: the scan fails in
+        # a write, the buffered curves table in the flush after its last write
         read, write = os.pipe()
         os.close(read)
         try:
