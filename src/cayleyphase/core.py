@@ -283,7 +283,6 @@ def bracketed_root(f, lo: float, hi: float) -> float:
     bracket is within 1e-15 relative and returns the end with the smaller
     ``|f|``.
     """
-    lo, hi = float(lo), float(hi)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -292,7 +291,7 @@ def bracketed_root(f, lo: float, hi: float) -> float:
     if not f_lo * f_hi < 0.0:
         raise ValueError("f must change sign over the bracket")
     while hi - lo > 1e-15 * hi:
-        x = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        x = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * lo + 0.5 * hi
         if not lo < x < hi:
             break
         fx = f(x)

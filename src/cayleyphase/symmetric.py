@@ -50,13 +50,11 @@ from .core import (
 
 __all__ = [
     "CriticalCurveSample",
-    "CycleThresholds",
     "FixedPointReport",
     "FixedPointRoot",
     "TwoCycleReport",
     "critical_curve",
     "critical_temperature",
-    "cycle_thresholds",
     "lift_fixed_point",
     "lift_two_cycle",
     "phase_counts",
@@ -87,20 +85,6 @@ class FixedPointReport(namedtuple("FixedPointReport", "roots regime")):
 
     ``roots`` is a tuple of ``FixedPointRoot``; ``regime`` counts them:
     "unique", "two" or "three".
-    """
-
-    __slots__ = ()
-
-
-class CycleThresholds(namedtuple("CycleThresholds", "star_minus star_plus outer_minus outer_plus")):
-    """Existence thresholds for period-two ratios, as functions of b.
-
-    ``star_minus/star_plus`` bound the interval of ``a**2`` where the
-    two-cycle discriminant is positive (present only for ``b <= sqrt(1/3)``);
-    ``outer_minus/outer_plus`` bound where the quadratic's linear coefficient
-    is negative (present only for ``b <= sqrt(sqrt(2)-1)``).  An absent bound
-    is None.  When both exist, ``outer_minus <= star_minus < star_plus <=
-    outer_plus``.
     """
 
     __slots__ = ()
@@ -210,48 +194,17 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
 
 
 def _star_numerator(b: float) -> float | None:
-    """``mid + r``, where ``(mid + r) / (8 b^6)`` is the upper star threshold in
-    ``a**2``; None where the star window is empty (``9 b^4 - 1 > 1e-12``)."""
+    """``mid + r``, where ``(mid + r) / (8 b^6)`` is the upper edge in ``a**2``
+    of the star window, inside which the two-cycle discriminant is positive;
+    None where the window is empty (``9 b^4 - 1 > 1e-12``, so ``b`` above
+    about ``sqrt(1/3)``).  The edges are the roots of a quadratic in ``a**2``
+    whose root product is exactly 1, so the lower edge is the reciprocal."""
     b4 = b**4
     s = 9.0 * b4 - 1.0
     if s > 1e-12:
         return None
     r = math.sqrt(max((b4 - 1.0) ** 3 * s, 0.0))
     return 1.0 - 3.0 * b**8 - 6.0 * b4 + r
-
-
-def cycle_thresholds(b: float) -> CycleThresholds:
-    """Closed-form thresholds in ``a**2`` for two-cycle existence at this b.
-
-    Both pairs exist only for ``b < 1``.  They span about ``2 b^6`` to
-    ``1/(2 b^6)``, so ``ParameterRangeError`` is raised where ``b**6`` is
-    below the normal doubles (b below about 5.3e-52): the thresholds lose
-    precision there and then leave the double range.
-    """
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError("b must be positive and finite")
-    if b >= 1.0:
-        return CycleThresholds(None, None, None, None)
-    b4 = b**4
-    b6 = b**6
-    b8 = b**8
-    if b6 < sys.float_info.min:
-        raise ParameterRangeError(f"two-cycle thresholds at b={b!r} leave the double range")
-    star_minus = star_plus = None
-    num = _star_numerator(b)
-    if num is not None:
-        # both threshold quadratics have root product exactly 1; the lower
-        # root via the reciprocal avoids the cancellation in (mid - r)
-        star_plus = num / (8.0 * b6)
-        star_minus = 1.0 / star_plus
-    outer_minus = outer_plus = None
-    s2 = (b4 - 1.0) ** 2 - 4.0 * b4
-    if s2 >= -1e-12:
-        r2 = (1.0 - b4) * math.sqrt(max(s2, 0.0))
-        mid2 = 1.0 - 4.0 * b4 - b8
-        outer_plus = (mid2 + r2) / (4.0 * b6)
-        outer_minus = 1.0 / outer_plus
-    return CycleThresholds(star_minus, star_plus, outer_minus, outer_plus)
 
 
 def _two_cycle_quadratic(p: BoltzmannParams):
@@ -293,11 +246,11 @@ def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
 
     Its discriminant factors as ``-a^2 (b^4-1)^2 (4 b^6 a^4 + (3 b^8 + 6 b^4
     - 1) a^2 + 4 b^6)``, which is the form computed here: it vanishes
-    identically at ``b == 1`` and changes sign exactly at the ``star``
-    thresholds of :func:`cycle_thresholds`.  Two positive roots exist iff
-    ``B < 0`` and the discriminant is positive; they are returned ascending,
-    straight from the stable form of the quadratic formula, and map to each
-    other under one generation.
+    identically at ``b == 1`` and changes sign exactly at the edges of the
+    star window, the critical curves of :func:`critical_curve`.  Two positive
+    roots exist iff ``B < 0`` and the discriminant is positive; they are
+    returned ascending, straight from the stable form of the quadratic
+    formula, and map to each other under one generation.
     """
     B, disc, lead, const, count = _two_cycle_quadratic(p)
     roots: tuple[float, ...] = ()
@@ -354,8 +307,9 @@ def critical_temperature(j2: float) -> float | None:
 def critical_curve(j2: float, beta: float) -> CriticalCurveSample:
     """The two j1 values where two-cycles appear/merge at fixed (j2 < 0, beta).
 
-    Solves ``a**2 == star threshold`` for j1; both branches are absent when
-    the temperature is at or above :func:`critical_temperature`.
+    Solves ``a**2 ==`` each edge of the star window for j1; the edges are
+    reciprocal, so the branches are mirror images.  Both are absent when the
+    temperature is at or above :func:`critical_temperature`.
     """
     if not (math.isfinite(j2) and j2 < 0.0):
         raise DomainError("critical curves require j2 < 0")

@@ -29,7 +29,7 @@ from .dynamics import BURN_IN, KERNEL_BACKEND, P_MAX, TOL, _traj
 from .ferro import solve_ferro_fixed_points
 from .partition import enumerate_partition, partition_recurrence, periodic_partition
 from .symmetric import (
-    cycle_thresholds,
+    critical_curve,
     lift_fixed_point,
     lift_two_cycle,
     solve_fixed_points,
@@ -65,27 +65,27 @@ def _check_recurrence_vs_enumeration() -> VerifyResult:
     )
 
 
-def _check_cycle_thresholds() -> VerifyResult:
-    # the star thresholds against the two-cycle quadratic itself: its
-    # discriminant vanishes at each, and two roots appear one part in 1e6
-    # inside the window and none as far outside
+def _check_critical_curve() -> VerifyResult:
+    # the critical curves that ``curves`` prints, against the two-cycle
+    # quadratic itself: at b = 0.5 (j2 = ln 0.5, beta = 1) its discriminant
+    # vanishes at a^2 = exp(2 j1) of each branch, and two roots appear one part
+    # in 1e6 inside the window and none as far outside
     def two_cycles(a2: float):
         return solve_two_cycles(BoltzmannParams(math.sqrt(a2), 0.5))
 
-    th = cycle_thresholds(0.5)
+    curve = critical_curve(math.log(0.5), 1.0)
     worst = 0.0
     counts = []
-    for a2, inward in ((th.star_minus, 1.0 + 1e-6), (th.star_plus, 1.0 - 1e-6)):
+    for j1, inward in ((curve.j1_minus, 1.0 + 1e-6), (curve.j1_plus, 1.0 - 1e-6)):
+        a2 = math.exp(2.0 * j1)
         rep = two_cycles(a2)
         worst = max(worst, abs(rep.discriminant) / rep.b_coeff**2)
         counts += [len(two_cycles(a2 * inward).roots), len(two_cycles(a2 / inward).roots)]
-    ordered = th.outer_minus <= th.star_minus and th.star_plus <= th.outer_plus
     return VerifyResult(
         "two-cycle thresholds at b=0.5",
-        worst <= 1e-12 and counts == [2, 0, 2, 0] and ordered,
+        worst <= 1e-12 and counts == [2, 0, 2, 0],
         f"|discriminant|/B^2 at the star thresholds {worst:.3e} (tolerance 1e-12),"
-        f" roots just inside/outside each {counts} (must be [2, 0, 2, 0]),"
-        f" ordering {'ok' if ordered else 'violated'}",
+        f" roots just inside/outside each {counts} (must be [2, 0, 2, 0])",
     )
 
 
@@ -187,7 +187,7 @@ def run_verify() -> list[VerifyResult]:
     return [
         _check_recurrence_vs_enumeration(),
         _check_scalar_reduction(),
-        _check_cycle_thresholds(),
+        _check_critical_curve(),
         _check_lifts(),
         _check_ferro_fixed_points(),
         _check_periodic_partition(),

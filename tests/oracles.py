@@ -2,7 +2,8 @@
 basins, the fixed-point window, the double step of the ratio map and the
 depth-n tree's layout.  No command calls them, so they live here, not in the
 package; each is derived from the paper's formulas, not from the solver it
-checks.
+checks.  ``star_window`` is the exception: it places ``a**2`` on the edges of
+the two-cycle window with the package's own closed form.
 """
 
 import bisect
@@ -19,6 +20,7 @@ from cayleyphase import (
     symmetric_residual,
 )
 from cayleyphase.partition import tree_vertex_count
+from cayleyphase.symmetric import _star_numerator
 
 
 def ratio_map2(p: BoltzmannParams, x):
@@ -44,6 +46,17 @@ def multi_root_window(b_tilde: float) -> tuple[float, float] | None:
     y_lo = b_tilde / y_hi  # the product of the roots
     edges = (_level(y_lo, b_tilde), _level(y_hi, b_tilde))
     return (min(edges), max(edges))
+
+
+def star_window(b: float) -> tuple[float, float] | None:
+    """Edges ``(lower, upper)`` in ``a**2`` of the two-cycle window at this b;
+    None where it is empty.  ``critical_curve`` gives the same edges in j1, in
+    logs; these are the doubles that place ``a**2`` exactly on an edge."""
+    num = _star_numerator(b)
+    if num is None:
+        return None
+    plus = num / (8.0 * b**6)
+    return 1.0 / plus, plus
 
 
 def params_at_level(level: float, b: float) -> BoltzmannParams:

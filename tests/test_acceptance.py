@@ -34,10 +34,9 @@ from cayleyphase import (
 )
 from cayleyphase.core import bracketed_root
 from cayleyphase.scan import AxisSpec, ScanConfig, format_csv, run_scan
-from cayleyphase.symmetric import cycle_thresholds
 
 from conftest import TINY_RATIOS, maxdiff, normalized
-from oracles import multi_root_window, params_at_level, ratio_map2
+from oracles import multi_root_window, params_at_level, ratio_map2, star_window
 
 
 def report(number, text):
@@ -311,8 +310,8 @@ def test_criterion_08_lift_residuals():
     rng = np.random.default_rng(8)
     for _ in range(6):
         b = float(rng.uniform(0.2, 0.55))
-        th = cycle_thresholds(b)
-        a2 = float(rng.uniform(0.0, 1.0)) * (th.star_plus - th.star_minus) * 0.9 + th.star_minus * 1.05
+        lo, hi = star_window(b)
+        a2 = float(rng.uniform(0.0, 1.0)) * (hi - lo) * 0.9 + lo * 1.05
         p = BoltzmannParams(math.sqrt(a2), b)
         rep = solve_two_cycles(p)
         for y in rep.roots:
@@ -329,9 +328,9 @@ def test_criterion_09_periodic_partition():
     worst = 0.0
     for _ in range(10):
         b = float(rng.uniform(0.2, 0.55))
-        th = cycle_thresholds(b)
+        lo, hi = star_window(b)
         frac = float(rng.uniform(0.1, 0.9))
-        a2 = th.star_minus * (th.star_plus / th.star_minus) ** frac
+        a2 = lo * (hi / lo) ** frac
         p = BoltzmannParams(math.sqrt(a2), b)
         rep = solve_two_cycles(p)
         assert len(rep.roots) == 2

@@ -348,12 +348,22 @@ class TestBracketedRoot:
 
     def test_exact_zero_at_an_end(self):
         assert bracketed_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+        assert bracketed_root(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+
+    def test_arithmetic_midpoint_near_the_largest_double(self):
+        # lo + hi overflows to inf here; halving each end first does not
+        root = bracketed_root(lambda x: x - 1.7e308, 1e308, 1.79e308)
+        assert root == pytest.approx(1.7e308, rel=1e-15)
 
     def test_rejects_bracket_without_sign_change(self):
         with pytest.raises(ValueError):
             bracketed_root(lambda x: x * x + 1.0, 0.1, 10.0)
         with pytest.raises(ValueError):
             bracketed_root(lambda x: math.nan if x > 1.0 else x - 3.0, 0.5, 10.0)
+
+    def test_rejects_nan_inside_the_bracket(self):
+        with pytest.raises(ValueError, match=r"f\(1\.7\d*\) is NaN"):
+            bracketed_root(lambda x: math.nan if 1.5 < x < 2.0 else x - 2.5, 1.0, 3.0)
 
 
 _LAZY_IMPORTS_PROBE = """

@@ -21,8 +21,8 @@ from cayleyphase import (
     ParameterRangeError,
     StateVector,
     classify_phase,
-    cycle_thresholds,
     derive_params,
+    ferro_residual,
     iterate,
     lift_two_cycle,
     normalize,
@@ -38,7 +38,7 @@ from cayleyphase.dynamics import BURN_IN, P_MAX, TOL
 from cayleyphase.scan import _starts_for_seeds
 
 from conftest import DIAGNOSE_POINTS, HARD_KERNEL_CASES, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff, normalized
-from oracles import SymmetricClass, multi_root_window, symmetric_attractor_class
+from oracles import SymmetricClass, multi_root_window, star_window, symmetric_attractor_class
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -264,6 +264,16 @@ class TestBackends:
                 outs.append(type(exc))
         assert outs[0] == outs[1], args
 
+    @pytest.mark.parametrize("p_max", [-1, 257])
+    def test_ring_capacity_is_checked(self, compiled_kernel, p_max):
+        from cayleyphase import _trajectory_py as py
+
+        p = derive_params(Couplings(1.0, 0.15, 0.6))
+        args = (p.a, p.b, 1.0, 0.3, 0.2, 0.05, 5000, TOL, BURN_IN, p_max)
+        for kernel in (py, compiled_kernel):
+            with pytest.raises(ValueError, match="p_max must be between 0 and 256"):
+                kernel.run_trajectory(*args)
+
     def test_kernel_compiles_without_warnings(self):
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
         include = Path(sysconfig.get_paths()["include"])
@@ -330,6 +340,23 @@ class TestClassifyPhase:
         label = classify_phase(p, out)
         assert label.phase == "commensurate"
         assert label.period == 4
+
+    def test_cycles_and_aperiodic_runs_report_the_unit_last_state(self):
+        # only a fixed direction is lifted to its fixed-point scale before the
+        # ferro residual is taken
+        cases = [
+            (Couplings(0.25, 0.9, 1.0), (0.2, 1.0, 0.8, 0.3), 5000, "cycle"),
+            # near the ferro line, cut short by the budget
+            (Couplings(1.0, 0.0, 1.8), (1.0, 0.3, 0.2, 0.05), 100, "aperiodic"),
+        ]
+        for c, u0, max_iter, kind in cases:
+            p = derive_params(c)
+            out = iterate(p, StateVector(*u0), max_iter=max_iter)
+            assert out.kind == kind
+            last = out.attractor[-1]
+            label = classify_phase(p, out)
+            assert label.m2_residual == ferro_residual(p, last)
+            assert label.m2_residual != ferro_residual(p, periodic_state(p, last))
 
     def test_incommensurate_budget_label(self):
         # competing couplings, generic start, small budget: trajectories that
@@ -433,7 +460,7 @@ class TestSymmetricAttractorClass:
         # the pair has merged into the fixed ratio, where g' = -1: convergence
         # is algebraic, so only the kind is compared
         b = 0.5
-        a2 = getattr(cycle_thresholds(b), edge)
+        a2 = dict(zip(("star_minus", "star_plus"), star_window(b)))[edge]
         p = BoltzmannParams(math.sqrt(a2), b)
         assert solve_two_cycles(p).degenerate
         (r,) = [f.x for f in solve_fixed_points(p).roots]

@@ -27,7 +27,7 @@ from cayleyphase import (
 from cayleyphase.partition import _bond_sum_counts, tree_vertex_count
 
 from conftest import TINY_RATIOS
-from oracles import tree_edges, tree_grandparent_pairs
+from oracles import star_window, tree_edges, tree_grandparent_pairs
 
 
 def _all_bond_sums(n):
@@ -183,6 +183,12 @@ class TestLogScaledMode:
         with pytest.raises(ParameterRangeError):
             partition_recurrence_log(p, 60)
 
+    @pytest.mark.parametrize("recurrence", [partition_recurrence, partition_recurrence_log])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_depth_below_one_is_rejected(self, recurrence, n):
+        with pytest.raises(DomainError, match="depth n must be >= 1"):
+            recurrence(derive_params(Couplings(0.6, -0.2, 0.8)), n)
+
     def test_positive_z(self):
         p = derive_params(Couplings(-0.9, 0.7, 0.6))
         for n in (1, 3, 7):
@@ -211,16 +217,18 @@ class TestPeriodicPartition:
                 u = recurrence_step(p, u)
 
     def test_degenerate_boundary_parities_coincide(self):
-        from cayleyphase import cycle_thresholds
-
-        th = cycle_thresholds(0.5)
-        p = BoltzmannParams(math.sqrt(th.star_plus), 0.5)
+        p = BoltzmannParams(math.sqrt(star_window(0.5)[1]), 0.5)
         rep = solve_two_cycles(p)
         assert rep.degenerate
         (x1,) = rep.roots
         even = periodic_partition(p, x1, 0)
         odd = periodic_partition(p, x1, 1)
         assert even == pytest.approx(odd, rel=1e-5)
+
+    def test_rejects_negative_n(self, params_symmetric_cycle):
+        y = solve_two_cycles(params_symmetric_cycle).roots[0]
+        with pytest.raises(DomainError, match="n must be >= 0"):
+            periodic_partition(params_symmetric_cycle, y, -1)
 
     def test_rejects_non_cycle_ratio(self, params_symmetric_cycle):
         with pytest.raises(DomainError):

@@ -36,7 +36,6 @@ def one_of_each():
         VerifyResult("name", True, "detail"),
         fixed.roots[0],
         fixed,
-        cp.cycle_thresholds(0.5),
         cp.solve_two_cycles(slice_p),
         cp.critical_curve(-1.0, 1.0),
         cp.solve_ferro_fixed_points(p)[0],
@@ -50,7 +49,7 @@ RECORDS = one_of_each()
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in RECORDS}) == 15
+    assert len({type(r) for r in RECORDS}) == 14
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -116,12 +115,12 @@ def test_boltzmann_params_are_the_two_checked_weights():
 
 
 def test_rows_iterate_in_column_order():
-    row = RECORDS[14]
+    row = RECORDS[-1]
     assert row._fields == CSV_COLUMNS
     assert dict(zip(CSV_COLUMNS, row)) == row._asdict()
 
 
 def test_config_dict_nests_axes_as_objects():
-    config = json.loads(json.dumps(RECORDS[13].to_dict()))
+    config = json.loads(json.dumps(RECORDS[-2].to_dict()))
     assert config["axes"] == [{"name": "temperature", "min": 0.5, "max": 1.0, "steps": 2}]
     assert "workers" not in config

@@ -126,6 +126,32 @@ class TestScanConfig:
         with pytest.raises(DomainError):
             AxisSpec("volume", 1.0, 2.0, 5)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"format": "xml"}, "format must be 'csv' or 'json'"),
+            ({"axes": [AxisSpec("j1", 0.1, 0.9, 3), AxisSpec("j1", 0.2, 0.8, 2)], "temperature": 1.0}, "duplicate axis"),
+            (
+                {"axes": [AxisSpec("j2", -1.0, 0.0, 2), AxisSpec("j2_over_j1", -1.0, 0.0, 2)], "j1": 1.0, "temperature": 1.0},
+                "axes j2 and j2_over_j1 conflict",
+            ),
+            (
+                {"axes": [AxisSpec("j2_over_j1", -1.0, 0.0, 2), AxisSpec("j1", 0.5, 1.0, 2)], "temperature": 1.0},
+                "axis j2_over_j1 requires a fixed j1",
+            ),
+            ({"axes": [AxisSpec("temperature", 1.0, 2.0, 2)], "j1": 1.0, "j2": None}, "j2 must be fixed or an axis"),
+        ],
+        ids=["format", "duplicate-axis", "j2-and-ratio", "ratio-with-j1-axis", "no-j2"],
+    )
+    def test_inconsistent_configs_are_rejected(self, overrides, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            make_config(**overrides)
+
+    def test_axis_steps_below_one(self):
+        for steps in (0, -3):
+            with pytest.raises(DomainError, match="steps must be >= 1"):
+                AxisSpec("j2", -1.0, 0.0, steps)
+
     def test_axis_values_match_linspace_bitwise(self):
         rng = random.Random(20261018)
         axes = [(0.8, 2.4, 3), (-1.0, -1.0, 1), (1e300, 1e300, 1)]
@@ -691,6 +717,52 @@ class TestCli:
             assert r.returncode == 1, t
             assert r.stderr.count("error:") == 1 and "Traceback" not in r.stderr, (t, r.stderr)
 
+    @pytest.mark.parametrize("axes", [(), ("j1:0:1:2",), ("j2:-1:0:2", "j2:-2:-1:2")], ids=["none", "j1", "two"])
+    def test_curves_need_one_j2_axis(self, axes, capsys):
+        argv = ["curves", "--temperature", "1"]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: curves needs exactly one axis, over j2\n")
+
+    def test_curves_rows_without_negative_j2_are_empty(self, capsys):
+        # no two-cycle window exists for j2 >= 0: the row is kept, its branches empty
+        assert main(["curves", "--axis", "j2:-1:1:5", "--temperature", "0.8"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "j2,j1_plus,j1_minus"
+        assert [row.split(",")[0] for row in rows] == ["-1", "-0.5", "0", "0.5", "1"]
+        assert all(row.endswith(",,") for row in rows[2:])
+        assert not any(row.endswith(",,") for row in rows[:2])
+
+    def test_scan_config_file_with_an_unknown_format(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"format": "xml"}))
+        argv = ["scan", "--axis", "temperature:1:2:2", "--j1", "0.2", "--j2", "0.4", "--config", str(cfg_file)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: format must be 'csv' or 'json'\n")
+
+    @pytest.mark.parametrize(
+        "point, two_cycles, ferro_lines",
+        [
+            ((0.0, -math.log(2.0), 1.0), [((3.0 - math.sqrt(5.0)) / 2.0) ** 2, ((3.0 + math.sqrt(5.0)) / 2.0) ** 2], 0),
+            ((1.0, 0.15, 0.6), None, 2),
+            ((0.1, 0.05, 3.0), None, 0),
+        ],
+        ids=["two-cycle", "ferro", "neither"],
+    )
+    def test_diagnose_text_lists_two_cycles_and_ferro_points(self, point, two_cycles, ferro_lines, capsys):
+        j1, j2, t = point
+        assert main(["diagnose", "--j1", repr(j1), "--j2", repr(j2), "--temperature", repr(t), "--seeds", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (cycle_line,) = [line for line in lines if line.startswith("two-cycle ratios")]
+        if two_cycles is None:
+            assert cycle_line == "two-cycle ratios: none"
+        else:
+            ratios = [float(x) for x in cycle_line.split(": ")[1].split(", ")]
+            assert ratios == pytest.approx(two_cycles, rel=1e-12)
+        k = lines.index("ferro fixed points:" if ferro_lines else "ferro fixed points: none")
+        assert [line.startswith("  u=(") for line in lines[k + 1 : k + 2 + ferro_lines]] == [True] * ferro_lines + [False]
+
     def test_partition(self):
         r = run_cli("partition", "--j1", "0", "--j2", "0", "--temperature", "1", "--depth", "2")
         assert r.returncode == 0
@@ -708,6 +780,15 @@ class TestCli:
         assert r.returncode == 0 and all(line.startswith("PASS") for line in lines), r.stdout + r.stderr
         unavailable = "PASS  trajectory backends agree: compiled kernel unavailable; running on the python backend"
         assert lines.count(unavailable) == 1, r.stdout
+
+    def test_verify_compares_the_loaded_kernel_with_its_twin(self, monkeypatch, capsys):
+        # the loaded kernel stands in for the compiled one, so the comparison
+        # runs whether or not the compiled kernel is built
+        monkeypatch.setattr(cayleyphase.verify, "KERNEL_BACKEND", "compiled")
+        monkeypatch.setattr(cayleyphase.verify, "_traj", cayleyphase._trajectory_py)
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "PASS  trajectory backends agree: bitwise identical"
 
     def test_verify_catches_a_shifted_star_threshold(self, monkeypatch, capsys):
         # the thresholds' own identity (star_minus * star_plus == 1) survives
@@ -955,6 +1036,13 @@ class TestCli:
             json.loads(results[name][1], parse_constant=_reject_constant)
         assert json.loads(results["partition-overflowing"][1])["log_Z"] == pytest.approx(2020.2931471805598, abs=1e-9)
         assert seen == {"ferro counts": [2, 2], "phase counts": [1, 0]}
+
+    def test_partition_log_z_overflow(self, capsys):
+        # log Z doubles with each generation: at j1 = 100, T = 0.3 it passes
+        # the largest double before depth 1022 does
+        argv = ["partition", "--j1", "100", "--j2", "0", "--temperature", "0.3", "--depth", "1022", "--log"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "numeric range error: log Z overflowed at depth 1022\n")
 
     def test_partition_overflow_names_the_log_flag(self, capsys):
         argv = ["partition", "--j1", "0.5", "--j2", "-0.3", "--temperature", "1", "--depth", "40"]

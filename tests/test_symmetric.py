@@ -1,7 +1,9 @@
 import math
 import random
+import struct
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from cayleyphase import (
     ParameterRangeError,
     critical_curve,
     critical_temperature,
-    cycle_thresholds,
     derive_params,
     lift_fixed_point,
     lift_two_cycle,
@@ -27,9 +28,10 @@ from cayleyphase import (
     symmetric_residual,
     tabulate_critical_curves,
 )
+from cayleyphase.symmetric import _phase_counts
 
 from conftest import DIAGNOSE_POINTS, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff
-from oracles import multi_root_window, params_at_level, ratio_map2
+from oracles import multi_root_window, params_at_level, ratio_map2, star_window
 
 
 # closed forms of the slice lifts: independent oracles for the homogeneity lift
@@ -167,6 +169,45 @@ class TestSolveFixedPoints:
                 assert abs(ratio_map(p, r.x) - r.x) <= 1e-12 * r.x
         assert answered >= 200 and refused >= 5
 
+    def test_newton_step_polishes_each_root(self):
+        # bisection in y = b^2 x alone leaves roots up to about 200 ulps off
+        rng = random.Random(5)
+        ulps = []
+        for _ in range(300):
+            c = Couplings(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0))
+            p = derive_params(c)
+            ulps += [ulps_from_the_exact_fixed_point(p, r.x) for r in solve_fixed_points(p).roots]
+        assert len(ulps) == 370
+        assert max(ulps) <= 10.0
+
+
+def ulps_from_the_exact_fixed_point(p: BoltzmannParams, x: float) -> float:
+    """Distance in ulps from ``x`` to where ``g(x) - x`` changes sign, at the
+    exact weights: the sign change lies between two adjacent doubles, half an
+    ulp from each.  Positive doubles are ordered as their bit patterns."""
+    a2, b2 = Fraction(p.a) ** 2, Fraction(p.b) ** 2
+
+    def sign(i: int) -> int:
+        y = Fraction(*struct.unpack("<d", struct.pack("<q", i)))
+        h = a2 * (1 + b2 * y) ** 2 - y * (b2 + y) ** 2  # (g(y) - y)(b^2 + y)^2
+        return (h > 0) - (h < 0)
+
+    (i,) = struct.unpack("<q", struct.pack("<d", x))
+    s = sign(i)
+    if s == 0:
+        return 0.0
+    step = 1
+    while sign(i + step) == s and sign(i - step) == s:
+        step *= 2
+    lo, hi = (i, i + step) if sign(i + step) != s else (i - step, i)
+    s_lo = sign(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sign(mid) == 0:
+            return float(abs(i - mid))
+        lo, hi = (mid, hi) if sign(mid) == s_lo else (lo, mid)
+    return abs(2 * (i - lo) - 1) / 2
+
 
 def exact_two_cycle_roots(p: BoltzmannParams) -> tuple[Decimal, Decimal]:
     """Roots of the two-cycle quadratic at the exact weights, to 120 digits."""
@@ -209,7 +250,7 @@ class TestTwoCycles:
     def test_no_roots_above_threshold(self):
         p = BoltzmannParams(1.0, 0.9)
         assert solve_two_cycles(p).roots == ()
-        assert cycle_thresholds(p.b).star_minus is None
+        assert star_window(p.b) is None
 
     def test_b_one_discriminant_exactly_zero(self):
         rep = solve_two_cycles(BoltzmannParams(2.0, 1.0))
@@ -217,8 +258,7 @@ class TestTwoCycles:
         assert rep.roots == ()  # the merged root is negative there
 
     def test_boundary_gives_single_degenerate_root(self):
-        th = cycle_thresholds(0.5)
-        p = BoltzmannParams(math.sqrt(th.star_plus), 0.5)
+        p = BoltzmannParams(math.sqrt(star_window(0.5)[1]), 0.5)
         rep = solve_two_cycles(p)
         assert rep.degenerate
         (x1,) = rep.roots
@@ -233,16 +273,14 @@ class TestTwoCycles:
             a = float(10.0 ** rng.uniform(-0.8, 0.8))
             p = BoltzmannParams(a, b)
             rep = solve_two_cycles(p)
-            th = cycle_thresholds(p.b)
-            expect_positive = (
-                th.star_minus is not None and th.star_minus < a * a < th.star_plus
-            )
+            th = star_window(p.b)
+            expect_positive = th is not None and th[0] < a * a < th[1]
             if expect_positive:
                 assert rep.discriminant > 0.0
                 assert rep.b_coeff < 0.0
                 assert len(rep.roots) == 2
-            elif abs(b - 1.0) > 1e-12 and th.star_minus is not None and not (
-                abs(a * a - th.star_minus) < 1e-9 or abs(a * a - th.star_plus) < 1e-9
+            elif abs(b - 1.0) > 1e-12 and th is not None and not (
+                abs(a * a - th[0]) < 1e-9 or abs(a * a - th[1]) < 1e-9
             ):
                 assert rep.discriminant < 0.0
                 assert rep.roots == ()
@@ -272,43 +310,38 @@ class TestTwoCycles:
 
 
 class TestCycleThresholds:
+    # the edges in a^2 of the window where the two-cycle pair exists: the
+    # closed form behind critical_curve, which gives the same edges in j1
     def test_values_at_half(self):
-        th = cycle_thresholds(0.5)
-        assert th.star_minus == pytest.approx(0.102993, rel=2e-5)
-        assert th.star_plus == pytest.approx(9.70951, rel=2e-5)
-        # the two star thresholds are exact reciprocals
-        assert th.star_minus * th.star_plus == pytest.approx(1.0, rel=1e-12)
-        assert th.outer_minus <= th.star_minus < th.star_plus <= th.outer_plus
+        lo, hi = star_window(0.5)
+        assert lo == pytest.approx(0.102993, rel=2e-5)
+        assert hi == pytest.approx(9.70951, rel=2e-5)
+        # the two edges are exact reciprocals
+        assert lo * hi == pytest.approx(1.0, rel=1e-12)
 
     def test_merge_at_critical_b(self):
-        th = cycle_thresholds(math.sqrt(1.0 / 3.0))
-        assert th.star_minus == pytest.approx(th.star_plus, rel=1e-7)
+        lo, hi = star_window(math.sqrt(1.0 / 3.0))
+        assert lo == pytest.approx(hi, rel=1e-7)
 
     def test_absent_above_critical_b(self):
-        for b in (0.9, 1.0, 1.5):
-            th = cycle_thresholds(b)
-            assert th.star_minus is None and th.star_plus is None
-        # outer pair exists a bit beyond the star pair
-        assert cycle_thresholds(0.6).outer_minus is not None
-        assert cycle_thresholds(0.6).star_minus is None
+        for b in (0.6, 0.9, 1.0, 1.5):
+            assert star_window(b) is None
 
     def test_ordering_when_both_present(self, rng):
         for _ in range(50):
             b = float(rng.uniform(0.1, math.sqrt(1.0 / 3.0) - 1e-6))
-            th = cycle_thresholds(b)
-            assert th.outer_minus <= th.star_minus < th.star_plus <= th.outer_plus
+            lo, hi = star_window(b)
+            assert 0.0 < lo < hi
 
     def test_range_at_extreme_b(self):
-        # the thresholds scale as b^-6: below b ~ 5.3e-52 they leave the
-        # double range, which once gave 0 and inf, or a ZeroDivisionError
-        for b in (1e-52, 1e-60):
-            with pytest.raises(ParameterRangeError):
-                cycle_thresholds(b)
-        th = cycle_thresholds(1e-51)
-        assert 0.0 < th.outer_minus <= th.star_minus < th.star_plus <= th.outer_plus < math.inf
-        assert th.star_minus * th.star_plus == pytest.approx(1.0, rel=1e-12)
-        # b**4 overflows a double here; no threshold exists above b = 1
-        assert cycle_thresholds(1e100) == cycle_thresholds(1.5)
+        # the edges scale as b^-6 and still fit a double at b = 1e-51
+        lo, hi = star_window(1e-51)
+        assert 0.0 < lo < hi < math.inf
+        assert lo * hi == pytest.approx(1.0, rel=1e-12)
+        # the critical curve forms them in logs, so it needs no range guard
+        s = critical_curve(math.log(1e-51), 1.0)
+        assert s.j1_plus == pytest.approx(153.0 * math.log(10.0) - math.log(2.0), rel=1e-15)
+        assert s.j1_minus == -s.j1_plus
 
 
 class TestLifts:
@@ -431,15 +464,38 @@ class TestCriticalTemperature:
             assert b_tilde == pytest.approx(1.0 / 9.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize("j2", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_j2(self, j2):
+        with pytest.raises(DomainError, match="j2 must be finite"):
+            critical_temperature(j2)
+
+
 class TestCriticalCurve:
+    @pytest.mark.parametrize(
+        "j2, beta, message",
+        [
+            (0.0, 1.0, "j2 < 0"),
+            (0.5, 1.0, "j2 < 0"),
+            (-math.inf, 1.0, "j2 < 0"),
+            (math.nan, 1.0, "j2 < 0"),
+            (-1.0, 0.0, "beta"),
+            (-1.0, -1.0, "beta"),
+            (-1.0, math.inf, "beta"),
+            (-1.0, math.nan, "beta"),
+        ],
+    )
+    def test_rejects_bad_inputs(self, j2, beta, message):
+        with pytest.raises(DomainError, match=message):
+            critical_curve(j2, beta)
+
     def test_matches_thresholds_at_half(self):
         # choose (j2, beta) with b = exp(j2 beta) = 0.5
         beta = 2.0
         j2 = math.log(0.5) / beta
         s = critical_curve(j2, beta)
-        th = cycle_thresholds(0.5)
-        assert math.exp(2.0 * s.j1_plus * beta) == pytest.approx(th.star_plus, rel=1e-12)
-        assert math.exp(2.0 * s.j1_minus * beta) == pytest.approx(th.star_minus, rel=1e-12)
+        lo, hi = star_window(0.5)
+        assert math.exp(2.0 * s.j1_plus * beta) == pytest.approx(hi, rel=1e-12)
+        assert math.exp(2.0 * s.j1_minus * beta) == pytest.approx(lo, rel=1e-12)
         # the two branches are mirror images in j1
         assert s.j1_plus == pytest.approx(-s.j1_minus, rel=1e-12)
 
@@ -520,6 +576,13 @@ class TestPhaseCounts:
         c = Couplings(math.log(p.a), math.log(p.b), t)
         assert phase_counts(c) == (3, 0)
 
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_double_root_at_a_window_edge_counts_once(self, b):
+        # the level touches the window edge: the knot's sign is 0, one root
+        # that no sign change brackets
+        for level in multi_root_window(b**4):
+            assert _phase_counts(params_at_level(level, b))[0] == 2
+
     def test_counts_equal_solver_root_counts(self, rng):
         n = 500
         wide = rng.uniform([-3.0, -3.0, 0.1], [3.0, 3.0, 4.0], size=(n, 3))
@@ -532,7 +595,7 @@ class TestPhaseCounts:
         edges = [
             (0.5 * math.log(a2), math.log(b), 1.0)
             for b in np.linspace(0.02, 0.577, 200).tolist()
-            for a2 in (cycle_thresholds(b).star_minus, cycle_thresholds(b).star_plus)
+            for a2 in star_window(b)
         ]
         for j1, j2, t in np.vstack([wide, cold, edges]).tolist():
             c = Couplings(j1, j2, t)
