@@ -68,7 +68,8 @@ def candidates(tree: ast.Module, op: str) -> list:
             out.append((node.lineno, node))
         elif op == "pass":
             for field in ("body", "orelse", "finalbody"):
-                for k, stmt in enumerate(getattr(node, field, None) or ()):
+                stmts = getattr(node, field, None)
+                for k, stmt in enumerate(stmts if isinstance(stmts, list) else ()):  # not an IfExp's
                     if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr)) and not _is_docstring(stmt):
                         out.append((stmt.lineno, (node, field, k)))
         elif op == "arith" and isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
