@@ -355,6 +355,12 @@ class TestBracketedRoot:
         root = bracketed_root(lambda x: x - 1.7e308, 1e308, 1.79e308)
         assert root == pytest.approx(1.7e308, rel=1e-15)
 
+    def test_adjacent_subnormal_ends(self):
+        # 1e-15 * hi is 0 here, so only the midpoint landing on an end stops
+        # the loop
+        lo, hi = 5e-324, 1e-323
+        assert bracketed_root(lambda x: -1.0 if x < hi else 1.0, lo, hi) == lo
+
     def test_rejects_bracket_without_sign_change(self):
         with pytest.raises(ValueError):
             bracketed_root(lambda x: x * x + 1.0, 0.1, 10.0)

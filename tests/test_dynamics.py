@@ -274,6 +274,15 @@ class TestBackends:
             with pytest.raises(ValueError, match="p_max must be between 0 and 256"):
                 kernel.run_trajectory(*args)
 
+    def test_no_steps_is_an_aperiodic_start(self, compiled_kernel):
+        # iterate asks for at least 100 steps; the kernels answer fewer alike
+        from cayleyphase import _trajectory_py as py
+
+        p = derive_params(Couplings(1.0, 0.15, 0.6))
+        args = (p.a, p.b, 1.0, 0.3, 0.2, 0.05, 0, TOL, BURN_IN, P_MAX)
+        for kernel in (py, compiled_kernel):
+            assert kernel.run_trajectory(*args) == (py.APERIODIC, 0, 0, 0.0, [(1.0, 0.3, 0.2, 0.05)])
+
     def test_kernel_compiles_without_warnings(self):
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
         include = Path(sysconfig.get_paths()["include"])

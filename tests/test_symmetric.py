@@ -463,7 +463,6 @@ class TestCriticalTemperature:
             b_tilde = math.exp(4.0 * j2 / tc)
             assert b_tilde == pytest.approx(1.0 / 9.0, rel=1e-12)
 
-
     @pytest.mark.parametrize("j2", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_j2(self, j2):
         with pytest.raises(DomainError, match="j2 must be finite"):
