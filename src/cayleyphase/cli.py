@@ -337,7 +337,3 @@ def run() -> None:
         raise SystemExit(code)
     sys.stderr.flush()
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

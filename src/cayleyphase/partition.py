@@ -57,10 +57,9 @@ def initial_branch_weights(p: BoltzmannParams) -> StateVector:
 
 
 def _close(u: StateVector) -> float:
-    try:
-        return (u.u1 + u.u2) ** 2 + (u.u3 + u.u4) ** 2
-    except OverflowError:  # float ** raises where * would give inf
-        return math.inf
+    # a product overflows to inf quietly, and every caller judges that
+    s, t = u.u1 + u.u2, u.u3 + u.u4
+    return s * s + t * t
 
 
 def partition_recurrence(p: BoltzmannParams, n: int) -> tuple[float, StateVector]:

@@ -71,7 +71,7 @@ SADDLE_BOUNDARY = "saddle-boundary"
 # splits under last-ulp coefficient noise.
 _BOUNDARY_RTOL = 1e-8
 _LIFT_INPUT_RTOL = 1e-8
-# Two-cycle discriminant below this fraction of B^2 is treated as the
+# A scaled two-cycle quadratic with ``|q - 4|`` at most this is treated as the
 # degenerate (merged-pair) boundary.
 _DEGENERATE_WINDOW = 1e-14
 _LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
@@ -94,9 +94,10 @@ class TwoCycleReport(namedtuple("TwoCycleReport", "b_coeff discriminant roots de
     """Period-two ratios distinct from fixed points.
 
     ``b_coeff`` and ``discriminant`` are the linear coefficient and the
-    discriminant of the cleared quadratic whose roots are the two cycle
-    ratios; ``degenerate`` marks the boundary where the pair merges into a
-    single ratio (which is then also a fixed point, with derivative -1).
+    discriminant of the scaled quadratic ``y^2 + b_coeff y + 1 = 0`` whose
+    roots, times ``c`` of :func:`solve_two_cycles`, are the two cycle ratios;
+    ``degenerate`` marks the boundary where the pair merges into a single
+    ratio (which is then also a fixed point, with derivative -1).
     """
 
     __slots__ = ()
@@ -195,7 +196,8 @@ def solve_fixed_points(p: BoltzmannParams) -> FixedPointReport:
 
 def _star_numerator(b: float) -> float | None:
     """``mid + r``, where ``(mid + r) / (8 b^6)`` is the upper edge in ``a**2``
-    of the star window, inside which the two-cycle discriminant is positive;
+    of the star window, inside which the two-cycle discriminant is positive
+    (``q > 4`` in :func:`_two_cycle_quadratic`);
     None where the window is empty (``9 b^4 - 1 > 1e-12``, so ``b`` above
     about ``sqrt(1/3)``).  The edges are the roots of a quadratic in ``a**2``
     whose root product is exactly 1, so the lower edge is the reciprocal."""
@@ -208,31 +210,19 @@ def _star_numerator(b: float) -> float | None:
 
 
 def _two_cycle_quadratic(p: BoltzmannParams):
-    """``(B, disc, lead, const, count)`` of the quadratic of :func:`solve_two_cycles`;
-    ``count`` is 2 for B < 0 and disc above the degenerate window, 1 inside it,
-    else 0, and ``lead`` and ``const`` are formed (not None) only for roots.
-    Raises ``ParameterRangeError`` where B < 0 but the window underflows to 0,
-    and where roots exist but ``lead`` or ``const`` overflows."""
+    """``(b_coeff, discriminant, count)`` of the scaled quadratic of
+    :func:`solve_two_cycles`, from ``q = (1 - b^4)^2 / (b^4 (1 + b^2 (a^2 +
+    a^-2) + b^4))``: ``b_coeff = 2 - q`` and ``discriminant = q (q - 4)``.
+    ``count`` is 2 for ``q - 4`` above the degenerate window, 1 inside it,
+    else 0.  ``q`` lies in [0, 1e300] for every valid ``p``, so nothing here
+    leaves the double range."""
     a2 = p.a * p.a
     b2 = p.b * p.b
     b4 = b2 * b2
-    b6 = b4 * b2
-    b8 = b4 * b4
-    B = a2 * (b8 + 2.0 * (1.0 / a2 + a2) * b6 + 4.0 * b4 - 1.0)
-    disc = -a2 * (b4 - 1.0) ** 2 * (4.0 * b6 * a2 * a2 + (3.0 * b8 + 6.0 * b4 - 1.0) * a2 + 4.0 * b6)
-    window = _DEGENERATE_WINDOW * B * B
-    if B < 0.0 and window == 0.0:
-        # the window cannot tell a merged pair from a discriminant that underflowed
-        raise ParameterRangeError("two-cycle degenerate window underflows a double")
-    count = 0 if B >= 0.0 or disc < -window else (2 if disc > window else 1)
-    if count == 0:
-        return B, disc, None, None, 0
-    try:
-        lead = b4 * (1.0 + a2 * b2) ** 2
-        const = b4 * (a2 + b2) ** 2
-    except OverflowError as exc:
-        raise ParameterRangeError("two-cycle quadratic overflows a double") from exc
-    return B, disc, lead, const, count
+    q = (1.0 - b4) * (1.0 - b4) / (b4 * (1.0 + b2 * (a2 + 1.0 / a2) + b4))
+    gap = q - 4.0
+    count = 2 if gap > _DEGENERATE_WINDOW else (1 if gap >= -_DEGENERATE_WINDOW else 0)
+    return 2.0 - q, q * gap, count
 
 
 def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
@@ -244,23 +234,28 @@ def solve_two_cycles(p: BoltzmannParams) -> TwoCycleReport:
         b^4 (1 + a^2 b^2)^2 x^2 + B x + b^4 (a^2 + b^2)^2 = 0,
         B = a^2 (b^8 + 2 (a^-2 + a^2) b^6 + 4 b^4 - 1).
 
-    Its discriminant factors as ``-a^2 (b^4-1)^2 (4 b^6 a^4 + (3 b^8 + 6 b^4
-    - 1) a^2 + 4 b^6)``, which is the form computed here: it vanishes
-    identically at ``b == 1`` and changes sign exactly at the edges of the
-    star window, the critical curves of :func:`critical_curve`.  Two positive
-    roots exist iff ``B < 0`` and the discriminant is positive; they are
-    returned ascending, straight from the stable form of the quadratic
-    formula, and map to each other under one generation.
+    Its roots multiply to ``c^2``, ``c = (a^2 + b^2)/(1 + a^2 b^2)``, so
+    ``x = c y`` scales it to ``y^2 + (2 - q) y + 1 = 0`` with the ``q`` of
+    :func:`_two_cycle_quadratic`; its discriminant ``q (q - 4)`` vanishes
+    identically at ``b == 1`` (``q = 0``).  Multiplied by ``a^2`` and cleared,
+    ``q > 4`` reads ``4 b^6 a^4 + (3 b^8 + 6 b^4 - 1) a^2 + 4 b^6 < 0``: the
+    star window, the polynomial in ``a^2`` whose roots
+    :func:`_star_numerator` gives and whose edges are the critical curves of
+    :func:`critical_curve`.  Inside it the two roots ``y`` and ``1/y`` give
+    the cycle ratios ``c/y`` and ``c y``, returned ascending, which map to
+    each other under one generation; on its edges they merge at ``c``.
     """
-    B, disc, lead, const, count = _two_cycle_quadratic(p)
+    b_coeff, disc, count = _two_cycle_quadratic(p)
     roots: tuple[float, ...] = ()
-    if count == 2:
-        # stable quadratic formula: large root via -B + sqrt(D), small via product
-        t = 0.5 * (-B + math.sqrt(disc))
-        roots = (const / t, t / lead)
-    elif count == 1:
-        roots = (-B / (2.0 * lead),)
-    return TwoCycleReport(b_coeff=B, discriminant=disc, roots=roots, degenerate=count == 1)
+    if count:
+        a2, b2 = p.a * p.a, p.b * p.b
+        c = (a2 + b2) / (1.0 + a2 * b2)
+        if count == 2:
+            y = 0.5 * (math.sqrt(disc) - b_coeff)  # the root above 1
+            roots = (c / y, c * y)
+        else:
+            roots = (c,)
+    return TwoCycleReport(b_coeff=b_coeff, discriminant=disc, roots=roots, degenerate=count == 1)
 
 
 def lift_fixed_point(p: BoltzmannParams, x: float) -> StateVector:
@@ -367,5 +362,5 @@ def _phase_counts(p: BoltzmannParams) -> tuple[int, int]:
     _, knots = _level_signs(p)
     para = sum(s0 * s1 < 0 for (_, s0), (_, s1) in zip(knots, knots[1:]))
     para += sum(s == 0 for _, s in knots)
-    return para, _two_cycle_quadratic(p)[4]
+    return para, _two_cycle_quadratic(p)[2]
 

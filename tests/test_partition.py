@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ class TestInitialWeights:
         assert z == pytest.approx(2.0 * (p.a + 1.0 / p.a) ** 2, rel=1e-14)
         assert z == pytest.approx(enumerate_partition(c, 1), rel=1e-12)
 
+
+    def test_depth_one_is_the_rounded_double_square(self):
+        # Z_1 = 2 s^2 with s = a + 1/a, and s * s rounds once, so Z_1 is the
+        # correctly rounded 2 s^2; s ** 2 goes through pow, which rounds this
+        # s one ulp away on some libms
+        p = derive_params(Couplings(-1.1663173494304706, 0.2153088153575431, 1.3316425107603578))
+        z, u = partition_recurrence(p, 1)
+        s = u.u1 + u.u2
+        assert u.u3 + u.u4 == s
+        assert z == float(2 * Fraction(s) ** 2) == 15.87571591638544
 
 class TestEnumeration:
     def test_free_spins_count_states(self):

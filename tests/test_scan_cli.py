@@ -932,10 +932,6 @@ class TestCli:
             ("partition", *point, "--log", "--depth", "1023"),
             # trajectory components underflow to zero
             ("diagnose", "--j1", "-300", "--j2", "-80", "--temperature", "1"),
-            # the two-cycle quadratic's degenerate window underflows
-            ("diagnose", "--j1", "-188", "--j2", "-74.3", "--temperature", "1"),
-            # the two-cycle quadratic has roots, and its coefficients overflow
-            ("diagnose", "--j1", "178.40676446088116", "--j2", "-59.809030290529215", "--temperature", "1"),
             # trajectory components underflow to zero
             ("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1"),
             ("diagnose", "--j1", "-71.7", "--j2", "-84.2", "--temperature", "1"),
@@ -953,9 +949,16 @@ class TestCli:
             assert r.stderr.count("numeric range error:") == 1, (args, r.stderr)
             assert "Traceback" not in r.stderr, (args, r.stderr)
 
+    @pytest.mark.parametrize("j1, j2", [(-188, -74.3), (178.40676446088116, -59.809030290529215)])
+    def test_diagnose_where_the_raw_two_cycle_quadratic_leaves_a_double(self, j1, j2, capsys):
+        # the raw quadratic's degenerate window underflows at the first point
+        # and its coefficients overflow at the second; the scaled one answers
+        assert main(["diagnose", "--j1", str(j1), "--j2", str(j2), "--temperature", "1"]) == 0
+        assert "two-commensurate=2" in capsys.readouterr().out
+
     def test_diagnose_where_b_coeff_is_positive_and_huge(self, capsys):
-        # B > 0: no two-cycle, so the quadratic's overflowing coefficients
-        # are never formed
+        # q is tiny: no two-cycle, and the raw quadratic's linear coefficient,
+        # which would overflow, is never formed
         args = ("--j1", "200", "--j2", "-60", "--temperature", "1", "--seeds", "0,1,2,3", "--format", "json")
         assert main(["diagnose", *args]) == 0
         report = json.loads(capsys.readouterr().out)

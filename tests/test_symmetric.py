@@ -95,6 +95,15 @@ class TestSolveFixedPoints:
         (root,) = rep.roots
         assert abs(ratio_map(p, root.x) - root.x) <= 1e-10 * max(1.0, root.x)
 
+    def test_unstable_just_past_the_boundary_band(self):
+        # 1e-4 inside the j1+ critical curve at b = 0.5: the one fixed ratio
+        # has just passed g' = -1, where the two-cycle pair was born
+        p = derive_params(Couplings(1.136452814637052, math.log(0.5), 1.0))
+        (root,) = solve_fixed_points(p).roots
+        assert 1.0 + 1e-8 < abs(root.derivative) < 1.001
+        assert root.stability == "unstable"
+        assert len(solve_two_cycles(p).roots) == 2
+
     def test_three_root_regime_structure(self, params_three_roots):
         rep = solve_fixed_points(params_three_roots)
         assert rep.regime == "three"
@@ -233,9 +242,10 @@ class TestTwoCycles:
 
     def test_half_b_unit_a(self, params_symmetric_cycle):
         rep = solve_two_cycles(params_symmetric_cycle)
-        # exact dyadic inputs: B and the factored discriminant are exact
-        assert rep.b_coeff == -0.68359375
-        assert rep.discriminant == 0.4291534423828125
+        # exact dyadic inputs: q = 9, so the scaled quadratic y^2 - 7 y + 1
+        # and its discriminant q (q - 4) are exact
+        assert rep.b_coeff == -7.0
+        assert rep.discriminant == 45.0
         x_lo, x_hi = rep.roots
         assert 0.0 < x_lo < x_hi
         for y in rep.roots:
@@ -285,28 +295,79 @@ class TestTwoCycles:
                 assert rep.discriminant < 0.0
                 assert rep.roots == ()
 
-    def test_underflowing_degenerate_window_is_a_range_error(self):
-        # B < 0 but 1e-14 B^2 underflows to 0: the window would call an
-        # underflowed discriminant a merged pair, a root the lift rejects
-        with pytest.raises(ParameterRangeError, match="window"):
-            solve_two_cycles(BoltzmannParams(1.3244975993085942e-97, 2.812241467639329e-35))
+    def test_pair_where_the_raw_window_underflowed(self):
+        # 1e-14 B^2 of the raw quadratic underflows to 0 here; the scaled
+        # quadratic has q - 4 far above its window
+        p = BoltzmannParams(1.3244975993085942e-97, 2.812241467639329e-35)
+        rep = solve_two_cycles(p)
+        assert len(rep.roots) == 2 and not rep.degenerate
+        for y in rep.roots:
+            assert abs(ratio_map2(p, y) - y) <= 1e-8 * y
 
     def test_roots_over_the_extreme_box_are_period_two(self):
+        # the raw quadratic refused 392 of these draws: 202 where its
+        # degenerate window underflowed, 190 where its coefficients overflowed
         rng = random.Random(1)
         roots = 0
         for _ in range(20000):
             j1, j2 = rng.uniform(-345, 345), rng.uniform(-86, 86)
             p = derive_params(Couplings(j1, j2, 1.0))
-            try:
-                rep = solve_two_cycles(p)
-            except ParameterRangeError:
-                # b > 1: the ratio map is increasing and has no two-cycle to overflow
-                assert j2 < 0.0, (j1, j2)
-                continue
+            rep = solve_two_cycles(p)
             for y in rep.roots:
                 assert abs(ratio_map2(p, y) - y) <= 1e-8 * y, (p, y)
                 roots += 1
         assert roots > 1000
+
+    def test_count_follows_the_raw_quadratic(self):
+        # the raw rule, where its coefficients fit a double: B < 0 and the
+        # discriminant against the window 1e-14 B^2
+        def raw_count(p):
+            a2, b2 = p.a * p.a, p.b * p.b
+            b4 = b2 * b2
+            b6, b8 = b4 * b2, b4 * b4
+            B = a2 * (b8 + 2.0 * (1.0 / a2 + a2) * b6 + 4.0 * b4 - 1.0)
+            disc = -a2 * (b4 - 1.0) ** 2 * (4.0 * b6 * a2 * a2 + (3.0 * b8 + 6.0 * b4 - 1.0) * a2 + 4.0 * b6)
+            window = 1e-14 * B * B
+            return 0 if B >= 0.0 or disc < -window else (2 if disc > window else 1)
+
+        rng = random.Random(1)
+        draws = [
+            derive_params(Couplings(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.05, 3)))
+            for _ in range(20000)
+        ]
+        edges = [
+            BoltzmannParams(math.sqrt(a2), b)
+            for b in np.linspace(0.02, 0.577, 400).tolist()
+            for a2 in star_window(b)
+        ]
+        counts = {0: 0, 1: 0, 2: 0}
+        for p in draws + edges:
+            n = _phase_counts(p)[1]
+            assert n == raw_count(p) == len(solve_two_cycles(p).roots), p
+            counts[n] += 1
+        assert counts[1] == len(edges) and counts[0] > 1000 and counts[2] > 1000
+
+    def test_roots_against_an_exact_oracle(self):
+        # error in ulps, times sqrt((q - 4)/q): the root's sensitivity to the
+        # last bit of q grows as the pair merges at q = 4
+        rng = random.Random(5)
+        worst = 0.0
+        roots = 0
+        for i in range(4000):
+            if i % 2:
+                p = BoltzmannParams(10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-37.5, 0))
+            else:
+                p = derive_params(Couplings(rng.uniform(-3, 3), rng.uniform(-3, 0), rng.uniform(0.05, 3)))
+            rep = solve_two_cycles(p)
+            if len(rep.roots) < 2:
+                continue
+            q = 2.0 - rep.b_coeff
+            for x, exact in zip(rep.roots, exact_two_cycle_roots(p)):
+                ulps = float(abs(Decimal(x) - exact)) / math.ulp(float(exact))
+                worst = max(worst, ulps * math.sqrt((q - 4.0) / q))
+                roots += 1
+        assert roots > 1000
+        assert worst <= 8.0
 
 
 class TestCycleThresholds:
@@ -559,7 +620,8 @@ class TestPhaseCounts:
         assert para == 1 and comm2 == 0
 
     def test_cold_positive_j2_where_the_quadratic_overflows(self):
-        # b > 1 has no two-cycle; the quadratic's coefficients overflow here
+        # b > 1 has no two-cycle; the raw quadratic's coefficients would
+        # overflow here
         c = Couplings(232.9288032071753, 9.71014349621855, 1)
         assert phase_counts(c) == (1, 0)
         assert solve_two_cycles(derive_params(c)).roots == ()
