@@ -25,8 +25,8 @@ from .scan import (
     ScanConfig,
     _check_seeds,
     _csv,
-    _fmt,
     _json,
+    _json_safe,
     _numpy,
     _scan_chunks,
     _starts_for_seeds,
@@ -90,9 +90,36 @@ def _write_output(text, path: str | None) -> None:
         raise SystemExit(USAGE_ERROR) from exc
 
 
-def _emit(args, payload, lines: list[str]) -> int:
-    # a report is the payload as JSON, or else its text lines
-    _write_output(_json(payload) if args.format == "json" else "\n".join(lines) + "\n", args.output)
+# a value in a text report: its JSON token, with no space in it
+_token = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+
+
+def _pairs(record: dict) -> str:
+    return " ".join(f"{key}={_token(value)}" for key, value in record.items())
+
+
+def _text(payload: dict) -> str:
+    """The text form of a report: one line per field of ``payload``, in
+    payload order. A record reads as ``key=value`` pairs, a list of records
+    as one indented line per record, an empty list as ``none``, and every
+    value as its JSON token, from the ``_json_safe`` payload that the JSON
+    form encodes."""
+    lines = []
+    for key, value in _json_safe(payload).items():
+        if value == []:
+            lines.append(f"{key}: none")
+        elif isinstance(value, dict):
+            lines.append(f"{key}: {_pairs(value)}")
+        elif isinstance(value, list) and all(isinstance(v, dict) for v in value):
+            lines += [f"{key}:", *(f"  {_pairs(record)}" for record in value)]
+        else:
+            lines.append(f"{key}: {_token(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def _emit(args, payload) -> int:
+    # a report is the payload as JSON, or else as text
+    _write_output(_json(payload) if args.format == "json" else _text(payload), args.output)
     return 0
 
 
@@ -114,7 +141,6 @@ def _cmd_diagnose(args) -> int:
     t_c = critical_temperature(c.j2)
     fixed = solve_fixed_points(p)
     cycles = solve_two_cycles(p)
-    para, comm2 = len(fixed.roots), len(cycles.roots)
     ferro = solve_ferro_fixed_points(p)
 
     starts = _starts_for_seeds(seeds)
@@ -129,7 +155,7 @@ def _cmd_diagnose(args) -> int:
         "weights": p._asdict(),
         "critical_temperature": t_c,
         "below_critical": (t_c is not None and c.temperature < t_c),
-        "phase_counts": {"paramagnetic": para, "two_commensurate": comm2},
+        "phase_counts": {"paramagnetic": len(fixed.roots), "two_commensurate": len(cycles.roots)},
         "fixed_points": [r._asdict() for r in fixed.roots],
         "fixed_point_regime": fixed.regime,
         "two_cycles": cycles._asdict(),
@@ -146,36 +172,7 @@ def _cmd_diagnose(args) -> int:
         "consensus_phase": consensus,
         "kernel_backend": KERNEL_BACKEND,
     }
-    lines = [
-        f"point: j1={_fmt(c.j1)} j2={_fmt(c.j2)} T={_fmt(c.temperature)}",
-        f"weights: a={_fmt(p.a)} b={_fmt(p.b)} b^4={_fmt(p.b_tilde)}",
-        f"critical temperature: {'n/a (j2=0)' if t_c is None else _fmt(t_c)}"
-        + ("" if t_c is None else f"  ({'below' if c.temperature < t_c else 'at/above'} it)"),
-        f"phase counts on the flip-symmetric slice: paramagnetic={para} two-commensurate={comm2}",
-        f"fixed points ({fixed.regime}):",
-    ]
-    for r in fixed.roots:
-        lines.append(f"  x={_fmt(r.x)}  f'={_fmt(r.derivative)}  {r.stability}")
-    if cycles.roots:
-        tag = " (degenerate)" if cycles.degenerate else ""
-        lines.append("two-cycle ratios" + tag + ": " + ", ".join(_fmt(x) for x in cycles.roots))
-    else:
-        lines.append("two-cycle ratios: none")
-    if ferro:
-        lines.append("ferro fixed points:")
-        for f in ferro:
-            lines.append(f"  u=({', '.join(_fmt(x) for x in f.u)})  residual={f.full_residual:.2e}")
-    else:
-        lines.append("ferro fixed points: none")
-    lines.append("trajectories:")
-    for seed, outcome, label in runs:
-        extra = f" period={label.period}" if label.period else ""
-        lines.append(
-            f"  seed={seed}: {label.phase}{extra} after {outcome.iterations_used} iterations"
-            f" (m1={label.m1_residual:.2e}, m2={label.m2_residual:.2e})"
-        )
-    lines.append(f"consensus: {consensus}")
-    return _emit(args, report, lines)
+    return _emit(args, report)
 
 
 def _cmd_scan(args) -> int:
@@ -212,7 +209,10 @@ def _cmd_curves(args) -> int:
     columns = ("j2", "j1_plus", "j1_minus")
     samples = tabulate_critical_curves(axes[0].values(), args.temperature)
     rows = [(s.j2, s.j1_plus, s.j1_minus) for s in samples]
-    return _emit(args, [dict(zip(columns, r)) for r in rows], _csv(columns, rows))
+    if args.format == "csv":
+        _write_output("\n".join(_csv(columns, rows)) + "\n", args.output)
+        return 0
+    return _emit(args, [dict(zip(columns, r)) for r in rows])
 
 
 def _cmd_partition(args) -> int:
@@ -226,13 +226,7 @@ def _cmd_partition(args) -> int:
     else:
         z, _ = partition_recurrence(derive_params(c), args.depth)
         result["Z"] = z
-    lines = [f"depth: {args.depth}"]
-    if "Z" in result:
-        lines.append(f"Z = {_fmt(result['Z'])}")
-    else:
-        lines.append(f"log Z = {_fmt(result['log_Z'])}")
-    lines.append(f"free energy density = {_fmt(result['free_energy_density'])}")
-    return _emit(args, result, lines)
+    return _emit(args, result)
 
 
 def _cmd_verify(_args) -> int:
@@ -330,7 +324,12 @@ def run() -> None:
     ``--output`` is closed once written, and a scan reaps its forked
     children before ``main`` returns.  In-process callers use ``main``,
     which returns the exit code and never ends the process.
+
+    It first caps OpenBLAS at one thread, whatever the environment asks: the
+    package never calls BLAS, and the pool OpenBLAS starts at numpy's import
+    spins on a CPU of its own.
     """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     if sys.stderr is None:
         # descriptor 2 closed before the start: the ordinary exit copes with it

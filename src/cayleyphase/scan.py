@@ -316,10 +316,11 @@ def _fork_share(evaluate, points: list):
     for the child and returns its ``_share`` result.
 
     Forked, not spawned: a spawned worker imports the package and numpy
-    afresh, which costs more than a benchmark-sized grid takes. The process
-    may run more than one thread when it forks (``_starts_for_seeds`` has
-    imported numpy, whose BLAS can start threads), and the child inherits
-    only the forking thread: a lock another thread held stays locked in the
+    afresh, which costs more than a benchmark-sized grid takes. The command
+    (``cli.run``) caps OpenBLAS at one thread before numpy loads, so it forks
+    a single-threaded process. An in-process caller that imported numpy
+    itself may run more threads when it forks, and the child inherits only
+    the forking thread: a lock another thread held stays locked in the
     child. The fork relies on the child running only Python and the
     trajectory kernel, never BLAS. Python 3.12 and later may warn that
     forking a multi-threaded process can deadlock the child."""

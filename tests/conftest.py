@@ -2,6 +2,10 @@ import math
 import os
 from pathlib import Path
 
+# as the command does (cli.run): numpy's OpenBLAS starts no thread pool, so
+# the in-process scans fork a single-threaded process
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 import pytest
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cayleyphase.cli
 import cayleyphase.partition
 import cayleyphase.scan
 import cayleyphase.symmetric
@@ -35,7 +36,7 @@ from cayleyphase import (
     run_scan,
     __version__,
 )
-from cayleyphase.cli import _write_output, main
+from cayleyphase.cli import _text, _write_output, main
 from cayleyphase.scan import CSV_COLUMNS, _fmt, _json, _json_safe, _scan_chunks, _starts_for_seeds, _uniforms
 from conftest import DIAGNOSE_POINTS
 
@@ -47,6 +48,39 @@ def _json_reference(payload):
 
 def _one_line(text: str) -> bool:
     return text.endswith("\n") and text.count("\n") == 1
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _read_pairs(line: str) -> dict:
+    record, at = {}, 0
+    while at < len(line):
+        equals = line.index("=", at)
+        key = line[at:equals]
+        assert key not in record, line
+        record[key], at = _decode(line, equals + 1)
+        at += 1  # the space before the next pair
+    return record
+
+
+def _read_text(text: str) -> dict:
+    # a text report read back into its payload; a key seen twice fails
+    report = {}
+    for line in text.splitlines():
+        if line.startswith("  "):
+            report[key].append(_read_pairs(line[2:]))
+            continue
+        key, value = line.split(":", 1)
+        assert key not in report, line
+        value = value.removeprefix(" ")
+        if value in ("", "none"):
+            report[key] = []
+        elif re.match(r"[A-Za-z_]\w*=", value):
+            report[key] = _read_pairs(value)
+        else:
+            report[key] = json.loads(value)
+    return report
 
 
 # nested dicts, lists and tuples of every scalar json writes, with infinities,
@@ -596,8 +630,32 @@ class TestCli:
     def test_diagnose_text(self):
         r = run_cli("diagnose", "--j1", "1", "--j2", "0.9", "--temperature", "1")
         assert r.returncode == 0
-        assert "critical temperature" in r.stdout
-        assert "below" in r.stdout  # T = 1 < 1.8/ln3
+        report = _read_text(r.stdout)
+        assert report["couplings"]["temperature"] < report["critical_temperature"]  # T = 1 < 1.8/ln3
+        assert report["below_critical"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(("diagnose", "--j1", repr(j1), "--j2", repr(j2), "--temperature", repr(t), "--seeds", "0,1",
+               "--max-iter", "5000") for j1, j2, t in DIAGNOSE_POINTS),
+            ("partition", "--j1", "0.5", "--j2", "-0.3", "--temperature", "1", "--depth", "4"),
+            JSON_CALLS["partition"],
+        ],
+        ids=[*(f"diagnose-{k}" for k in range(len(DIAGNOSE_POINTS))), "partition", "partition-log"],
+    )
+    def test_text_is_the_json_payload(self, argv, monkeypatch, capsys):
+        # one line per payload field, each key once, every value the JSON one
+        payloads = []
+        monkeypatch.setattr(cayleyphase.cli, "_json", lambda payload: payloads.append(payload) or _json(payload))
+        assert main([*argv, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert main(list(argv)) == 0
+        text = capsys.readouterr().out
+        (payload,) = payloads
+        assert text == _text(payload)
+        assert _read_text(text) == data
+        assert [line.split(":")[0] for line in text.splitlines() if not line.startswith("  ")] == list(payload)
 
     @pytest.mark.parametrize("command", sorted(JSON_CALLS))
     def test_one_json_form(self, command, capsys):
@@ -749,22 +807,23 @@ class TestCli:
     def test_diagnose_text_lists_two_cycles_and_ferro_points(self, point, two_cycles, ferro_lines, capsys):
         j1, j2, t = point
         assert main(["diagnose", "--j1", repr(j1), "--j2", repr(j2), "--temperature", repr(t), "--seeds", "0"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        (cycle_line,) = [line for line in lines if line.startswith("two-cycle ratios")]
+        text = capsys.readouterr().out
+        report = _read_text(text)
+        ratios = report["two_cycles"]["roots"]
         if two_cycles is None:
-            assert cycle_line == "two-cycle ratios: none"
+            assert ratios == []
         else:
-            ratios = [float(x) for x in cycle_line.split(": ")[1].split(", ")]
             assert ratios == pytest.approx(two_cycles, rel=1e-12)
-        k = lines.index("ferro fixed points:" if ferro_lines else "ferro fixed points: none")
-        assert [line.startswith("  u=(") for line in lines[k + 1 : k + 2 + ferro_lines]] == [True] * ferro_lines + [False]
+        lines = text.splitlines()
+        k = lines.index("ferro_fixed_points:" if ferro_lines else "ferro_fixed_points: none")
+        assert [line.startswith("  C=") for line in lines[k + 1 : k + 2 + ferro_lines]] == [True] * ferro_lines + [False]
 
     def test_partition(self):
         r = run_cli("partition", "--j1", "0", "--j2", "0", "--temperature", "1", "--depth", "2")
         assert r.returncode == 0
-        assert "Z = 128" in r.stdout
-        fe = -math.log(2.0)
-        assert f"{fe:.6f}"[:8] in r.stdout or "-0.6931" in r.stdout
+        report = _read_text(r.stdout)
+        assert report["Z"] == 128
+        assert report["free_energy_density"] == pytest.approx(-math.log(2.0), rel=1e-15)
 
     def test_verify_passes(self):
         r = run_cli("verify")
@@ -954,7 +1013,7 @@ class TestCli:
         # the raw quadratic's degenerate window underflows at the first point
         # and its coefficients overflow at the second; the scaled one answers
         assert main(["diagnose", "--j1", str(j1), "--j2", str(j2), "--temperature", "1"]) == 0
-        assert "two-commensurate=2" in capsys.readouterr().out
+        assert _read_text(capsys.readouterr().out)["phase_counts"]["two_commensurate"] == 2
 
     def test_diagnose_where_b_coeff_is_positive_and_huge(self, capsys):
         # q is tiny: no two-cycle, and the raw quadratic's linear coefficient,
@@ -1356,3 +1415,25 @@ class TestExit:
         assert r.returncode == 0 and r.stdout == f"cayleyphase {cayleyphase.__version__}\n"
         teardown = [line for line in r.stderr.splitlines() if line.startswith(("# cleanup", "# destroy"))]
         assert teardown == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_the_command_starts_no_blas_threads(self):
+        # OpenBLAS starts a thread pool when numpy loads; the command caps it
+        # at one thread, also where the environment asks for more
+        counted = (
+            "import os, sys, cayleyphase.cli, cayleyphase.scan\n"
+            "load = cayleyphase.scan._numpy\n"
+            "def counted():\n"
+            "    numpy = load()\n"
+            "    print('threads', len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+            "    return numpy\n"
+            "cayleyphase.scan._numpy = counted\n"
+            "cayleyphase.cli.run()\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", counted, *JSON_CALLS["diagnose"], "--format", "json"],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}, timeout=600,
+        )
+        assert r.returncode == 0, r.stderr
+        counts = [line for line in r.stderr.splitlines() if line.startswith("threads ")]
+        assert counts and set(counts) == {"threads 1"}, r.stderr
