@@ -7,8 +7,8 @@ calls (size ``full``, read from ``perfbench/workloads.py``) on both sides as
 fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
 
 - stdout and stderr go to files, and every child is reaped with ``wait4``,
-  which also gives its peak RSS and its user plus system CPU time (on Linux
-  that includes the forked workers the child reaped);
+  which also gives its peak RSS and its user plus system CPU time, that of
+  a scan's worker threads included;
 - the two sides alternate which runs first from round to round;
 - exit code, stdout and stderr must agree on every call.  A mismatch is
   recorded and the script exits 1.  A call that differs is also compared as

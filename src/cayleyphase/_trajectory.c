@@ -87,9 +87,11 @@ run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     double c1 = u1, c2 = u2, c3 = u3, c4 = u4;
     double t1, t2, t3, t4, w1, w2, w3, w4, m, d, dq, cj, *h;
     Py_ssize_t t, q, q_hi;
-    int j;
+    int j, kind = APERIODIC;
 
     d = 0.0;
+    /* the loop touches no Python object, so other threads run meanwhile */
+    Py_BEGIN_ALLOW_THREADS
     for (t = 1; t <= max_iter; t++) {
         t1 = b * c1 + binv * c2;
         t2 = b * c3 + binv * c4;
@@ -107,8 +109,8 @@ run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         if (w4 > m)
             m = w4;
         if (m == 0.0) {
-            PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-            return NULL;
+            kind = -1;
+            break;
         }
         c1 = w1 / m;
         c2 = w2 / m;
@@ -138,9 +140,18 @@ run_trajectory(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         h[1] = c2;
         h[2] = c3;
         h[3] = c4;
-        if (dq <= tol)
-            return Py_BuildValue("(inndN)", q == 1 ? FIXED : CYCLE, q, t, dq, state_list(ring, t - q + 1, q));
+        if (dq <= tol) {
+            kind = q == 1 ? FIXED : CYCLE;
+            break;
+        }
     }
+    Py_END_ALLOW_THREADS
+    if (kind < 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return NULL;
+    }
+    if (kind != APERIODIC)
+        return Py_BuildValue("(inndN)", kind, q, t, dq, state_list(ring, t - q + 1, q));
     /* t - 1 is max_iter, or 0 when max_iter < 1 */
     return Py_BuildValue("(inndN)", APERIODIC, (Py_ssize_t)0, max_iter, d, state_list(ring, t - 1, 1));
 }

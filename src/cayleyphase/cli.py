@@ -321,8 +321,8 @@ def run() -> None:
     every ``atexit`` hook, among them those that other code registered, such
     as coverage's subprocess hook.  It also drops, unflushed, what a failed
     write left in stdout's buffer.  The package registers no hook,
-    ``--output`` is closed once written, and a scan reaps its forked
-    children before ``main`` returns.  In-process callers use ``main``,
+    ``--output`` is closed once written, and a scan joins its threads
+    before ``main`` returns.  In-process callers use ``main``,
     which returns the exit code and never ends the process.
 
     It first caps OpenBLAS at one thread, whatever the environment asks: the

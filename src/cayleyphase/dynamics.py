@@ -104,7 +104,8 @@ def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITE
     (period 1); 2 <= q <= ``P_MAX`` (64), tested from step ``BURN_IN`` (200)
     on, a cycle of period q.  With no return in ``max_iter`` steps the run is
     aperiodic (period 0) -- a valid outcome, not an error.  Raises
-    ``ParameterRangeError`` when a component of the run underflows to zero.
+    ``ParameterRangeError`` when a component of the run underflows to zero;
+    its ``iterations`` is the step at which the run stopped.
     """
     if not 100 <= max_iter <= sys.maxsize:  # the compiled kernel counts in a C ssize_t
         raise DomainError(f"max_iter must be between 100 and {sys.maxsize}")
@@ -112,10 +113,15 @@ def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITE
     kind_code, period, iters, residual, states = _traj.run_trajectory(
         p.a, p.b, start.u1, start.u2, start.u3, start.u4, max_iter, TOL, BURN_IN, P_MAX
     )
+    try:
+        attractor = tuple(_computed("trajectory", s) for s in states)
+    except ParameterRangeError as exc:
+        exc.iterations = iters
+        raise
     return TrajectoryOutcome(
         kind=_KIND_NAMES[kind_code],
         period=period,
-        attractor=tuple(_computed("trajectory", s) for s in states),
+        attractor=attractor,
         iterations_used=iters,
         residual=residual,
     )

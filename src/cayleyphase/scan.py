@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import islice
 
 from . import __version__
-from .core import BoltzmannParams, Couplings, DomainError, StateVector, derive_params
+from .core import BoltzmannParams, Couplings, DomainError, ParameterRangeError, StateVector, derive_params
 from .dynamics import (
     DEFAULT_MAX_ITER,
     PhaseLabel,
@@ -229,6 +229,9 @@ def _starts_for_seeds(seeds: list[int]) -> dict[int, StateVector]:
     return {seed: StateVector(*(float(x) for x in 10.0 ** np.array(_uniforms(seed)))) for seed in seeds}
 
 
+_OUT_OF_RANGE = PhaseLabel("out-of-range", None, None, None)
+
+
 def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
     j1 = values.get("j1", cfg.j1)
     temperature = values.get("temperature", cfg.temperature)
@@ -242,11 +245,19 @@ def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
 def _trajectories(
     p: BoltzmannParams, seeds: list[int], starts: dict, max_iter: int
 ) -> list[tuple[int, TrajectoryOutcome, PhaseLabel]]:
-    """Each seed's classified run from its start, in seed order."""
+    """Each seed's classified run from its start, in seed order.
+
+    A run whose state leaves the double range is phase ``out-of-range``: its
+    outcome holds only the step at which the kernel stopped, and the rest of
+    its label is empty."""
     runs = []
     for seed in seeds:
-        outcome = iterate(p, starts[seed], max_iter)
-        runs.append((seed, outcome, classify_phase(p, outcome)))
+        try:
+            outcome = iterate(p, starts[seed], max_iter)
+        except ParameterRangeError as exc:
+            runs.append((seed, TrajectoryOutcome(None, None, (), exc.iterations, None), _OUT_OF_RANGE))
+        else:
+            runs.append((seed, outcome, classify_phase(p, outcome)))
     return runs
 
 
@@ -298,90 +309,57 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share(evaluate, points: list) -> tuple[list, Exception | None]:
-    """The rows of each point in turn, up to the first point that raises,
-    and that point's exception (or None); so with ``k`` points done, the
-    failing point is ``points[k]``."""
-    done = []
-    try:
-        for point in points:
-            done.append(evaluate(point))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
-def _fork_share(evaluate, points: list):
-    """Evaluate ``points`` in a forked child; return a function that waits
-    for the child and returns its ``_share`` result.
-
-    Forked, not spawned: a spawned worker imports the package and numpy
-    afresh, which costs more than a benchmark-sized grid takes. The command
-    (``cli.run``) caps OpenBLAS at one thread before numpy loads, so it forks
-    a single-threaded process. An in-process caller that imported numpy
-    itself may run more threads when it forks, and the child inherits only
-    the forking thread: a lock another thread held stays locked in the
-    child. The fork relies on the child running only Python and the
-    trajectory kernel, never BLAS. Python 3.12 and later may warn that
-    forking a multi-threaded process can deadlock the child."""
-    import pickle  # here, as it adds a fifth to the package's import time
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the child inherits the scan and its starts, sends back only its
-        # result, and leaves without running the parent's exit handlers
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                pickle.dump(_share(evaluate, points), out, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-
-    def wait() -> tuple[list, Exception | None]:
-        try:
-            with open(read_fd, "rb") as result:
-                data = result.read()
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0:  # killed, or its result did not pickle: no row came back
-            return [], RuntimeError(f"scan worker exited with status {code}")
-        return pickle.loads(data)  # bytes from this program's own child
-
-    return wait
-
-
 def run_scan(cfg: ScanConfig) -> list[ScanRow]:
-    """Evaluate the grid; rows are returned in deterministic grid order."""
+    """Evaluate the grid; rows are returned in deterministic grid order.
+
+    ``n = min(workers, grid points, CPUs)`` threads share the grid: share k
+    takes every n-th point from k, so the slow modulated region is spread
+    over all of them, and the calling thread takes share 0. They overlap in
+    the compiled kernel, which releases the interpreter lock while it steps.
+    A failing scan raises the earliest failing grid point's exception, as a
+    serial scan would; every thread is joined before this returns or raises."""
+    import threading  # here: no other command starts a thread
+
     evaluate = functools.partial(_evaluate_point, cfg, _starts_for_seeds(cfg.seeds))
     grid = _grid(cfg)
-    # start no more processes than can have work or a CPU; without fork the
-    # scan runs in-process
-    n = min(cfg.workers, len(grid), _available_cpus()) if hasattr(os, "fork") else 1
-    # child k takes every n-th point from k, so the slow modulated region is
-    # spread over all of them; the parent takes the points from 0
-    waits = []
+    n = min(cfg.workers, len(grid), _available_cpus())
+    rows = [None] * len(grid)  # a failing point's slot holds its exception
+    # the stop flag: the grid index at which share k failed, else len(grid).
+    # Each share writes only its own slot, and ends before a point past an
+    # earlier failure; a stale read only evaluates one point more
+    failed_at = [len(grid)] * n
+
+    def share(k: int) -> None:
+        for i in range(k, len(grid), n):
+            if min(failed_at) < i:
+                return
+            try:
+                rows[i] = evaluate(grid[i])
+            except Exception as exc:
+                rows[i] = exc
+                failed_at[k] = i
+                return
+
+    threads = []
     try:
         for k in range(1, n):
-            waits.append(_fork_share(evaluate, grid[k::n]))
-        own = _share(evaluate, grid[0::n])
-    finally:
-        # every child is reaped, also when the parent is interrupted
-        shares = [wait() for wait in waits]
-    shares.insert(0, own)
-    points = [None] * len(grid)
-    failures = []
-    for k, (done, exc) in enumerate(shares):
-        points[k : k + n * len(done) : n] = done
-        if exc is not None:
-            failures.append((k + n * len(done), exc))
-    if failures:
-        # the earliest failing grid point, as a serial scan would report
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [row for rows in points for row in rows]
+            thread = threading.Thread(target=share, args=(k,))
+            thread.start()
+            threads.append(thread)
+        share(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        # an interrupt of the calling thread: the other shares end at their
+        # next point, and are joined before it propagates
+        failed_at[0] = -1
+        for thread in threads:
+            thread.join()
+        raise
+    first = min(failed_at)
+    if first < len(grid):
+        raise rows[first]
+    return [row for point_rows in rows for row in point_rows]
 
 
 def _fmt(value) -> str:

@@ -2,8 +2,8 @@ import math
 import os
 from pathlib import Path
 
-# as the command does (cli.run): numpy's OpenBLAS starts no thread pool, so
-# the in-process scans fork a single-threaded process
+# as the command does (cli.run): numpy's OpenBLAS starts no thread pool to
+# spin on a CPU beside the tests
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np

@@ -399,7 +399,7 @@ seen["enumerated"] = [cayleyphase.enumerate_partition(cayleyphase.Couplings(0.8,
 seen["numpy after verify and enumeration"] = loaded("numpy")
 codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "1"))
 seen["pool after one-worker scan"] = loaded("concurrent.futures.process")
-cayleyphase.scan._available_cpus = lambda: 2  # so the scan forks on any machine
+cayleyphase.scan._available_cpus = lambda: 2  # so the scan starts a thread on any machine
 codes.append(run("scan", "--axis", "j2:-1:0:2", *point[:2], "--temperature", "1", "--workers", "2", "--format", "json"))
 seen["pool after two-worker scan"] = [m for m in ("concurrent.futures", "multiprocessing") if loaded(m)]
 codes.append(run("diagnose", *point))
@@ -411,8 +411,8 @@ print(json.dumps({"codes": codes, **seen}))
 
 def test_imports_stay_lazy():
     # numpy loads only where an array is computed, and numpy.random never; a
-    # scan forks its workers itself, so no process pool loads, and pickle
-    # loads only for a fork: the scan's
+    # scan starts its worker threads itself, so no pool loads, and pickle
+    # does not load at import: the scan's
     # start vectors come from a pure-Python generator; the ferro solver runs
     # in plain floats, and the enumeration oracle and verify in exact integer
     # counts; the records are named tuples, so the CLI loads neither

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from cayleyphase import (
     symmetric_residual,
 )
 
+from cayleyphase._trajectory_py import APERIODIC, CYCLE, FIXED
 from cayleyphase.dynamics import BURN_IN, P_MAX, TOL
 from cayleyphase.scan import _starts_for_seeds
 
@@ -180,62 +182,105 @@ def compiled_kernel(tmp_path_factory):
     return module
 
 
+_FERRO = ((1.0, 0.15, 0.6), (1.0, 0.3, 0.2, 0.05))  # fixed at step 9
+_SLICE2 = ((0.0, -0.69, 1.0), (1.0, 0.37, 0.37, 1.0))
+_LOCK4 = ((1.0, -0.6, 0.3), (1.0, 0.618, 0.2718, 0.3141))
+_C1_MAX = ((-0.10900364533813267, 0.8752956962632124, 2.660675840715349), (1.0, 0.2, 0.5, 0.1))
+_FIXED, _APERIODIC, _TWO, _FOUR = (FIXED, 1), (APERIODIC, 0), (CYCLE, 2), (CYCLE, 4)
+# (point, start), max_iter, burn_in, p_max, expected (kind, period)
+BACKEND_CASES = [
+    (((0.6, -0.45, 0.45), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 64, _FOUR),
+    (_FERRO, 5000, 200, 64, _FIXED),
+    (_SLICE2, 5000, 200, 64, _TWO),
+    (((0.25, 0.9, 1.0), (0.2, 1.0, 0.8, 0.3)), 5000, 200, 64, _TWO),
+    # p_max at the ring capacity, on a cycle and on an aperiodic run
+    (((1.0, -1.0, 0.5), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 256, _FOUR),
+    (((1.0, -0.8, 2.0), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 256, _APERIODIC),
+    # the period-1 test survives p_max 0 (a one-slot ring) and 1
+    (_FERRO, 5000, 200, 0, _FIXED),
+    (_FERRO, 5000, 200, 1, _FIXED),
+    (_SLICE2, 5000, 200, 0, _APERIODIC),
+    (_SLICE2, 5000, 200, 1, _APERIODIC),
+    # burn_in past max_iter: no cycle test, but the fixed test runs
+    (_SLICE2, 300, 400, 64, _APERIODIC),
+    (_FERRO, 300, 400, 64, _FIXED),
+    # a period of exactly p_max is found, one above it is not
+    (_SLICE2, 5000, 200, 2, _TWO),
+    (_LOCK4, 5000, 200, 4, _FOUR),
+    (_LOCK4, 5000, 200, 3, _APERIODIC),
+    # c1 stays at the max, 1.0, for 1,758 steps: every candidate agrees
+    # there and the reject must read another component
+    (_C1_MAX, 5000, 200, 64, _TWO),
+    (_C1_MAX, 5000, 200, 256, _TWO),
+    # aperiodic at p_max 256 that wraps the ring many times
+    (((1.0, -0.4, 0.36), (1.0, 0.2, 0.5, 0.1)), 5000, 1, 256, _APERIODIC),
+]
+
+
+def _backend_case_args(case):
+    ((j1, j2, t), u0), max_iter, burn_in, p_max, _ = case
+    p = derive_params(Couplings(j1, j2, t))
+    return (p.a, p.b, *u0, max_iter, 1e-12, burn_in, p_max)
+
+
+def _hard_case_args(case):
+    point, seed, max_iter, _ = case
+    p = derive_params(Couplings(*point))
+    return (p.a, p.b, *_seeded_start(seed), max_iter, TOL, BURN_IN, P_MAX)
+
+
 class TestBackends:
     def test_backends_agree_bitwise(self, compiled_kernel):
         from cayleyphase import _trajectory_py as py
 
         assert compiled_kernel.BACKEND == "compiled"
-        fixed, aperiodic = (py.FIXED, 1), (py.APERIODIC, 0)
-        two, four = (py.CYCLE, 2), (py.CYCLE, 4)
-        ferro = ((1.0, 0.15, 0.6), (1.0, 0.3, 0.2, 0.05))  # fixed at step 9
-        slice2 = ((0.0, -0.69, 1.0), (1.0, 0.37, 0.37, 1.0))
-        lock4 = ((1.0, -0.6, 0.3), (1.0, 0.618, 0.2718, 0.3141))
-        c1_max = ((-0.10900364533813267, 0.8752956962632124, 2.660675840715349), (1.0, 0.2, 0.5, 0.1))
-        # (point, start), max_iter, burn_in, p_max, expected (kind, period)
-        cases = [
-            (((0.6, -0.45, 0.45), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 64, four),
-            (ferro, 5000, 200, 64, fixed),
-            (slice2, 5000, 200, 64, two),
-            (((0.25, 0.9, 1.0), (0.2, 1.0, 0.8, 0.3)), 5000, 200, 64, two),
-            # p_max at the ring capacity, on a cycle and on an aperiodic run
-            (((1.0, -1.0, 0.5), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 256, four),
-            (((1.0, -0.8, 2.0), (1.0, 0.37, 0.11, 0.92)), 5000, 200, 256, aperiodic),
-            # the period-1 test survives p_max 0 (a one-slot ring) and 1
-            (ferro, 5000, 200, 0, fixed),
-            (ferro, 5000, 200, 1, fixed),
-            (slice2, 5000, 200, 0, aperiodic),
-            (slice2, 5000, 200, 1, aperiodic),
-            # burn_in past max_iter: no cycle test, but the fixed test runs
-            (slice2, 300, 400, 64, aperiodic),
-            (ferro, 300, 400, 64, fixed),
-            # a period of exactly p_max is found, one above it is not
-            (slice2, 5000, 200, 2, two),
-            (lock4, 5000, 200, 4, four),
-            (lock4, 5000, 200, 3, aperiodic),
-            # c1 stays at the max, 1.0, for 1,758 steps: every candidate agrees
-            # there and the reject must read another component
-            (c1_max, 5000, 200, 64, two),
-            (c1_max, 5000, 200, 256, two),
-            # aperiodic at p_max 256 that wraps the ring many times
-            (((1.0, -0.4, 0.36), (1.0, 0.2, 0.5, 0.1)), 5000, 1, 256, aperiodic),
-        ]
-        for ((j1, j2, t), u0), max_iter, burn_in, p_max, expected in cases:
-            p = derive_params(Couplings(j1, j2, t))
-            args = (p.a, p.b, *u0, max_iter, 1e-12, burn_in, p_max)
+        for case in BACKEND_CASES:
+            args = _backend_case_args(case)
             out = py.run_trajectory(*args)
             assert out == compiled_kernel.run_trajectory(*args), args
-            assert out[:2] == expected, args
+            assert out[:2] == case[-1], args
             assert len(out[4]) == max(out[1], 1)
-            if ((j1, j2, t), u0) == c1_max:
+            if case[0] == _C1_MAX:
                 assert out[2] == 1758 and all(state[0] == 1.0 for state in out[4])
-        for name, (point, seed, max_iter, expected) in HARD_KERNEL_CASES.items():
-            p = derive_params(Couplings(*point))
-            args = (p.a, p.b, *_seeded_start(seed), max_iter, TOL, BURN_IN, P_MAX)
+        for name, case in HARD_KERNEL_CASES.items():
+            args = _hard_case_args(case)
             out = py.run_trajectory(*args)
             assert out == compiled_kernel.run_trajectory(*args), name
-            assert out[:3] == expected, name
+            assert out[:3] == case[-1], name
             if name.startswith("underflow"):
                 assert 0.0 in out[4][-1], name
+
+    def test_kernels_are_thread_safe(self, compiled_kernel):
+        # both kernels, called from 4 threads at once (more than the CPUs
+        # a scan uses here) on a short switch interval, give each call's
+        # serial result bit for bit; the compiled calls, which run without
+        # the interpreter lock and take microseconds, 20 times over
+        from cayleyphase import _trajectory_py as py
+
+        args = [_backend_case_args(case) for case in BACKEND_CASES]
+        args += [_hard_case_args(case) for case in HARD_KERNEL_CASES.values()]
+        calls = [(compiled_kernel, a) for a in args] * 20 + [(py, a) for a in args]
+        serial = [repr(kernel.run_trajectory(*a)) for kernel, a in calls]
+        results = [None] * 4
+
+        def run(k):
+            # each thread starts at another call, so different calls overlap
+            shift = k * len(calls) // 4
+            out = [repr(kernel.run_trajectory(*a)) for kernel, a in calls[shift:] + calls[:shift]]
+            results[k] = out[len(calls) - shift :] + out[: len(calls) - shift]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 4
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(

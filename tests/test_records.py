@@ -1,6 +1,5 @@
 """The package's records are immutable named tuples: fields are read-only,
-they pickle (a scan's forked workers send their rows back pickled, and
-library callers may pickle any record), they build from positional or
+they pickle (library callers may pickle any record), they build from positional or
 keyword arguments, and the five that check their inputs still reject bad
 ones."""
 

@@ -11,6 +11,8 @@ import re
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -245,15 +247,15 @@ class TestScanDeterminism:
         assert format_json(rows1, cfg1) == format_json(rows4, cfg4)
 
     def test_pool_is_bounded(self, monkeypatch):
-        # a fake fork records each child's share of the grid and evaluates it
-        # in-process; no real process starts
-        forks = []
+        # each thread records the points it evaluates: its share of the grid
+        shares = {}
+        evaluate = cayleyphase.scan._evaluate_point
 
-        def fake_fork_share(evaluate, points):
-            forks.append(points)
-            return lambda: cayleyphase.scan._share(evaluate, points)
+        def recorded_point(cfg, starts, point):
+            shares.setdefault(threading.current_thread(), []).append(point)
+            return evaluate(cfg, starts, point)
 
-        monkeypatch.setattr(cayleyphase.scan, "_fork_share", fake_fork_share)
+        monkeypatch.setattr(cayleyphase.scan, "_evaluate_point", recorded_point)
         # grids by their number of points
         grids = {
             1: {"axes": [AxisSpec("temperature", 1.0, 1.0, 1)], "j1": 0.5},
@@ -262,56 +264,57 @@ class TestScanDeterminism:
             9: {},
             400: {"axes": [AxisSpec("temperature", 0.8, 2.4, 20), AxisSpec("j1", 0.1, 0.9, 20)], "seeds": [1]},
         }
-        # (workers, points, cpus, processes): the parent is one of them
+        # (workers, points, cpus, shares): the calling thread takes one of them
         cases = [
-            (6, 1, 8, 1),  # in-process
-            (6, 9, 1, 1),  # in-process
+            (6, 1, 8, 1),  # the calling thread alone
+            (6, 9, 1, 1),  # the calling thread alone
             (6, 9, 4, 4),
             (3, 9, 8, 3),
             (6, 2, 8, 2),
         ]
         cases += [(workers, n, 8, min(workers, n)) for n in (1, 7, 9, 400) for workers in (2, 4)]
         serial = {n: format_csv(run_scan(make_config(**grid))) for n, grid in grids.items()}
-        for workers, n, cpus, processes in cases:
-            forks.clear()
+
+        def check(workers, n, cpus, count):
+            shares.clear()
             monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: cpus)
             cfg = make_config(workers=workers, **grids[n])
             rows = run_scan(cfg)
-            # child k takes every processes-th point from k
+            # share k takes every count-th point from k, share 0 in the calling thread
             grid = cayleyphase.scan._grid(cfg)
-            assert forks == [grid[k::processes] for k in range(1, processes)], (workers, n, cpus)
+            assert shares.pop(threading.current_thread()) == grid[0::count], (workers, n, cpus)
+            assert sorted(shares.values()) == [grid[k::count] for k in range(1, count)], (workers, n, cpus)
             assert format_csv(rows) == serial[n], (workers, n, cpus)
-        # without fork the scan runs in-process
-        forks.clear()
+
+        for case in cases:
+            check(*case)
+        # the shares need no os.fork
         monkeypatch.delattr(cayleyphase.scan.os, "fork")
-        assert format_csv(run_scan(make_config(workers=4, **grids[9]))) == serial[9]
-        assert forks == []
+        check(4, 9, 8, 4)
 
     def test_pool_errors_match_serial(self, monkeypatch, capsys):
-        # real forks; two CPUs, so the pool path runs on any machine
+        # two CPUs, so the pool path runs on any machine
         monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: 2)
-        argv = "scan --j1 1 --j2 -2 --axis temperature:0.03:0.06:4 --seeds 0,1 --max-iter 5000 --workers".split()
+        argv = "scan --j1 1 --j2 0 --axis temperature:1e-300:1:4 --seeds 0,1 --workers".split()
+        threads = threading.enumerate()
         outcomes = []
         for workers in ("1", "2"):
             code = main([*argv, workers])
             outcomes.append((code, capsys.readouterr()))
+            # no share's thread outlives the scan
+            assert threading.enumerate() == threads
         assert outcomes[0] == outcomes[1]
         code, captured = outcomes[0]
         assert code == 2 and captured.out == ""
-        # after the pure-Python kernel's warning, where that kernel runs
-        assert captured.err.splitlines()[-1].startswith("numeric range error: trajectory left the floating-point range")
-        # one line, in the one form of a computed state's range error
+        # one line, after the pure-Python kernel's warning, where that kernel runs
+        assert captured.err.splitlines()[-1] == "numeric range error: a bond weight exp(j*beta) overflows a double"
         assert captured.err.count("numeric range error:") == 1
-        assert captured.err.splitlines()[-1].endswith(" range in component u2")
-        # every child is reaped
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "workers, failing, expected",
         [
-            (2, {1, 2}, "point 1"),  # the child's failure comes first
-            (2, {2, 3}, "point 2"),  # the parent's own
+            (2, {1, 2}, "point 1"),  # share 1's failure comes first
+            (2, {2, 3}, "point 2"),  # the calling thread's own
             (2, {3, 4}, "point 3"),
             (3, {2, 3, 4}, "point 2"),
             (3, {5}, "point 5"),
@@ -319,7 +322,7 @@ class TestScanDeterminism:
     )
     def test_pool_raises_earliest_failure(self, monkeypatch, workers, failing, expected):
         # several points fail: the earliest in grid order is raised, as a
-        # serial scan raises it, whichever process evaluated it
+        # serial scan raises it, whichever thread evaluated it
         monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: workers)
         evaluate = cayleyphase.scan._evaluate_point
 
@@ -330,27 +333,37 @@ class TestScanDeterminism:
 
         monkeypatch.setattr(cayleyphase.scan, "_evaluate_point", failing_point)
         cfg = make_config(axes=[AxisSpec("temperature", 1.0, 2.0, 6)], j1=0.5, workers=workers)
+        threads = threading.enumerate()
         for w in (1, workers):
             with pytest.raises(ParameterRangeError, match=f"^{expected}$"):
                 run_scan(cfg._replace(workers=w))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+            assert threading.enumerate() == threads
 
-    def test_pool_reports_a_dead_child(self, monkeypatch):
+    def test_pool_interrupt_stops_every_share(self, monkeypatch):
+        # an interrupt in share 0 (the calling thread) at point 0, while
+        # share 1 evaluates point 1: share 1 ends before point 3, and the
+        # interrupt leaves run_scan only once share 1 is joined
         monkeypatch.setattr(cayleyphase.scan, "_available_cpus", lambda: 2)
-        parent = os.getpid()
+        started = threading.Event()
+        done = []
 
-        def dying_point(cfg, starts, point):
-            if os.getpid() != parent:
-                os._exit(7)
-            return [point[0]]
+        def interrupted_point(cfg, starts, point):
+            if point[0] == 0:
+                assert started.wait(10)
+                raise KeyboardInterrupt
+            started.set()
+            # long enough for the calling thread to set the stop flag
+            time.sleep(0.5)
+            done.append(point[0])
+            return []
 
-        monkeypatch.setattr(cayleyphase.scan, "_evaluate_point", dying_point)
+        monkeypatch.setattr(cayleyphase.scan, "_evaluate_point", interrupted_point)
         cfg = make_config(axes=[AxisSpec("temperature", 1.0, 2.0, 4)], j1=0.5, workers=2)
-        with pytest.raises(RuntimeError, match="^scan worker exited with status 7$"):
+        threads = threading.enumerate()
+        with pytest.raises(KeyboardInterrupt):
             run_scan(cfg)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert threading.enumerate() == threads
+        assert done == [1]
 
     def test_repeat_runs_identical(self):
         cfg = make_config()
@@ -989,11 +1002,6 @@ class TestCli:
             ("diagnose", "--j1", "1000", "--j2", "0", "--temperature", "0.1"),
             # 2^1024 - 1 sites do not fit a double
             ("partition", *point, "--log", "--depth", "1023"),
-            # trajectory components underflow to zero
-            ("diagnose", "--j1", "-300", "--j2", "-80", "--temperature", "1"),
-            # trajectory components underflow to zero
-            ("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1"),
-            ("diagnose", "--j1", "-71.7", "--j2", "-84.2", "--temperature", "1"),
             # Z = (u1 + u2)^2 + (u3 + u4)^2 overflows, the weights do not
             ("partition", "--j1", "3.437490619714394", "--j2", "0.007838059538823897",
              "--temperature", "0.31179924434389394", "--depth", "6"),
@@ -1007,6 +1015,31 @@ class TestCli:
             assert r.returncode == 2, args
             assert r.stderr.count("numeric range error:") == 1, (args, r.stderr)
             assert "Traceback" not in r.stderr, (args, r.stderr)
+
+    @pytest.mark.parametrize(
+        "j1, j2, temperature", [(-300, -80, 1), (-100, 30, 1), (-71.7, -84.2, 1), (1, -2, 0.03)]
+    )
+    def test_diagnose_of_a_run_out_of_range(self, j1, j2, temperature, capsys):
+        # the run's components underflow to zero: a label, not an abort
+        argv = ["diagnose", "--j1", str(j1), "--j2", str(j2), "--temperature", str(temperature), "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["trajectories"] == [
+            {"seed": 0, "phase": "out-of-range", "period": None, "m1_residual": None, "m2_residual": None,
+             "iterations": 200, "residual": None}
+        ]
+        assert report["consensus_phase"] == "out-of-range"
+
+    def test_scan_of_a_run_out_of_range(self, capsys):
+        # the cold corner: at T = 0.03 both seeds' 4-cycles underflow a
+        # component at step 200; the scan still writes every row
+        argv = "scan --j1 1 --j2 -2 --axis temperature:0.03:0.06:4 --seeds 0,1 --max-iter 5000".split()
+        assert main(argv) == 0
+        cells = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(cells) == 8
+        # phase, cycle_period, then m1_residual, m2_residual and iterations
+        assert [c[7:9] + c[11:14] for c in cells[:2]] == [["out-of-range", "", "", "", "200"]] * 2
+        assert [c[7:9] + c[13:14] for c in cells[2:]] == [["commensurate", "4", "200"]] * 6
 
     @pytest.mark.parametrize("j1, j2", [(-188, -74.3), (178.40676446088116, -59.809030290529215)])
     def test_diagnose_where_the_raw_two_cycle_quadratic_leaves_a_double(self, j1, j2, capsys):
@@ -1168,10 +1201,11 @@ class TestCli:
         assert r.returncode == 0
         assert r.stderr.count(SLOW_KERNEL_WARNING) == 1
         assert json.loads(r.stdout)["kernel_backend"] == "python"
-        # the start vector must not reach the message as a numpy scalar
+        # a run out of range on the twin too; the start vector must not reach
+        # the report as a numpy scalar
         r = run_cli("diagnose", "--j1", "-100", "--j2", "30", "--temperature", "1", pure_python=True)
-        assert r.returncode == 2
-        assert "range" in r.stderr and "np.float64" not in r.stderr
+        assert r.returncode == 0
+        assert '"out-of-range"' in r.stdout and "np.float64" not in r.stdout + r.stderr
 
     @pytest.mark.parametrize("command", ["scan", "diagnose"])
     def test_no_slow_kernel_warning_without_numpy(self, command):
@@ -1205,12 +1239,8 @@ EXIT_PARITY_CALLS = {
     "version": (("--version",), 0),
     "help": (("--help",), 0),
     "usage-error": (("scan", "--bogus"), 1),
-    # the cold corner: a trajectory underflows
-    "range-error": (
-        ("scan", "--j1", "1", "--j2", "-2", "--axis", "temperature:0.03:0.06:4", "--seeds", "0,1",
-         "--max-iter", "5000"),
-        2,
-    ),
+    # the coldest grid point: a bond weight overflows
+    "range-error": (("scan", "--j1", "1", "--j2", "0", "--axis", "temperature:1e-300:1:4", "--seeds", "0,1"), 2),
 }
 
 
