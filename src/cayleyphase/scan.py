@@ -229,9 +229,6 @@ def _starts_for_seeds(seeds: list[int]) -> dict[int, StateVector]:
     return {seed: StateVector(*(float(x) for x in 10.0 ** np.array(_uniforms(seed)))) for seed in seeds}
 
 
-_OUT_OF_RANGE = PhaseLabel("out-of-range", None, None, None)
-
-
 def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
     j1 = values.get("j1", cfg.j1)
     temperature = values.get("temperature", cfg.temperature)
@@ -240,6 +237,9 @@ def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
     else:
         j2 = values.get("j2", cfg.j2)
     return Couplings(j1=j1, j2=j2, temperature=temperature)
+
+
+_OUT_OF_RANGE = PhaseLabel("out-of-range", None, None, None)
 
 
 def _trajectories(
@@ -318,7 +318,7 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
     the compiled kernel, which releases the interpreter lock while it steps.
     A failing scan raises the earliest failing grid point's exception, as a
     serial scan would; every thread is joined before this returns or raises."""
-    import threading  # here: no other command starts a thread
+    import threading  # here, so the commands that start no thread never load it
 
     evaluate = functools.partial(_evaluate_point, cfg, _starts_for_seeds(cfg.seeds))
     grid = _grid(cfg)
