@@ -49,10 +49,12 @@ accepted only when its four components are positive and the recurrence fixes
 each of them to 1e-9 relative to that component.
 
 Candidates come in global-spin-flip pairs (u1,u2,u3,u4) <-> (u4,u3,u2,u1),
-which swap z and w.  Each pair is solved once, on its ``u1 > u4`` member; the
-partner is that member reversed, since the map commutes with the reversal
-bit for bit.  Candidates that collapse onto the symmetric slice are dropped
--- they belong to the fixed-point analysis there, not here.
+which swap z and w.  Each pair is built once, from its root with ``z > w``,
+which is its ``u1 > u4`` member; the partner is that member reversed, since
+the map commutes with the reversal bit for bit.  A root with ``z == w`` is
+no pair's: it lies on the slice, which belongs to the fixed-point analysis
+there.  So no cut near the slice is needed, and a pair is listed however
+close to it it lies.
 """
 
 import math
@@ -65,16 +67,12 @@ from .core import (
     StateVector,
     _computed,
     bracketed_root,
-    ferro_residual,
-    recurrence_residual,
     recurrence_step,
-    symmetric_residual,
 )
 
 __all__ = ["FerroCandidate", "solve_ferro_fixed_points"]
 
 FULL_RESIDUAL_TOL = 1e-9
-_NEAR_SYMMETRIC_TOL = 1e-3
 # the grid in w: 36.5 points a decade (512 points over 1e-14 .. 1), from a
 # floor at most 1e-14, below q^2, near which the cold roots sit, and no lower
 # than the smallest normal double
@@ -92,8 +90,7 @@ class FerroCandidate(namedtuple("FerroCandidate", "C v u full_residual")):
 
 def _accept(p: BoltzmannParams, v: tuple[float, float, float, float]) -> FerroCandidate | None:
     """The candidate at square-root state ``v``, if one generation fixes each
-    weight to ``FULL_RESIDUAL_TOL`` of itself, off the slice and on the ferro
-    surface; else None."""
+    weight to ``FULL_RESIDUAL_TOL`` of itself; else None."""
     if not all(0.0 < x < math.inf for x in v):
         return None
     try:
@@ -104,11 +101,8 @@ def _accept(p: BoltzmannParams, v: tuple[float, float, float, float]) -> FerroCa
     # componentwise, so that a small component must be fixed too
     if any(abs(f - x) > FULL_RESIDUAL_TOL * x for f, x in zip(fu, u)):
         return None
-    if symmetric_residual(u) <= _NEAR_SYMMETRIC_TOL:
-        return None
-    if ferro_residual(p, u) > FULL_RESIDUAL_TOL:
-        return None
-    return FerroCandidate(C=v[1] + v[2], v=v, u=u, full_residual=recurrence_residual(p, u))
+    full_residual = max(abs(f - x) for f, x in zip(fu, u)) / u.max_norm()
+    return FerroCandidate(C=v[1] + v[2], v=v, u=u, full_residual=full_residual)
 
 
 def _below_zero(f, lo: float, hi: float) -> float | None:
@@ -138,16 +132,6 @@ def _mirror(c: FerroCandidate) -> FerroCandidate:
     return FerroCandidate(c.C, c.v[::-1], StateVector._make(c.u[::-1]), c.full_residual)
 
 
-def _dedup(cands: list[FerroCandidate]) -> list[FerroCandidate]:
-    # componentwise, relative to the larger value, as in _accept: two pairs
-    # can share their large components and differ by decades in a small one
-    kept: list[FerroCandidate] = []
-    for c in sorted(cands, key=lambda c: c.C):
-        if all(any(abs(a - b) > 1e-6 * max(a, b) for a, b in zip(c.u, k.u)) for k in kept):
-            kept.append(c)
-    return kept
-
-
 def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     """All symmetry-broken fixed points at these parameters (possibly none).
 
@@ -160,11 +144,11 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     interval, which the sign test cannot see: so at each local minimum of
     |H| where H and A keep their signs, a golden-section search for the
     extremum of H between the neighbouring grid points looks for a point
-    where H changes sign, and each side of it is bisected.  Each root is
-    rebuilt as a state and accepted by the one-generation check; each
-    distinct flip pair is returned as its ``u1 > u4`` member followed by
-    the mirror.  An empty list is a legitimate outcome (no ferromagnetic
-    order at these parameters).  Deterministic for fixed inputs.
+    where H changes sign, and each side of it is bisected.  Each root with
+    ``z > w`` is rebuilt as a state and accepted by the one-generation
+    check; each state is returned followed by its mirror, in order of C.
+    An empty list is a legitimate outcome (no ferromagnetic order at these
+    parameters).  Deterministic for fixed inputs.
     """
     # Python floats, so that far from unit weights the products below
     # overflow to inf or NaN quietly (numpy scalars would warn) and those
@@ -204,7 +188,7 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
         (w0, w1) for (w0, a0, h0), (w1, a1, h1) in zip(walk, walk[1:]) if a0 * a1 > 0.0 and h0 * h1 < 0.0
     ]
     for (w0, a0, h0), (_, a1, h1), (w2, a2, h2) in zip(walk, walk[1:], walk[2:]):
-        if abs(h1) <= min(abs(h0), abs(h2)) and (
+        if abs(h0) > abs(h1) <= abs(h2) and (  # strict on one side: a tie opens one window
             a0 * a1 > 0.0 and a1 * a2 > 0.0 and h0 * h1 > 0.0 and h1 * h2 > 0.0
         ):
             sign = 1.0 if h1 > 0.0 else -1.0
@@ -221,7 +205,9 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
         except ValueError:
             continue
         _, _, z, y = curve(w)
+        if not z > w:  # a u1 < u4 member: its pair is built from its other root
+            continue
         cand = _accept(p, (z / scale, lift * psi(w, 1.0 - w), lift * psi(z, y), w / scale))
         if cand is not None:
-            candidates.append(cand if cand.u.u1 > cand.u.u4 else _mirror(cand))
-    return [m for c in _dedup(candidates) for m in (c, _mirror(c))]
+            candidates.append(cand)
+    return [m for c in sorted(candidates, key=lambda c: c.C) for m in (c, _mirror(c))]

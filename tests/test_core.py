@@ -423,7 +423,7 @@ def test_imports_stay_lazy():
     assert seen["codes"] == [0, 0, 0, 0, 0, 0]
     assert seen["import"] == []
     assert seen["numpy after closed forms"] is False
-    assert seen["ferro counts"] == [2, 2]
+    assert seen["ferro counts"] == [2, 4]
     assert seen["numpy after ferro"] is False
     assert seen["verify passed"] is True
     assert seen["enumerated"] == [True, True, True]

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from cayleyphase import (
@@ -12,11 +15,11 @@ from cayleyphase import (
     recurrence_residual,
     recurrence_step,
     solve_ferro_fixed_points,
-    symmetric_residual,
 )
 from cayleyphase.scan import _starts_for_seeds
 
 from conftest import maxdiff, normalized
+from exact import ferro_count
 
 FERRO_POINTS = [
     Couplings(1.0, 0.15, 0.6),
@@ -34,6 +37,19 @@ FERRO_POINTS = [
     Couplings(1.0, 0.9, 0.09),
 ]
 
+# a second pair, u1/u4 from 20 to 4.5e9, whose large components lie on the
+# slice: two draws of the box below and the three cold FERRO_POINTS that
+# have one
+PAIR_ON_THE_SLICE = [
+    Couplings(1.7691626391049802, 2.2683114287171886, 0.5242665960056699),
+    Couplings(2.2297290445413314, 2.3980696178086873, 0.15246965255736805),
+    *FERRO_POINTS[5:8],
+]
+
+# the first 12 draws of the box j1, j2 in [-3, 3], T in [0.1, 3]
+_BOX = random.Random(1)
+BOX_DRAWS = [Couplings(_BOX.uniform(-3, 3), _BOX.uniform(-3, 3), _BOX.uniform(0.1, 3)) for _ in range(12)]
+
 
 def assert_genuine(p, cands):
     for f in cands:
@@ -41,9 +57,14 @@ def assert_genuine(p, cands):
         assert all(abs(a - x) <= 1e-9 * x for a, x in zip(recurrence_step(p, f.u), f.u))
         assert f.full_residual <= 1e-9
         assert recurrence_residual(p, f.u) <= 1e-9
-        assert symmetric_residual(f.u) > 1e-3
+        assert f.u.u1 != f.u.u4
         assert ferro_residual(p, f.u) <= 1e-9
         assert f.C == pytest.approx(f.v[1] + f.v[2], rel=1e-12)
+    # each pair is listed once: no two pairs agree componentwise to 1e-6
+    for i, f in enumerate(cands):
+        for j, g in enumerate(cands[i + 1 :], start=i + 1):
+            if i // 2 != j // 2:
+                assert any(abs(a - b) > 1e-6 * max(a, b) for a, b in zip(f.u, g.u))
 
 
 def unmatched_ferro_limits(c: Couplings) -> list[int]:
@@ -92,7 +113,9 @@ class TestSolveFerroFixedPoints:
     # roots into one grid interval of H, so the sign walk alone finds only
     # the far pair.  In the last, the two pairs share u1 and differ by
     # decades in their small components, which a dedup by absolute
-    # difference at unit max-norm merged
+    # difference at unit max-norm merged.  In the rest, one pair has its
+    # large components on the slice and its small ones decades apart, which
+    # a cut at slice distance 1e-3 of the max-normalised state dropped
     @pytest.mark.parametrize(
         "c",
         [
@@ -100,6 +123,7 @@ class TestSolveFerroFixedPoints:
             Couplings(1.08, 2.97, 2.75),
             Couplings(0.36, 2.8, 3.82525),
             Couplings(-1.0, 2.0, 0.12525956809681205),
+            *PAIR_ON_THE_SLICE,
         ],
         ids=lambda c: f"j1={c.j1},j2={c.j2},T={c.temperature}",
     )
@@ -109,6 +133,22 @@ class TestSolveFerroFixedPoints:
         assert len(cands) == 4
         assert_genuine(p, cands)
         assert_flip_closed(cands)
+
+    def test_pair_listed_just_below_the_ferro_line(self):
+        # j2 = 0, 1 - T/Tc = 1e-8: the pair lies at slice distance 3.6e-4
+        p = derive_params(Couplings(1.0, 0.0, (1.0 - 1e-8) / math.atanh(0.5)))
+        cands = solve_ferro_fixed_points(p)
+        assert len(cands) == 2
+        assert_genuine(p, cands)
+
+    @pytest.mark.parametrize(
+        "c",
+        [*PAIR_ON_THE_SLICE, FERRO_POINTS[0], *BOX_DRAWS],
+        ids=lambda c: f"j1={c.j1:.6g},j2={c.j2:.6g},T={c.temperature:.6g}",
+    )
+    def test_every_root_of_the_ferro_polynomial_is_listed(self, c):
+        p = derive_params(c)
+        assert len(solve_ferro_fixed_points(p)) == ferro_count(p)
 
     def test_extreme_weights_do_not_raise(self, rng):
         # log-uniform over the accepted weight range (a in [1e-150, 1e150],

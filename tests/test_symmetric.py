@@ -31,6 +31,7 @@ from cayleyphase import (
 from cayleyphase.symmetric import _phase_counts
 
 from conftest import DIAGNOSE_POINTS, TINY_RATIOS, TINY_RATIOS_EXACT, maxdiff
+from exact import slice_count, two_cycle_gap_sign
 from oracles import multi_root_window, params_at_level, ratio_map2, star_window
 
 
@@ -189,6 +190,18 @@ class TestSolveFixedPoints:
         assert len(ulps) == 370
         assert max(ulps) <= 10.0
 
+    def test_count_equals_the_exact_count(self):
+        # Sturm's count of the slice cubic's positive roots, in rationals
+        rng = random.Random(5)
+        draws = [Couplings(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)) for _ in range(300)]
+        counts = {1: 0, 3: 0}
+        for c in [TINY_RATIOS, *draws]:
+            p = derive_params(c)
+            n = len(solve_fixed_points(p).roots)
+            assert n == slice_count(p), c
+            counts[n] += 1
+        assert counts[1] > 100 and counts[3] > 20
+
 
 def ulps_from_the_exact_fixed_point(p: BoltzmannParams, x: float) -> float:
     """Distance in ulps from ``x`` to where ``g(x) - x`` changes sign, at the
@@ -317,6 +330,18 @@ class TestTwoCycles:
                 assert abs(ratio_map2(p, y) - y) <= 1e-8 * y, (p, y)
                 roots += 1
         assert roots > 1000
+
+    def test_count_follows_the_exact_sign_of_q_minus_4(self):
+        # outside the degenerate window the count is 2 where q > 4 and 0
+        # where q < 4, with q in rationals
+        rng = random.Random(1)
+        counts = {0: 0, 2: 0}
+        for _ in range(2000):
+            p = derive_params(Couplings(rng.uniform(-345, 345), rng.uniform(-86, 86), 1.0))
+            n = len(solve_two_cycles(p).roots)
+            assert n == 1 + two_cycle_gap_sign(p), p
+            counts[n] += 1
+        assert counts[0] > 100 and counts[2] > 100
 
     def test_count_follows_the_raw_quadratic(self):
         # the raw rule, where its coefficients fit a double: B < 0 and the
