@@ -98,7 +98,7 @@ def ferro_numerator(p: BoltzmannParams) -> list[Fraction]:
     a, b = Fraction(p.a), Fraction(p.b)
     rho, beta = b / a, 1 / b**4
     q, s = rho * beta, rho * (beta - 1)
-    r = [0, rho, rho * (beta - 1)]  # rho psi(w), psi(w) = w + (beta - 1) w^2
+    r = [0, rho, s]  # rho psi(w), psi(w) = w + (beta - 1) w^2
     R = _mul(r, r)
     e = _add(r, [-s * c for c in R])
     A = _add([q * q - 1, q * s], [s * c for c in e])

@@ -55,8 +55,7 @@ def assert_genuine(p, cands):
     for f in cands:
         # componentwise, so that a small component must be fixed too
         assert all(abs(a - x) <= 1e-9 * x for a, x in zip(recurrence_step(p, f.u), f.u))
-        assert f.full_residual <= 1e-9
-        assert recurrence_residual(p, f.u) <= 1e-9
+        assert f.full_residual == recurrence_residual(p, f.u) <= 1e-9
         assert f.u.u1 != f.u.u4
         assert ferro_residual(p, f.u) <= 1e-9
         assert f.C == pytest.approx(f.v[1] + f.v[2], rel=1e-12)
