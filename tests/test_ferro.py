@@ -37,18 +37,19 @@ FERRO_POINTS = [
     Couplings(1.0, 0.9, 0.09),
 ]
 
-# a second pair, u1/u4 from 20 to 4.5e9, whose large components lie on the
-# slice: two draws of the box below and the three cold FERRO_POINTS that
+# the box j1, j2 in [-3, 3], T in [0.1, 3], drawn from random.Random(1):
+# its first 12 draws
+_BOX = random.Random(1)
+BOX_DRAWS = [Couplings(_BOX.uniform(-3, 3), _BOX.uniform(-3, 3), _BOX.uniform(0.1, 3)) for _ in range(12)]
+
+# a second pair, u1/u4 from 20 to 2.6e10, whose large components lie on the
+# slice: two later draws of the box, and the three cold FERRO_POINTS that
 # have one
 PAIR_ON_THE_SLICE = [
     Couplings(1.7691626391049802, 2.2683114287171886, 0.5242665960056699),
     Couplings(2.2297290445413314, 2.3980696178086873, 0.15246965255736805),
     *FERRO_POINTS[5:8],
 ]
-
-# the first 12 draws of the box j1, j2 in [-3, 3], T in [0.1, 3]
-_BOX = random.Random(1)
-BOX_DRAWS = [Couplings(_BOX.uniform(-3, 3), _BOX.uniform(-3, 3), _BOX.uniform(0.1, 3)) for _ in range(12)]
 
 
 def assert_genuine(p, cands):
