@@ -8,6 +8,10 @@ where it leads, so it would pass many candidates.
 Twin of the compiled loop in ``_trajectory.c``: the arithmetic is written
 operation-for-operation identically so the two backends produce bit-identical
 results.  Do not "simplify" expressions here without mirroring the change.
+Bit-identity holds on the inputs ``dynamics.iterate`` passes: a, b > 0 in
+``BoltzmannParams``' range and a start of max-norm 1.  There the component at
+1 gives two weights whose product is at least 1 (up to rounding), so no step
+divides by zero.
 This module is the reference the backend test compares the C loop against, and
 the backend that runs where no C compiler was available at install time.
 """

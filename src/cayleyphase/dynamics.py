@@ -13,10 +13,12 @@ kernels take all three as arguments, and their ring of past states holds 256.
 Phase dictionary: a fixed direction on the symmetric slice is paramagnetic;
 a fixed direction on the ferro surface is ferromagnetic (on a surface means
 within ``CLASSIFY_TOL``, 1e-6, of it); a period-p cycle is the p-commensurate
-phase; an unresolved trajectory is labelled incommensurate.  A fixed
-direction matching neither surface is labelled ``fixed-direction-other`` and
-counted -- it is not expected to occur, since a fixed direction rescales
-to a true fixed point, but the label keeps the classifier honest.
+phase; an unresolved trajectory is labelled incommensurate, an out-of-range
+run (a component underflowed to zero) ``out-of-range``.  A fixed direction on
+neither surface is ``fixed-direction-other``: at extreme weights the q = 1
+test can stop a run while a component far below the max still moves by
+decades, as seeds 0 and 1 at (j1, j2, T) = (232.9288032071753,
+9.71014349621855, 1) do after 4 steps.
 
 The slice basins need no trajectory: the ratio map (for b < 1 its double
 step) is monotone, so a slice start's class reads off the sorted fixed and
@@ -63,6 +65,8 @@ __all__ = [
 FIXED_DIRECTION = "fixed-direction"
 CYCLE = "cycle"
 APERIODIC = "aperiodic"
+# a kind of outcome and the phase of its label
+OUT_OF_RANGE = "out-of-range"
 
 PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
@@ -87,6 +91,8 @@ class TrajectoryOutcome(namedtuple("TrajectoryOutcome", "kind period attractor i
     the limit (fixed direction or aperiodic's last state) or the final full
     period, oldest first.  ``residual`` is the max-norm difference that
     triggered the verdict (the last step difference for aperiodic runs).
+    An out-of-range run keeps only ``iterations_used``, the step at which
+    the kernel stopped: its period and residual are None, its attractor empty.
     """
 
     __slots__ = ()
@@ -103,9 +109,9 @@ def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITE
     ``TOL`` (1e-12) in max-norm: q = 1, tested every step, is a fixed direction
     (period 1); 2 <= q <= ``P_MAX`` (64), tested from step ``BURN_IN`` (200)
     on, a cycle of period q.  With no return in ``max_iter`` steps the run is
-    aperiodic (period 0) -- a valid outcome, not an error.  Raises
-    ``ParameterRangeError`` when a component of the run underflows to zero;
-    its ``iterations`` is the step at which the run stopped.
+    aperiodic (period 0) -- a valid outcome, not an error.  A run whose
+    final states hold a component outside (0, inf) -- in the cold corner one
+    underflows to zero -- is ``out-of-range``, also a valid outcome.
     """
     if not 100 <= max_iter <= sys.maxsize:  # the compiled kernel counts in a C ssize_t
         raise DomainError(f"max_iter must be between 100 and {sys.maxsize}")
@@ -115,9 +121,8 @@ def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITE
     )
     try:
         attractor = tuple(_computed("trajectory", s) for s in states)
-    except ParameterRangeError as exc:
-        exc.iterations = iters
-        raise
+    except ParameterRangeError:
+        return TrajectoryOutcome(OUT_OF_RANGE, None, (), iters, None)
     return TrajectoryOutcome(
         kind=_KIND_NAMES[kind_code],
         period=period,
@@ -128,7 +133,8 @@ def iterate(p: BoltzmannParams, u0: StateVector, max_iter: int = DEFAULT_MAX_ITE
 
 
 def classify_phase(p: BoltzmannParams, outcome: TrajectoryOutcome) -> PhaseLabel:
-    """Phase label for a resolved trajectory.
+    """Phase label for a resolved trajectory; an out-of-range run's is all
+    None but its phase, ``out-of-range``.
 
     A fixed direction is paramagnetic when its slice residual is at most
     ``CLASSIFY_TOL`` (1e-6), else ferromagnetic when its ferro residual is.
@@ -142,6 +148,8 @@ def classify_phase(p: BoltzmannParams, outcome: TrajectoryOutcome) -> PhaseLabel
     leaves the double range).  For cycles and aperiodic runs both residuals
     are reported as diagnostics of the last state only.
     """
+    if outcome.kind == OUT_OF_RANGE:
+        return PhaseLabel(OUT_OF_RANGE, None, None, None)
     state = outcome.attractor[-1]
     m1 = symmetric_residual(state)
     if outcome.kind == FIXED_DIRECTION:

@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import islice
 
 from . import __version__
-from .core import BoltzmannParams, Couplings, DomainError, ParameterRangeError, StateVector, derive_params
+from .core import BoltzmannParams, Couplings, DomainError, StateVector, derive_params
 from .dynamics import (
     DEFAULT_MAX_ITER,
     PhaseLabel,
@@ -239,25 +239,14 @@ def _couplings_at(cfg: ScanConfig, values: dict[str, float]) -> Couplings:
     return Couplings(j1=j1, j2=j2, temperature=temperature)
 
 
-_OUT_OF_RANGE = PhaseLabel("out-of-range", None, None, None)
-
-
 def _trajectories(
     p: BoltzmannParams, seeds: list[int], starts: dict, max_iter: int
 ) -> list[tuple[int, TrajectoryOutcome, PhaseLabel]]:
-    """Each seed's classified run from its start, in seed order.
-
-    A run whose state leaves the double range is phase ``out-of-range``: its
-    outcome holds only the step at which the kernel stopped, and the rest of
-    its label is empty."""
+    """Each seed's classified run from its start, in seed order."""
     runs = []
     for seed in seeds:
-        try:
-            outcome = iterate(p, starts[seed], max_iter)
-        except ParameterRangeError as exc:
-            runs.append((seed, TrajectoryOutcome(None, None, (), exc.iterations, None), _OUT_OF_RANGE))
-        else:
-            runs.append((seed, outcome, classify_phase(p, outcome)))
+        outcome = iterate(p, starts[seed], max_iter)
+        runs.append((seed, outcome, classify_phase(p, outcome)))
     return runs
 
 

@@ -16,6 +16,7 @@ from cayleyphase import (
     DomainError,
     ParameterRangeError,
     StateVector,
+    classify_phase,
     derive_params,
     ferro_constraint,
     ferro_residual,
@@ -258,7 +259,8 @@ class TestStateVector:
 class TestRangeErrorForm:
     # a state the arithmetic produced that leaves the double range is a range
     # error in one form, naming the component; a state a caller hands in that
-    # is not positive and finite stays a domain error
+    # is not positive and finite stays a domain error; a trajectory that
+    # leaves it is an outcome, not an error
     @pytest.mark.parametrize(
         "compute, expected",
         [
@@ -266,15 +268,19 @@ class TestRangeErrorForm:
              "recurrence left the floating-point range in component u1"),
             (lambda: normalize(StateVector(1.0, 1e-200, 1.0, 1e200)),
              "rescaling left the floating-point range in component u2"),
-            # the cold corner of the frustrated quadrant
-            (lambda: iterate(derive_params(Couplings(1.0, -2.0, 0.03)), _starts_for_seeds([0])[0]),
-             "trajectory left the floating-point range in component u2"),
         ],
-        ids=["recurrence_step", "normalize", "iterate"],
+        ids=["recurrence_step", "normalize"],
     )
     def test_computed_state(self, compute, expected):
         with pytest.raises(ParameterRangeError, match=f"^{expected}$"):
             compute()
+
+    def test_trajectory_out_of_range_is_an_outcome(self):
+        # the cold corner of the frustrated quadrant: u2 underflows to zero
+        p = derive_params(Couplings(1.0, -2.0, 0.03))
+        out = iterate(p, _starts_for_seeds([0])[0])
+        assert out == ("out-of-range", None, (), 200, None)
+        assert classify_phase(p, out) == ("out-of-range", None, None, None)
 
     def test_caller_state(self):
         with pytest.raises(DomainError, match="u1"):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cayleyphase import (
@@ -217,6 +217,23 @@ BACKEND_CASES = [
 ]
 
 
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+
+
+# BoltzmannParams' range, its corners drawn on their own: a in [1e-150, 1e150]
+# and b with b^4 in it too, from the least to the largest such double
+_B_LO, _B_HI = 3.1622776601683796e-38, 3.162277660168379e37
+_WEIGHTS = st.one_of(st.sampled_from([1e-150, 1.0, 1e150]), _log_uniform(1e-150, 1e150))
+_B_WEIGHTS = st.one_of(st.sampled_from([_B_LO, 1.0, _B_HI]), _log_uniform(_B_LO, _B_HI))
+# a start's non-leading component: 0.0, subnormal, or log-uniform up to 1
+_UNIT_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.0]),
+    st.floats(5e-324, 2.2250738585072014e-308),
+    _log_uniform(1e-300, 1.0),
+)
+
+
 def _backend_case_args(case):
     ((j1, j2, t), u0), max_iter, burn_in, p_max, _ = case
     p = derive_params(Couplings(j1, j2, t))
@@ -308,6 +325,41 @@ class TestBackends:
             except Exception as exc:  # both must raise alike
                 outs.append(type(exc))
         assert outs[0] == outs[1], args
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(
+        a=_WEIGHTS,
+        b=_B_WEIGHTS,
+        lead=st.integers(0, 3),
+        rest=st.lists(_UNIT_COMPONENTS, min_size=3, max_size=3),
+    )
+    # the four corners of the range, each with another component at 1
+    @example(a=1e-150, b=_B_LO, lead=0, rest=[0.0, 5e-324, 1e-300])
+    @example(a=1e-150, b=_B_HI, lead=1, rest=[0.0, 5e-324, 1e-300])
+    @example(a=1e150, b=_B_LO, lead=2, rest=[0.0, 5e-324, 1e-300])
+    @example(a=1e150, b=_B_HI, lead=3, rest=[0.0, 5e-324, 1e-300])
+    def test_one_step_on_the_kernels_domain(self, compiled_kernel, a, b, lead, rest):
+        # the domain iterate hands the kernels: a, b anywhere in
+        # BoltzmannParams' range and a start of max-norm 1, whose other
+        # components may be 0.0 or subnormal. One step divides by no zero,
+        # keeps max-norm 1 and is the same on both kernels, bit for bit
+        from cayleyphase import _trajectory_py as py
+
+        BoltzmannParams(a, b)
+        start = rest[:lead] + [1.0] + rest[lead:]
+        args = (a, b, *start, 1, TOL, BURN_IN, P_MAX)
+        out = py.run_trajectory(*args)
+        assert max(out[4][-1]) == 1.0, args
+        assert repr(compiled_kernel.run_trajectory(*args)) == repr(out), args
+
+    def test_domain_corners_are_the_range_edges(self):
+        # one ulp past each drawn corner, BoltzmannParams refuses
+        for a, b in ((1e-150, _B_LO), (1e150, _B_HI)):
+            BoltzmannParams(a, b)
+            out = 0.0 if a < 1.0 else math.inf
+            for past in ((math.nextafter(a, out), 1.0), (1.0, math.nextafter(b, out))):
+                with pytest.raises(ParameterRangeError):
+                    BoltzmannParams(*past)
 
     @pytest.mark.parametrize("p_max", [-1, 257])
     def test_ring_capacity_is_checked(self, compiled_kernel, p_max):
