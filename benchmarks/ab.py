@@ -16,7 +16,10 @@ fresh ``python -m cayleyphase`` processes with ``PYTHONDONTWRITEBYTECODE=1``:
   stdout, with ``workloads.matches``); the calls that differ there too are
   listed as ``summary_mismatches``, so a change of layout or of stderr alone
   leaves that list empty;
-- each round also times a bare ``python -c pass``, the floor of any call.
+- each round also times a bare ``python -c pass``, the floor of any call,
+  and a bare ``python -c "import numpy"`` with ``OPENBLAS_NUM_THREADS=1``
+  as ``cli.run`` sets it, the floor of every ``scan`` and ``diagnose`` call,
+  whose starts need numpy.
 
 Peak RSS is taken as the benchmark defines ``peak_rss_mb``: per round and
 side, the maximum over that pass's calls.  Its median and interquartile range
@@ -156,10 +159,12 @@ def main(argv: list[str] | None = None) -> int:
         wall = {(name, k, side): [] for name, cs in calls.items() for k in range(len(cs)) for side in SIDES}
         cpu = {key: [] for key in wall}
         rss = {key: [] for key in wall}
-        interpreter, mismatches, summary_mismatches = [], [], []
+        interpreter, numpy_import, mismatches, summary_mismatches = [], [], [], []
+        numpy_env = dict(env["change"], OPENBLAS_NUM_THREADS="1")
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             interpreter.append(spawn([sys.executable, "-c", "pass"], env["change"], tmp)["wall_s"])
+            numpy_import.append(spawn([sys.executable, "-c", "import numpy"], numpy_env, tmp)["wall_s"])
             for name, cs in calls.items():
                 for k, call in enumerate(cs):
                     results = {}
@@ -186,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "settings": {"rounds": args.rounds, "seed": args.seed, "size": "full", "PYTHONDONTWRITEBYTECODE": "1"},
         "interpreter_s": stats(interpreter),
+        "numpy_import_s": stats(numpy_import),
         "identical_output": not mismatches,
         "mismatches": sorted(set(mismatches)),
         "summary_mismatches": sorted(set(summary_mismatches)),

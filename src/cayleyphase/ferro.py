@@ -41,6 +41,11 @@ At low temperature z lies within rounding of 1, so ``1 - z`` is formed as
 
     A + B = (q + e) (q + s w) - w - q s R.
 
+Every search is bisection (``core.bracketed_root``): of H across each sign
+change on a geometric grid in w, and, where a flip pair close to the slice
+puts two roots between neighbouring grid points, of H's slope, whose sign
+change at H's extremum splits those two roots into two brackets.
+
 Dividing out ``v1 - v4`` removes the symmetric fixed points from the roots,
 so fixed points close to the slice are not masked by them.  Each root gives
 the state ``v = (z, lift psi(w), lift psi(z), w)`` (the outer two divided by
@@ -78,7 +83,9 @@ FULL_RESIDUAL_TOL = 1e-9
 # than the smallest normal double
 _W_PER_DECADE = 36.5
 _W_FLOOR_CAP = 1e-14
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+# the forward-difference step of H's slope, sqrt(eps): the step that balances
+# the rounding of H against the truncation of the difference
+_STEP = math.sqrt(sys.float_info.epsilon)
 
 
 class FerroCandidate(namedtuple("FerroCandidate", "C v u full_residual")):
@@ -105,28 +112,6 @@ def _accept(p: BoltzmannParams, v: tuple[float, float, float, float]) -> FerroCa
     return FerroCandidate(C=v[1] + v[2], v=v, u=u, full_residual=full_residual)
 
 
-def _below_zero(f, lo: float, hi: float) -> float | None:
-    """A point of (lo, hi) where ``f < 0``, met on a golden-section search
-    for the minimum of f, or None where the search closes above 0."""
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while True:
-        if f1 < 0.0:
-            return x1
-        if f2 < 0.0:
-            return x2
-        if not hi - lo > 1e-15 * hi:
-            return None
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-
-
 def _mirror(c: FerroCandidate) -> FerroCandidate:
     # v2 + v3 == v3 + v2 and F(flip u) == flip F(u) hold bit for bit
     return FerroCandidate(c.C, c.v[::-1], StateVector._make(c.u[::-1]), c.full_residual)
@@ -142,9 +127,11 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     bisected in w (where A changes sign, the sign change is a pole of z, not
     a root).  A flip pair close to the slice can put two roots into one
     interval, which the sign test cannot see: so at each local minimum of
-    |H| where H and A keep their signs, a golden-section search for the
-    extremum of H between the neighbouring grid points looks for a point
-    where H changes sign, and each side of it is bisected.  Each root with
+    |H| where H and A keep their signs, the window between the neighbouring
+    grid points is split at the extremum of H, found by bisecting H's
+    forward difference ``h(w (1 + _STEP)) - h(w)``, and each side of the
+    split is bisected where H changes sign across it.  A window whose
+    difference keeps its sign is not split.  Each root with
     ``z > w`` is rebuilt as a state and accepted by the one-generation
     check; each state is returned followed by its mirror, in order of C.
     An empty list is a legitimate outcome (no ferromagnetic order at these
@@ -181,6 +168,9 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
     def h(w: float) -> float:
         return curve(w)[1]
 
+    def slope(w: float) -> float:
+        return h(w * (1.0 + _STEP)) - h(w)
+
     floor = max(min(_W_FLOOR_CAP, q * q / 16.0), sys.float_info.min)
     n = math.ceil(_W_PER_DECADE * -math.log10(floor)) + 1
     walk = [(w, *curve(w)[:2]) for w in (floor ** (1.0 - i / (n - 1)) for i in range(n))]
@@ -191,10 +181,11 @@ def solve_ferro_fixed_points(p: BoltzmannParams) -> list[FerroCandidate]:
         if abs(h0) > abs(h1) <= abs(h2) and (  # strict on one side: a tie opens one window
             a0 * a1 > 0.0 and a1 * a2 > 0.0 and h0 * h1 > 0.0 and h1 * h2 > 0.0
         ):
-            sign = 1.0 if h1 > 0.0 else -1.0
-            wx = _below_zero(lambda w: sign * h(w), w0, w2)
-            if wx is not None:
-                brackets += [(w0, wx), (wx, w2)]
+            try:
+                wx = bracketed_root(slope, w0, w2)
+            except ValueError:
+                continue
+            brackets += [(w0, wx), (wx, w2)]
 
     scale = p.alpha * b  # z = scale v1, w = scale v4
     lift = b / p.alpha**3  # v2 = lift psi(w), v3 = lift psi(z)

@@ -42,6 +42,10 @@ FERRO_POINTS = [
 _BOX = random.Random(1)
 BOX_DRAWS = [Couplings(_BOX.uniform(-3, 3), _BOX.uniform(-3, 3), _BOX.uniform(0.1, 3)) for _ in range(12)]
 
+# draw 5974 of the same box, the one of its 20,000 draws whose pair lies in
+# one grid interval of H, so only the split of that window finds it
+SPLIT_BOX_DRAW = Couplings(1.2512653264010751, -0.05200696702800389, 1.9893303807941105)
+
 # a second pair, u1/u4 from 20 to 2.6e10, whose large components lie on the
 # slice: two later draws of the box, and the three cold FERRO_POINTS that
 # have one
@@ -134,16 +138,20 @@ class TestSolveFerroFixedPoints:
         assert_genuine(p, cands)
         assert_flip_closed(cands)
 
-    def test_pair_listed_just_below_the_ferro_line(self):
-        # j2 = 0, 1 - T/Tc = 1e-8: the pair lies at slice distance 3.6e-4
-        p = derive_params(Couplings(1.0, 0.0, (1.0 - 1e-8) / math.atanh(0.5)))
+    # j2 = 0 at 1 - T/Tc = eps: at 1e-8 the pair lies at slice distance
+    # 3.6e-4.  Both its roots fall into one grid interval of H, so only the
+    # split of that window finds it; a slope step of 1e-7 or of 1e-10 loses
+    # it at 1e-15
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12, 1e-14, 1e-15])
+    def test_pair_listed_just_below_the_ferro_line(self, eps):
+        p = derive_params(Couplings(1.0, 0.0, (1.0 - eps) / math.atanh(0.5)))
         cands = solve_ferro_fixed_points(p)
-        assert len(cands) == 2
+        assert len(cands) == ferro_count(p) == 2
         assert_genuine(p, cands)
 
     @pytest.mark.parametrize(
         "c",
-        [*PAIR_ON_THE_SLICE, FERRO_POINTS[0], *BOX_DRAWS],
+        [*PAIR_ON_THE_SLICE, FERRO_POINTS[0], *BOX_DRAWS, SPLIT_BOX_DRAW],
         ids=lambda c: f"j1={c.j1:.6g},j2={c.j2:.6g},T={c.temperature:.6g}",
     )
     def test_every_root_of_the_ferro_polynomial_is_listed(self, c):
